@@ -1,7 +1,7 @@
 """dynwalk: CONGEST-model simulation of random-walk protocols on evolving
 regular graphs, with an exact spectral oracle for desk-scale verification."""
 
-from .engine import CongestEngine, Encodings, Message, RoundLog, SimConfig, default_bandwidth, run
+from .engine import CongestEngine, Encodings, RoundLog, SimConfig, default_bandwidth
 from .gossip import GossipParams, k_gossip_race, k_gossip_rw, k_gossip_trivial, resolve_gossip_params
 from .graphs import (
     GraphSchedule,

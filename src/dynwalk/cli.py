@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .engine import CongestionError
+from .engine import CongestionError, FloodIncompleteError, ProtocolError
 from .graphs import ScheduleError, parse_schedule_spec, write_schedule_file
 from .harness import config_from_values, load_config_file, run_experiment
 
@@ -78,7 +78,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG_ERROR
     try:
         report, code = run_experiment(config)
-    except (ScheduleError, CongestionError, ValueError) as exc:
+    except (ScheduleError, CongestionError, FloodIncompleteError, ProtocolError, ValueError) as exc:
         print(f"run error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     for failure in report.failures:

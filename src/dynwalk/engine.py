@@ -1,32 +1,33 @@
 """Round-synchronous CONGEST(B) execution over a graph schedule.
 
 Messages sent at round t travel only edges of E_t and arrive at the end of
-round t.  Per directed edge and round, delivered bits are capped at B:
-under the strict policy an overflow aborts the run, under the queue policy
-excess messages wait in FIFO order.  Every round is accounted in a RoundLog
-whose totals are the run's cost in the paper's sense (local computation is
-free, rounds are the currency).
+round t.  A round is one `exchange` call carrying all of that round's
+messages as arrays; per directed edge and round, the bits sent are capped
+at B and an overflow aborts the run.  Every round is accounted in a
+RoundLog whose totals are the run's cost in the paper's sense (local
+computation is free, rounds are the currency).
+
+Randomness comes from one numpy Generator per (algorithm seed, purpose
+tag); protocols take each phase's draws from it in as few calls as they can.
 """
 from __future__ import annotations
 
 import json
 import math
-import random
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, NamedTuple
+from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
 
 from .graphs import GraphSchedule, GraphSnapshot, derive_seed
 
 __all__ = [
     "SimConfig",
-    "Message",
     "Encodings",
     "default_bandwidth",
     "RoundLog",
     "RoundRecord",
     "CongestEngine",
-    "NodeView",
-    "run",
     "CongestionError",
     "RoundLimitError",
     "FloodIncompleteError",
@@ -35,7 +36,7 @@ __all__ = [
 
 
 class CongestionError(RuntimeError):
-    """Strict policy: some directed edge exceeded B bits in one round."""
+    """Some directed edge would carry more than B bits in one round."""
 
 
 class RoundLimitError(RuntimeError):
@@ -60,20 +61,9 @@ def default_bandwidth(n: int) -> int:
 class SimConfig:
     seed: int = 0
     bandwidth_bits: int | None = None  # None -> default_bandwidth(n)
-    congestion_policy: str = "strict"  # "strict" | "queue"
     phi: int | None = None  # dynamic diameter supplied to protocols
     max_rounds: int = 10_000_000
     record_rounds: bool = False  # keep one RoundRecord per round
-
-    def __post_init__(self):
-        if self.congestion_policy not in ("strict", "queue"):
-            raise ValueError(f"unknown congestion policy {self.congestion_policy!r}")
-
-
-class Message(NamedTuple):
-    kind: str
-    payload: tuple
-    bits: int
 
 
 class Encodings:
@@ -154,9 +144,8 @@ class CongestEngine:
     """Lock-step round executor bound to one schedule and one config.
 
     The engine owns the global round counter: every primitive that talks on
-    the network advances it.  Per-node randomness streams are derived from
-    (algorithm seed, node id, purpose tag), so they never interleave with
-    the schedule's seed.
+    the network advances it.  Randomness comes from one numpy Generator per
+    (algorithm seed, purpose tag), never from the schedule's seed.
     """
 
     def __init__(self, schedule: GraphSchedule, config: SimConfig | None = None):
@@ -171,19 +160,19 @@ class CongestEngine:
         self.enc = Encodings(schedule.n)
         self.log = RoundLog(keep_records=self.config.record_rounds)
         self._round = 0
-        self._rngs: dict[tuple[int, int], random.Random] = {}
-        self._queues: dict[tuple[int, int], list] = {}
+        self._streams: dict[int, np.random.Generator] = {}
 
     @property
     def round(self) -> int:
         """Number of completed rounds."""
         return self._round
 
-    def node_rng(self, v: int, tag: int) -> random.Random:
-        rng = self._rngs.get((v, tag))
+    def stream(self, tag: int) -> np.random.Generator:
+        """The run's random stream for one purpose tag (seeded from (seed, tag))."""
+        rng = self._streams.get(tag)
         if rng is None:
-            rng = random.Random(derive_seed(self.config.seed, v, tag))
-            self._rngs[(v, tag)] = rng
+            rng = np.random.default_rng(derive_seed(self.config.seed, tag))
+            self._streams[tag] = rng
         return rng
 
     def next_snapshot(self) -> GraphSnapshot:
@@ -196,71 +185,50 @@ class CongestEngine:
             raise RoundLimitError(f"exceeded max_rounds={self.config.max_rounds}")
         return t
 
-    def exchange(
-        self, sends: Iterable[tuple[int, int, int, object]]
-    ) -> dict[int, list[tuple[int, object]]]:
-        """Execute one round. `sends` holds (src, dst, bits, payload) tuples.
+    def exchange(self, src, dst, bits: int) -> None:
+        """Execute one round: message i travels src[i] -> dst[i] carrying `bits`.
 
-        Returns the inbox delivered at the end of the round: dst -> list of
-        (src, payload) in send order.  Raises on sends along missing edges,
-        and on overflow under the strict policy.
+        `src` and `dst` are equal-length int arrays; every message of a round
+        has the same size.  Every pair must be an edge of this round's
+        snapshot, and per directed edge the bits sum to at most B.  Callers
+        know where each message goes, so nothing is returned; an empty round
+        is logged like an idle one.
         """
         t = self._begin_round()
-        g = self.schedule.snapshot_at(t)
-        adj_sets = g.adj_sets
-        if self.config.congestion_policy == "queue":
-            return self._exchange_queued(t, g, sends)
-        edge_bits: dict[tuple[int, int], int] = {}
-        inbox: dict[int, list[tuple[int, object]]] = {}
-        msgs = 0
-        for u, v, bits, payload in sends:
-            if v not in adj_sets[u]:
-                raise ProtocolError(f"round {t}: ({u},{v}) is not an edge of G_{t}")
-            key = (u, v)
-            total = edge_bits.get(key, 0) + bits
-            if total > self.B:
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        msgs = len(src)
+        if len(dst) != msgs:
+            raise ValueError(f"round {t}: {msgs} sources but {len(dst)} destinations")
+        top = 0
+        if msgs:
+            n = self.n
+            try:
+                keys = np.ravel_multi_index((src, dst), (n, n))
+            except ValueError:  # an id outside [0, n)
+                keys = None
+            nbr = self.schedule.snapshot_at(t).arrays.nbr
+            if keys is None or np.count_nonzero(nbr.take(src, axis=0) == dst[:, None]) != msgs:
+                self._reject(t, src, dst)
+            counts = np.bincount(keys)
+            e = int(counts.argmax())
+            top = counts.item(e) * bits
+            if top > self.B:
                 self.log.congestion_events += 1
                 raise CongestionError(
-                    f"round {t}: edge ({u},{v}) would carry {total} bits > B={self.B}"
+                    f"round {t}: edge ({e // n},{e % n}) would carry {top} bits > B={self.B}"
                 )
-            edge_bits[key] = total
-            if v in inbox:
-                inbox[v].append((u, payload))
-            else:
-                inbox[v] = [(u, payload)]
-            msgs += 1
-        self.log.observe(t, msgs, max(edge_bits.values()) if edge_bits else 0)
+        self.log.observe(t, msgs, top)
         self._round = t
-        return inbox
 
-    def _exchange_queued(self, t, g, sends):
-        for u, v, bits, payload in sends:
-            self._queues.setdefault((u, v), []).append((bits, payload))
-        inbox: dict[int, list[tuple[int, object]]] = {}
-        msgs = 0
-        max_bits = 0
-        for (u, v), queue in list(self._queues.items()):
-            if v not in g.adj_sets[u]:
-                continue  # edge absent this round; messages wait
-            used = 0
-            delivered = 0
-            for bits, payload in queue:
-                if used + bits > self.B:
-                    break
-                used += bits
-                delivered += 1
-                inbox.setdefault(v, []).append((u, payload))
-            if delivered:
-                del queue[:delivered]
-            if queue:
-                self.log.congestion_events += 1
-            else:
-                del self._queues[(u, v)]
-            msgs += delivered
-            max_bits = max(max_bits, used)
-        self.log.observe(t, msgs, max_bits)
-        self._round = t
-        return inbox
+    def _reject(self, t: int, src: np.ndarray, dst: np.ndarray) -> None:
+        """Raise ProtocolError naming the first message sent off G_t's edges."""
+        g = self.schedule.snapshot_at(t)
+        u, v = next(
+            (u, v) for u, v in zip(src.tolist(), dst.tolist())
+            if not (0 <= u < self.n and 0 <= v < self.n and g.has_edge(u, v))
+        )
+        raise ProtocolError(f"round {t}: ({u},{v}) is not an edge of G_{t}")
 
     def idle(self, rounds: int = 1) -> None:
         """Consume rounds with no traffic (still logged)."""
@@ -339,53 +307,3 @@ class CongestEngine:
             self._round = t
             used += 1
         return used, informed_round
-
-
-@dataclass
-class NodeView:
-    """What one node sees when its program runs for a round."""
-
-    node: int
-    t: int
-    neighbors: tuple[int, ...]
-    inbox: list[tuple[int, Message]]
-    rng: Callable[[int], random.Random] = field(repr=False, default=None)
-
-
-def run(
-    schedule: GraphSchedule,
-    programs: Mapping[int, object],
-    config: SimConfig,
-    rounds: int,
-) -> tuple[dict[int, object], RoundLog]:
-    """Drive per-node programs for `rounds` lock-step rounds.
-
-    A program exposes ``step(view) -> list[(dst, Message)]``; its round-t
-    view carries the round-t neighbor set and the messages delivered at the
-    end of round t-1.  Returns each program's ``output()`` (None if absent)
-    and the round log.
-    """
-    engine = CongestEngine(schedule, config)
-    n = schedule.n
-    if set(programs) != set(range(n)):
-        raise ProtocolError("programs must be defined for every node")
-    inbox: dict[int, list[tuple[int, Message]]] = {}
-    for _ in range(rounds):
-        g = engine.next_snapshot()
-        t = engine.round + 1
-        sends = []
-        for v in range(n):
-            view = NodeView(
-                node=v,
-                t=t,
-                neighbors=g.adj[v],
-                inbox=inbox.get(v, []),
-                rng=lambda tag, _v=v: engine.node_rng(_v, tag),
-            )
-            for dst, msg in programs[v].step(view):
-                sends.append((v, dst, msg.bits, msg))
-        inbox = engine.exchange(sends)
-    outcomes = {
-        v: (programs[v].output() if hasattr(programs[v], "output") else None) for v in range(n)
-    }
-    return outcomes, engine.log

@@ -12,10 +12,13 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 __all__ = [
     "GraphSnapshot",
+    "SnapshotArrays",
     "GraphSchedule",
     "StaticSchedule",
     "PeriodicSchedule",
@@ -59,10 +62,18 @@ def derive_seed(*parts: int) -> int:
     return acc
 
 
+class SnapshotArrays(NamedTuple):
+    """Array view of a snapshot: row v of `nbr` lists adj[v], padded up to
+    the maximum degree with -1 (no node id); `deg` holds the degrees."""
+
+    nbr: np.ndarray
+    deg: np.ndarray
+
+
 class GraphSnapshot:
     """One round's topology: a simple undirected graph on nodes [0, n)."""
 
-    __slots__ = ("n", "round", "edges", "adj", "adj_sets")
+    __slots__ = ("n", "round", "edges", "adj", "adj_sets", "_view")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], round: int = 1):
         norm = set()
@@ -81,6 +92,19 @@ class GraphSnapshot:
             adj[v].append(u)
         self.adj = tuple(tuple(a) for a in adj)
         self.adj_sets = tuple(frozenset(a) for a in adj)
+        self._view: list[SnapshotArrays | None] = [None]  # shared with with_round clones
+
+    @property
+    def arrays(self) -> SnapshotArrays:
+        """Neighbor table and degree vector, built on first use."""
+        view = self._view[0]
+        if view is None:
+            deg = np.array([len(a) for a in self.adj], dtype=np.int64)
+            nbr = np.full((self.n, int(deg.max(initial=0))), -1, dtype=np.int64)
+            for v, a in enumerate(self.adj):
+                nbr[v, : len(a)] = a
+            view = self._view[0] = SnapshotArrays(nbr, deg)
+        return view
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -97,6 +121,7 @@ class GraphSnapshot:
         clone.edges = self.edges
         clone.adj = self.adj
         clone.adj_sets = self.adj_sets
+        clone._view = self._view
         return clone
 
     def __eq__(self, other) -> bool:
@@ -414,6 +439,19 @@ def _static_source(arg: str) -> GraphSnapshot:
     return named_graph(arg)
 
 
+def _spec_fields(spec: str, kind: str, arg: str, names: tuple[str, ...], convert) -> list:
+    """The `names` fields of a ``key=value,...`` spec argument, converted."""
+    try:
+        kv = dict(part.split("=", 1) for part in arg.split(","))
+        values = [kv[name].strip() for name in names]
+        if not all(values):
+            raise ValueError("empty field")
+        return [convert(v) for v in values]
+    except (KeyError, ValueError):
+        expected = ",".join(f"{name}=..." for name in names)
+        raise ScheduleError(f"malformed schedule spec {spec!r}: expected {kind}:{expected}") from None
+
+
 def parse_schedule_spec(spec: str, seed: int = 0) -> GraphSchedule:
     """Parse a generator spec string into a schedule.
 
@@ -430,13 +468,12 @@ def parse_schedule_spec(spec: str, seed: int = 0) -> GraphSchedule:
         _, _, graphs = read_schedule_file(arg)
         return PeriodicSchedule(graphs, seed=seed, spec=spec)
     if kind in ("rr", "srr"):
-        kv = dict(part.split("=") for part in arg.split(","))
-        n, d = int(kv["n"]), int(kv["d"])
+        n, d = _spec_fields(spec, kind, arg, ("n", "d"), int)
         if kind == "rr":
             return RandomRegularSchedule(n, d, seed=seed, spec=spec)
         g = random_regular_graph(n, d, random.Random(derive_seed(seed, 0, 3)))
         return StaticSchedule(g, seed=seed, spec=spec)
     if kind == "perm":
-        kv = dict(part.split("=") for part in arg.split(","))
-        return PermutedSchedule(_static_source(kv["base"]), seed=seed, spec=spec)
+        (base,) = _spec_fields(spec, kind, arg, ("base",), str)
+        return PermutedSchedule(_static_source(base), seed=seed, spec=spec)
     raise ScheduleError(f"unknown schedule spec: {spec!r}")

@@ -126,8 +126,20 @@ def config_from_values(values: dict) -> ExperimentConfig:
         else int(values["bandwidth"]),
         phi=str(values.get("phi", "oracle")),
         out=str(values.get("out", "out")),
-        oracle=bool(values.get("oracle", False)),
+        oracle=_parse_bool("oracle", values.get("oracle", False)),
     )
+
+
+def _parse_bool(key: str, value) -> bool:
+    """Config booleans: true/1/yes or false/0/no/"" (any case); bools pass."""
+    if isinstance(value, bool):
+        return value
+    text = str(value).strip().lower()
+    if text in ("true", "1", "yes"):
+        return True
+    if text in ("false", "0", "no", ""):
+        return False
+    raise ValueError(f"{key}={value!r} is not a boolean (true/false, 1/0, yes/no)")
 
 
 def resolve_phi(config: ExperimentConfig, schedule: GraphSchedule) -> int:
@@ -260,7 +272,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunReport, int]:
             SimConfig(
                 seed=seed,
                 bandwidth_bits=sim.bandwidth_bits,
-                congestion_policy=sim.congestion_policy,
                 phi=phi,
                 max_rounds=sim.max_rounds,
             ),

@@ -8,6 +8,14 @@ over snapshots G_1..G_{2*lambda} and freeze at their endpoints.  Phase 2
 repeatedly samples an unused coupon at the token's current node (one flood
 to locate the holder, one flood to transfer the token, phi rounds each) and
 finishes the remainder below 2*lambda naively on live snapshots.
+
+Every round moves all of its tokens at once: positions, holders and
+neighbor choices are numpy arrays, and one `CongestEngine.exchange` call
+carries the round's messages.  Each step is an independent uniform choice
+drawn from the engine's stream for its purpose (Phase 1, stitching, naive
+steps), taken in one call per phase or per walk; which draw feeds which
+step is a matter of bookkeeping, so the walks' laws are those of the
+textbook protocol.
 """
 from __future__ import annotations
 
@@ -39,9 +47,9 @@ __all__ = [
     "visit_stats",
 ]
 
-# Purpose tags for per-node randomness streams.
-TAG_PHASE1 = 11  # Phase-1 coupon lengths, then forwarding choices
-TAG_STITCH = 13  # Phase-2 serial sampling
+# Purpose tags of the engine's random streams (CongestEngine.stream).
+TAG_PHASE1 = 11  # Phase-1 coupon lengths, then neighbor choices
+TAG_STITCH = 13  # Phase-2 coupon sampling
 TAG_NAIVE = 14   # naive walk steps
 
 
@@ -90,54 +98,47 @@ class Coupon:
 
 
 class CouponTable:
-    """Phase-1 output: per-origin coupons, their holders, and the unused sets."""
+    """Phase-1 output as arrays indexed by coupon ci = origin*d + serial - 1.
 
-    def __init__(self, n: int, d: int, lambda_walk: int):
+    `origins`, `serials`, `lengths`, `holders` and `used` hold one entry per
+    coupon; `unused[v]` lists the coupon indices origin v has not sampled
+    yet.  With recorded paths, `trail[i]` holds every coupon's position
+    after round i (a coupon stays put once its desired length is walked).
+    """
+
+    def __init__(self, n: int, d: int, lambda_walk: int, lengths):
         self.n = n
         self.d = d
         self.lambda_walk = lambda_walk
-        self.origins: list[int] = []
-        self.serials: list[int] = []
-        self.lengths: list[int] = []
-        self.holders: list[int] = []
-        self.paths: list[list[int]] | None = None
-        self.used: list[bool] = []
-        self.unused: list[list[int]] = [[] for _ in range(n)]
-
-    def add(self, origin: int, serial: int, length: int, path: list[int] | None) -> int:
-        ci = len(self.origins)
-        self.origins.append(origin)
-        self.serials.append(serial)
-        self.lengths.append(length)
-        self.holders.append(origin)
-        self.used.append(False)
-        self.unused[origin].append(ci)
-        if path is not None:
-            if self.paths is None:
-                self.paths = []
-            self.paths.append(path)
-        return ci
+        self.lengths = np.asarray(lengths, dtype=np.int64)
+        self.origins = np.repeat(np.arange(n, dtype=np.int64), d)
+        self.serials = np.tile(np.arange(1, d + 1, dtype=np.int64), n)
+        self.holders = self.origins.copy()
+        self.used = np.zeros(n * d, dtype=bool)
+        self.unused: list[list[int]] = [list(range(v * d, (v + 1) * d)) for v in range(n)]
+        self.trail: np.ndarray | None = None
 
     def remaining(self, origin: int) -> int:
         return len(self.unused[origin])
 
-    def sample(self, origin: int, rng) -> int:
+    def sample(self, origin: int, rng: np.random.Generator) -> int:
         """Pop a uniformly chosen unused coupon of `origin`; returns its index."""
         pool = self.unused[origin]
         if not pool:
             raise CouponsExhausted(f"node {origin} has no unused coupons")
-        ci = pool.pop(rng.randrange(len(pool)))
+        ci = pool.pop(int(rng.integers(len(pool))))
         self.used[ci] = True
         return ci
 
     def as_coupon(self, ci: int) -> Coupon:
+        length = int(self.lengths[ci])
         return Coupon(
-            origin=self.origins[ci],
-            serial=self.serials[ci],
-            desired_length=self.lengths[ci],
-            holder=self.holders[ci],
-            used=self.used[ci],
-            path=tuple(self.paths[ci]) if self.paths is not None else None,
+            origin=int(self.origins[ci]),
+            serial=int(self.serials[ci]),
+            desired_length=length,
+            holder=int(self.holders[ci]),
+            used=bool(self.used[ci]),
+            path=tuple(self.trail[: length + 1, ci].tolist()) if self.trail is not None else None,
         )
 
 
@@ -163,32 +164,43 @@ class WalkResult:
 
 
 class SimpleStepper:
-    """Uniform-neighbor step of the simple random walk."""
+    """Uniform-neighbor step of the simple random walk on a d-regular schedule.
 
-    def step(self, rng, v: int, g: GraphSnapshot) -> int:
-        nbrs = g.adj[v]
-        return nbrs[rng.randrange(len(nbrs))]
+    A token at v with draw j in [0, d) moves to v's j-th current neighbor.
+    """
+
+    can_stay = False
+
+    def __init__(self, d: int):
+        self.high = d
+
+    def step(self, g: GraphSnapshot, v: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return g.arrays.nbr.take(v * self.high + j)
 
 
 class LazyStepper:
     """Stay with probability 1 - deg(u)/(d_max+1), else uniform neighbor.
 
-    One draw over d_max+1 equally likely outcomes: outcome j < deg(u) moves
-    along edge j (probability 1/(d_max+1) each), anything else stays.  The
-    induced chain is doubly stochastic with uniform stationary distribution.
+    One draw j over d_max+1 equally likely outcomes: j < deg(u) moves along
+    edge j (probability 1/(d_max+1) each), anything else stays.  The induced
+    chain is doubly stochastic with uniform stationary distribution.
     """
+
+    can_stay = True
 
     def __init__(self, d_max: int):
         if d_max < 1:
             raise ValueError("d_max must be >= 1")
         self.d_max = d_max
+        self.high = d_max + 1
 
-    def step(self, rng, v: int, g: GraphSnapshot) -> int:
-        nbrs = g.adj[v]
-        if len(nbrs) > self.d_max:
-            raise ProtocolError(f"observed degree {len(nbrs)} exceeds d_max={self.d_max}")
-        j = rng.randrange(self.d_max + 1)
-        return nbrs[j] if j < len(nbrs) else v
+    def step(self, g: GraphSnapshot, v: np.ndarray, j: np.ndarray) -> np.ndarray:
+        nbr, deg = g.arrays
+        dv = deg[v]
+        if (dv > self.d_max).any():
+            raise ProtocolError(f"observed degree {dv.max()} exceeds d_max={self.d_max}")
+        move = j < dv
+        return np.where(move, nbr[v, np.where(move, j, 0)], v)
 
 
 def lazy_adapter(schedule: GraphSchedule, d_max: int) -> LazyStepper:
@@ -197,28 +209,50 @@ def lazy_adapter(schedule: GraphSchedule, d_max: int) -> LazyStepper:
     return LazyStepper(d_max)
 
 
-_SIMPLE = SimpleStepper()
+def _simple_stepper(engine: CongestEngine) -> SimpleStepper:
+    if engine.schedule.d is None:
+        raise ProtocolError("non-regular schedule: engage the lazy adapter")
+    return SimpleStepper(engine.schedule.d)
 
 
-def _naive_steps(engine, start, steps, token_bits, stepper, collect_path):
-    """Advance a single token `steps` rounds; returns (dest, provenance, hops)."""
-    v = start
-    prov = []
-    hops = [] if collect_path else None
-    exchange = engine.exchange
-    for _ in range(steps):
-        g = engine.next_snapshot()
-        t = engine.round + 1
-        u = stepper.step(engine.node_rng(v, TAG_NAIVE), v, g)
-        if u == v:
-            engine.idle(1)  # lazy stay: round consumed, nothing sent
+def _walk_tokens(engine, sources, steps, token_bits, stepper, record_path):
+    """Move one token per source for `steps` rounds, all tokens each round.
+
+    Each step is an independent draw from the TAG_NAIVE stream, all taken
+    in one call.  Returns the final positions and, with `record_path`, the
+    (steps + 1, k) array of positions after each round.
+    """
+    pos = np.array(sources, dtype=np.int64)
+    draws = engine.stream(TAG_NAIVE).integers(stepper.high, size=(steps, len(pos)))
+    trail = np.empty((steps + 1, len(pos)), dtype=np.int64) if record_path else None
+    if record_path:
+        trail[0] = pos
+    for i in range(steps):
+        nxt = stepper.step(engine.next_snapshot(), pos, draws[i])
+        if stepper.can_stay:  # a token that stays sends nothing
+            moved = nxt != pos
+            engine.exchange(pos[moved], nxt[moved], token_bits)
         else:
-            exchange(((v, u, token_bits, None),))
-        prov.append(t)
-        if collect_path:
-            hops.append(u)
-        v = u
-    return v, prov, hops
+            engine.exchange(pos, nxt, token_bits)
+        pos = nxt
+        if record_path:
+            trail[i + 1] = pos
+    return pos, trail
+
+
+def _naive_results(engine, sources, length, token_bits, stepper, record_path, walk_ids):
+    start_round = engine.round
+    pos, trail = _walk_tokens(engine, sources, length, token_bits, stepper, record_path)
+    used = engine.round - start_round
+    prov = list(range(start_round + 1, engine.round + 1))
+    paths = trail.T.tolist() if record_path else [None] * len(pos)
+    # Positional fields (see WalkResult): thousands of walks per call in sample_endpoints.
+    return [
+        WalkResult(s, dest, used, [s], prov[:], [], 0, path, walk_id)
+        for s, dest, path, walk_id in zip(
+            np.asarray(sources, dtype=np.int64).tolist(), pos.tolist(), paths, walk_ids
+        )
+    ]
 
 
 def naive_walk(
@@ -230,24 +264,9 @@ def naive_walk(
     record_path: bool = True,
 ) -> WalkResult:
     """Forward one token for `length` rounds, one uniform step per snapshot."""
-    if stepper is None:
-        if engine.schedule.d is None:
-            raise ProtocolError("non-regular schedule: engage the lazy adapter")
-        stepper = _SIMPLE
-    start_round = engine.round
+    stepper = stepper or _simple_stepper(engine)
     bits = engine.enc.token_bits(max(1, length))
-    dest, prov, hops = _naive_steps(engine, source, length, bits, stepper, record_path)
-    return WalkResult(
-        source=source,
-        destination=dest,
-        rounds_used=engine.round - start_round,
-        connectors=[source],
-        step_provenance=prov,
-        segment_lengths=[],
-        fallbacks=0,
-        path=[source] + hops if record_path else None,
-        walk_id=walk_id,
-    )
+    return _naive_results(engine, [source], length, bits, stepper, record_path, [walk_id])[0]
 
 
 def concurrent_naive_walks(
@@ -259,48 +278,10 @@ def concurrent_naive_walks(
     token_bits: int | None = None,
 ) -> list[WalkResult]:
     """Run len(sources) naive walks simultaneously in `length` rounds."""
-    if stepper is None:
-        if engine.schedule.d is None:
-            raise ProtocolError("non-regular schedule: engage the lazy adapter")
-        stepper = _SIMPLE
+    stepper = stepper or _simple_stepper(engine)
     k = len(sources)
     bits = token_bits if token_bits is not None else engine.enc.token_bits(max(1, length), k)
-    start_round = engine.round
-    pos = list(sources)
-    prov: list[list[int]] = [[] for _ in range(k)]
-    paths = [[s] for s in sources] if record_path else None
-    for _ in range(length):
-        g = engine.next_snapshot()
-        t = engine.round + 1
-        sends = []
-        for j in range(k):
-            v = pos[j]
-            u = stepper.step(engine.node_rng(v, TAG_NAIVE), v, g)
-            if u != v:
-                sends.append((v, u, bits, j))
-            pos[j] = u
-            prov[j].append(t)
-            if record_path:
-                paths[j].append(u)
-        if sends:
-            engine.exchange(sends)
-        else:
-            engine.idle(1)
-    used = engine.round - start_round
-    return [
-        WalkResult(
-            source=sources[j],
-            destination=pos[j],
-            rounds_used=used,
-            connectors=[sources[j]],
-            step_provenance=prov[j],
-            segment_lengths=[],
-            fallbacks=0,
-            path=paths[j] if record_path else None,
-            walk_id=j,
-        )
-        for j in range(k)
-    ]
+    return _naive_results(engine, sources, length, bits, stepper, record_path, range(k))
 
 
 def phase1_distribute(
@@ -313,7 +294,8 @@ def phase1_distribute(
     Runs for exactly 2*lambda engine rounds starting from a fresh engine;
     a coupon moves in round i iff its desired length is at least i, so each
     one rests at the endpoint of an independent walk of its desired length
-    over snapshots G_1..G_{desired_length}.
+    over snapshots G_1..G_{desired_length}.  The n*d lengths and the
+    (2*lambda, n*d) neighbor choices are drawn up front from TAG_PHASE1.
     """
     if engine.round != 0:
         raise ProtocolError("phase 1 must start at round 0 (coupons walk G_1 onwards)")
@@ -322,51 +304,30 @@ def phase1_distribute(
         raise ProtocolError("phase 1 requires a declared-regular schedule")
     n = engine.n
     lam = params.lambda_walk
-    table = CouponTable(n, d, lam)
-    held: list[list[int]] = [[] for _ in range(n)]
-    draw = []
-    for v in range(n):
-        rng = engine.node_rng(v, TAG_PHASE1)
-        draw.append(rng.randrange)
-        for serial in range(1, d + 1):
-            length = lam + rng.randrange(lam)
-            ci = table.add(v, serial, length, [v] if record_paths else None)
-            held[v].append(ci)
+    rng = engine.stream(TAG_PHASE1)
+    table = CouponTable(n, d, lam, lam + rng.integers(lam, size=n * d))
+    choices = rng.integers(d, size=(2 * lam, n * d))
+    # Longest coupons first: the coupons moving in round i (length >= i)
+    # are the first moving[i-1] of them.
+    order = np.argsort(-table.lengths, kind="stable")
+    moving = np.searchsorted(-table.lengths[order], -np.arange(1, 2 * lam + 1), side="right")
+    pos = table.holders[order]
+    trail = np.empty((2 * lam + 1, n * d), dtype=np.int64) if record_paths else None
+    if record_paths:
+        trail[0] = pos
     coupon_bits = engine.enc.coupon_bits(lam, d)
-    lengths = table.lengths
-    holders = table.holders
-    paths = table.paths
     for i in range(1, 2 * lam + 1):
-        g = engine.next_snapshot()
-        adj = g.adj
-        sends = []
-        append = sends.append
-        for v in range(n):
-            bucket = held[v]
-            if not bucket:
-                continue
-            movers = [ci for ci in bucket if lengths[ci] >= i]
-            if not movers:
-                continue
-            if len(movers) == len(bucket):
-                held[v] = []
-            else:
-                held[v] = [ci for ci in bucket if lengths[ci] < i]
-            rb = draw[v]
-            nbrs = adj[v]
-            m = len(nbrs)
-            for ci in movers:
-                append((v, nbrs[rb(m)], coupon_bits, ci))
-        inbox = engine.exchange(sends)
-        for v, items in inbox.items():
-            bucket = held[v]
-            for _, ci in items:
-                bucket.append(ci)
-                holders[ci] = v
-                if paths is not None:
-                    paths[ci].append(v)
-    if paths is not None:
-        assert all(len(paths[ci]) == lengths[ci] + 1 for ci in range(len(lengths)))
+        m = moving[i - 1]
+        src = pos[:m]
+        dst = engine.next_snapshot().arrays.nbr.take(src * d + choices[i - 1, :m])
+        engine.exchange(src, dst, coupon_bits)
+        pos[:m] = dst
+        if record_paths:
+            trail[i] = pos
+    table.holders[order] = pos
+    if record_paths:
+        table.trail = np.empty_like(trail)
+        table.trail[:, order] = trail
     return table
 
 
@@ -383,13 +344,13 @@ def sample_coupon(
     holder self-identify, then a second flood carries the token to it.  The
     coupon is deleted so it can never be sampled again.
     """
-    rng = engine.node_rng(connector, TAG_STITCH)
-    ci = table.sample(connector, rng)  # raises CouponsExhausted
+    ci = table.sample(connector, engine.stream(TAG_STITCH))  # raises CouponsExhausted
     if token_bits is None:
         token_bits = engine.enc.token_bits(2 * table.lambda_walk)
     engine.flood(engine.enc.request_bits(table.d), (connector,), phi)
     engine.flood(token_bits, (connector,), phi)
-    return table.as_coupon(ci), table.holders[ci]
+    coupon = table.as_coupon(ci)
+    return coupon, coupon.holder
 
 
 def single_random_walk(
@@ -411,24 +372,14 @@ def single_random_walk(
     the stitched regime is unreachable and the walk is performed naively.
     """
     tau, lam = params.tau, params.lambda_walk
-    start_round = engine.round
     token_bits = engine.enc.token_bits(tau, k_context)
+    stepper = _simple_stepper(engine)
     if coupons is None and tau <= 2 * lam:
-        dest, prov, hops = _naive_steps(engine, source, tau, token_bits, _SIMPLE, record_path)
-        return WalkResult(
-            source=source,
-            destination=dest,
-            rounds_used=engine.round - start_round,
-            connectors=[source],
-            step_provenance=prov,
-            segment_lengths=[],
-            fallbacks=0,
-            path=[source] + hops if record_path else None,
-            walk_id=walk_id,
-        )
+        return _naive_results(engine, [source], tau, token_bits, stepper, record_path, [walk_id])[0]
     phi = engine.config.phi
     if phi is None:
         raise ProtocolError("stitched walks need phi in SimConfig")
+    start_round = engine.round
     if coupons is None:
         coupons = phase1_distribute(engine, params, record_paths=record_path)
     completed = 0
@@ -437,6 +388,15 @@ def single_random_walk(
     segments: list[int] = []
     prov: list[int] = []
     path = [source] if record_path else None
+
+    def walk_naively(steps: int) -> int:
+        first = engine.round + 1
+        pos, trail = _walk_tokens(engine, [v], steps, token_bits, stepper, record_path)
+        prov.extend(range(first, engine.round + 1))
+        if record_path:
+            path.extend(trail[1:, 0].tolist())
+        return int(pos[0])
+
     fallbacks = 0
     stitches = 0
     while completed <= tau - 2 * lam:
@@ -444,10 +404,7 @@ def single_random_walk(
             coupon, dest = sample_coupon(engine, coupons, v, phi, token_bits)
         except CouponsExhausted:
             fallbacks += 1
-            v, p2, h2 = _naive_steps(engine, v, lam, token_bits, _SIMPLE, record_path)
-            prov.extend(p2)
-            if record_path:
-                path.extend(h2)
+            v = walk_naively(lam)
             completed += lam
             continue
         stitches += 1
@@ -459,12 +416,8 @@ def single_random_walk(
         if record_path and coupon.path is not None:
             path.extend(coupon.path[1:])
         v = dest
-    remainder = tau - completed
-    if remainder > 0:
-        v, p3, h3 = _naive_steps(engine, v, remainder, token_bits, _SIMPLE, record_path)
-        prov.extend(p3)
-        if record_path:
-            path.extend(h3)
+    if tau > completed:
+        v = walk_naively(tau - completed)
     return WalkResult(
         source=source,
         destination=v,

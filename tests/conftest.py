@@ -7,11 +7,8 @@ from dynwalk.graphs import parse_schedule_spec
 AMPLE = 1 << 24  # bandwidth that never congests at desk scale
 
 
-def make_engine(schedule, seed, phi=None, bandwidth=AMPLE, policy="strict"):
-    return CongestEngine(
-        schedule,
-        SimConfig(seed=seed, bandwidth_bits=bandwidth, congestion_policy=policy, phi=phi),
-    )
+def make_engine(schedule, seed, phi=None, bandwidth=AMPLE):
+    return CongestEngine(schedule, SimConfig(seed=seed, bandwidth_bits=bandwidth, phi=phi))
 
 
 def empirical_tv(destinations, target):

@@ -1,18 +1,17 @@
-import random
-
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import AMPLE, make_engine
 from dynwalk.engine import (
     CongestEngine,
     CongestionError,
     FloodIncompleteError,
-    Message,
     ProtocolError,
     RoundLimitError,
     SimConfig,
     default_bandwidth,
-    run,
 )
 from dynwalk.graphs import (
     PermutedSchedule,
@@ -23,68 +22,33 @@ from dynwalk.graphs import (
 )
 
 
-class Silent:
-    def step(self, view):
-        return []
-
-
-class SendOnce:
-    def __init__(self, payload="hello"):
-        self.payload = payload
-        self.sent = False
-        self.got = []
-
-    def step(self, view):
-        self.got.extend(view.inbox)
-        if view.node == 0 and not self.sent:
-            self.sent = True
-            return [(view.neighbors[0], Message("test", (self.payload,), 8))]
-        return []
-
-    def output(self):
-        return self.got
-
-
-class TestRun:
-    def test_all_silent(self, k4):
-        outcomes, log = run(k4, {v: Silent() for v in range(4)}, SimConfig(), rounds=5)
-        assert log.rounds == 5 and log.total_msgs == 0
-
-    def test_single_send_delivered_next_round(self, k4):
-        programs = {v: SendOnce() for v in range(4)}
-        outcomes, log = run(k4, programs, SimConfig(), rounds=2)
-        assert log.total_msgs == 1
-        receiver = k4.snapshot_at(1).adj[0][0]
-        assert outcomes[receiver] == [(0, Message("test", ("hello",), 8))]
-
-    def test_missing_program(self, k4):
-        with pytest.raises(ProtocolError):
-            run(k4, {0: Silent()}, SimConfig(), rounds=1)
-
-
 class TestExchange:
     def test_non_edge_rejected(self, c5):
         eng = make_engine(c5, seed=0)
         with pytest.raises(ProtocolError):
-            eng.exchange([(0, 2, 4, None)])  # C5: 0-2 not an edge
+            eng.exchange([0], [2], 4)  # C5: 0-2 not an edge
 
     def test_strict_overflow_names_round_and_edge(self, k4):
         eng = make_engine(k4, seed=0, bandwidth=10)
         with pytest.raises(CongestionError) as err:
-            eng.exchange([(0, 1, 6, None), (0, 1, 6, None)])
+            eng.exchange([0, 0], [1, 1], 6)
         assert "round 1" in str(err.value) and "(0,1)" in str(err.value)
 
     def test_delivery_matches_schedule(self):
         # A message rides edge e at round t iff e is in E_t.
         sched = RandomRegularSchedule(10, 3, seed=3)
-        rng = random.Random(5)
-        eng = make_engine(sched, seed=1)
+        rng = np.random.default_rng(5)
+        eng = CongestEngine(sched, SimConfig(seed=1, bandwidth_bits=AMPLE, record_rounds=True))
         for t in range(1, 30):
             g = sched.snapshot_at(t)
-            u = rng.randrange(10)
-            v = g.adj[u][rng.randrange(3)]
-            inbox = eng.exchange([(u, v, 4, t)])
-            assert inbox == {v: [(u, t)]}
+            u = int(rng.integers(10))
+            v = g.adj[u][int(rng.integers(3))]
+            off = next(w for w in range(10) if w != u and not g.has_edge(u, w))
+            with pytest.raises(ProtocolError, match=f"round {t}: \\({u},{off}\\)"):
+                eng.exchange([u], [off], 4)
+            eng.exchange([u], [v], 4)
+            rec = eng.log.records[-1]
+            assert (rec.t, rec.msgs, rec.max_edge_bits) == (t, 1, 4)
 
     def test_max_rounds(self, k4):
         eng = CongestEngine(k4, SimConfig(max_rounds=2, bandwidth_bits=AMPLE))
@@ -98,9 +62,9 @@ class TestExchange:
             receivers = []
             for t in range(1, 11):
                 g = eng.next_snapshot()
-                rng = eng.node_rng(0, 7)
-                v = g.adj[0][rng.randrange(len(g.adj[0]))]
-                eng.exchange([(0, v, 5, t)])
+                rng = eng.stream(7)
+                v = g.adj[0][int(rng.integers(len(g.adj[0])))]
+                eng.exchange([0], [v], 5)
                 receivers.append(v)
             return eng.log.summary(), eng.log.records, receivers
 
@@ -109,31 +73,76 @@ class TestExchange:
 
     def test_roundlog_totals_match_records(self, k4):
         eng = CongestEngine(k4, SimConfig(bandwidth_bits=AMPLE, record_rounds=True))
-        eng.exchange([(0, 1, 4, None), (1, 2, 4, None)])
+        eng.exchange([0, 1], [1, 2], 4)
         eng.idle(1)
-        eng.exchange([(2, 3, 4, None)])
+        eng.exchange([2], [3], 4)
         assert eng.log.rounds == len(eng.log.records) == 3
         assert eng.log.total_msgs == sum(r.msgs for r in eng.log.records) == 3
         assert eng.log.max_edge_bits == max(r.max_edge_bits for r in eng.log.records)
         assert len(eng.log.jsonl_records()) == 3
 
 
-class TestQueuePolicy:
-    def test_fifo_within_budget(self, k4):
-        eng = make_engine(k4, seed=0, bandwidth=10, policy="queue")
-        inbox = eng.exchange([(0, 1, 6, "a"), (0, 1, 6, "b"), (0, 1, 6, "c")])
-        assert inbox == {0: [], 1: [(0, "a")]} or inbox == {1: [(0, "a")]}
-        assert eng.log.congestion_events == 1
-        inbox = eng.exchange([])
-        assert inbox == {1: [(0, "b")]}
-        inbox = eng.exchange([])
-        assert inbox == {1: [(0, "c")]}
-        assert eng.log.congestion_events == 2
+def reference_exchange(g, B, t, sends, bits):
+    """Per-message dict model of one round: (error type, text) or (msgs, max edge bits)."""
+    for u, v in sends:
+        if not (0 <= u < g.n and 0 <= v < g.n and g.has_edge(u, v)):
+            return ProtocolError, f"round {t}: ({u},{v}) is not an edge of G_{t}"
+    load = {}
+    for u, v in sends:
+        load[(u, v)] = load.get((u, v), 0) + bits
+    top = max(load.values(), default=0)
+    if top > B:
+        u, v = min(e for e, x in load.items() if x == top)
+        return CongestionError, f"round {t}: edge ({u},{v}) would carry {top} bits > B={B}"
+    return len(sends), top
 
-    def test_per_round_bits_capped(self, k4):
-        eng = make_engine(k4, seed=0, bandwidth=10, policy="queue")
-        eng.exchange([(0, 1, 6, i) for i in range(5)])
-        assert eng.log.max_edge_bits <= 10
+
+@st.composite
+def exchange_rounds(draw):
+    n, d = draw(st.sampled_from([(6, 3), (8, 3), (8, 4), (10, 4)]))
+    sched = RandomRegularSchedule(n, d, seed=draw(st.integers(0, 2**16)))
+    B = draw(st.integers(4, 40))
+    rounds = []
+    for _ in range(draw(st.integers(1, 4))):
+        t = len(rounds) + 1  # after a round that raises, the engine lags: sends go stale
+        g = sched.snapshot_at(t)
+        # Off-range ids: just outside [0, n) (-1 is also the neighbor table's
+        # padding) and far beyond it (which must not size any per-edge array).
+        off_ids = st.one_of(st.integers(-1, n), st.sampled_from([-n, -(10**9), 10**9]))
+        sends = []
+        for _ in range(draw(st.integers(0, 12))):
+            u = draw(st.integers(-1, n) if draw(st.integers(0, 19)) > 0 else off_ids)
+            if 0 <= u < n and draw(st.integers(0, 9)) > 0:
+                v = g.adj[u][draw(st.integers(0, d - 1))]
+            else:
+                v = draw(off_ids)
+            sends.append((u, v))
+        rounds.append((sends, draw(st.integers(1, 12))))
+    return sched, B, rounds
+
+
+class TestExchangeProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(exchange_rounds())
+    def test_matches_per_message_reference(self, case):
+        sched, B, rounds = case
+        eng = CongestEngine(sched, SimConfig(bandwidth_bits=B, record_rounds=True))
+        for sends, bits in rounds:
+            t = eng.round + 1
+            expected = reference_exchange(sched.snapshot_at(t), B, t, sends, bits)
+            src = np.array([u for u, _ in sends], dtype=np.int64)
+            dst = np.array([v for _, v in sends], dtype=np.int64)
+            if isinstance(expected[0], type):
+                with pytest.raises(expected[0]) as err:
+                    eng.exchange(src, dst, bits)
+                assert str(err.value) == expected[1]
+                assert eng.round == t - 1
+            else:
+                eng.exchange(src, dst, bits)
+                rec = eng.log.records[-1]
+                assert (rec.t, rec.msgs, rec.max_edge_bits) == (t, *expected)
+                assert rec.max_edge_bits <= B
+        assert eng.log.rounds == len(eng.log.records) == eng.round
 
 
 class TestFlood:

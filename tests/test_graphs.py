@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from collections import deque
 
 import pytest
@@ -195,6 +196,11 @@ class TestFilesAndSpecs:
         assert parse_schedule_spec("perm:base=petersen", seed=0).n == 10
         with pytest.raises(ScheduleError):
             parse_schedule_spec("bogus:stuff", seed=0)
+
+    @pytest.mark.parametrize("spec", ["rr:n=16", "rr:n=x,d=3", "perm:", "srr:d=3", "perm:base="])
+    def test_malformed_spec_names_itself(self, spec):
+        with pytest.raises(ScheduleError, match=re.escape(repr(spec))):
+            parse_schedule_spec(spec, seed=0)
 
     def test_srr_seed_determinism(self):
         a = parse_schedule_spec("srr:n=16,d=3", seed=9)

@@ -53,6 +53,30 @@ class TestConfig:
         save_config_file(plain, path)
         assert config_from_values(load_config_file(path)) == plain
 
+    @pytest.mark.parametrize(
+        "text, value",
+        [("true", True), ("1", True), ("yes", True), ("YES", True),
+         ("false", False), ("0", False), ("no", False), ("", False), ("False", False)],
+    )
+    def test_oracle_flag_parsing(self, text, value):
+        cfg = config_from_values({"schedule": "static:K4", "algo": "naive", "oracle": text})
+        assert cfg.oracle is value
+
+    def test_oracle_flag_rejects_other_text(self):
+        with pytest.raises(ValueError, match="oracle"):
+            config_from_values({"schedule": "static:K4", "algo": "naive", "oracle": "maybe"})
+
+    def test_oracle_false_roundtrip_through_file(self, tmp_path):
+        path = tmp_path / "cfg"
+        path.write_text("schedule=static:K4\nalgo=naive\noracle=false\n")
+        cfg = config_from_values(load_config_file(path))
+        assert cfg.oracle is False
+        save_config_file(cfg, path)
+        assert config_from_values(load_config_file(path)) == cfg
+        on = ExperimentConfig("static:K4", "naive", oracle=True)
+        save_config_file(on, path)
+        assert config_from_values(load_config_file(path)).oracle is True
+
     def test_unknown_algo(self):
         with pytest.raises(ValueError):
             ExperimentConfig("static:K4", "frobnicate")
@@ -165,6 +189,42 @@ class TestCli:
         assert main([
             "run", "--schedule", "bogus:x", "--algo", "naive", "--out", str(tmp_path / "o"),
         ]) == EXIT_CONFIG_ERROR
+
+    @staticmethod
+    def _one_line_error(capsys, code):
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG_ERROR
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("spec", ["rr:n=16", "rr:n=x,d=3", "perm:"])
+    def test_malformed_spec_exit_2(self, tmp_path, capsys, spec):
+        code = main(["run", "--schedule", spec, "--algo", "naive", "--out", str(tmp_path / "o")])
+        assert spec in self._one_line_error(capsys, code)
+
+    def test_flood_incomplete_exit_2(self, tmp_path, capsys):
+        # phi=1 is below rr16's flooding time, so the first stitch flood fails.
+        code = main([
+            "run", "--schedule", "srr:n=16,d=3", "--algo", "single", "--phi", "1",
+            "--seeds", "1", "--out", str(tmp_path / "o"),
+        ])
+        assert "flood" in self._one_line_error(capsys, code)
+
+    # tau=3 <= 2*lambda: `single` walks naively too, and like `naive` it
+    # refuses a non-regular schedule rather than walk a non-uniform chain.
+    @pytest.mark.parametrize("algo", ["naive", "single"])
+    def test_protocol_error_exit_2(self, tmp_path, capsys, algo):
+        code = main([
+            "run", "--schedule", "static:star4", "--algo", algo, "--tau", "3",
+            "--seeds", "1", "--out", str(tmp_path / "o"),
+        ])
+        assert "non-regular" in self._one_line_error(capsys, code)
+
+    def test_bad_oracle_value_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("schedule=static:C5\nalgo=naive\noracle=maybe\n")
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert "oracle" in self._one_line_error(capsys, code)
 
     def test_small_run(self, tmp_path):
         code = main([

@@ -1,12 +1,11 @@
 import math
-import random
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from conftest import empirical_tv, make_engine
-from dynwalk.graphs import StaticSchedule, named_graph
+from dynwalk.graphs import StaticSchedule, named_graph, parse_schedule_spec
 from dynwalk.oracle import lazy_transition_matrix, segment_matrix, transition_matrix
 from dynwalk.walks import (
     CouponTable,
@@ -80,8 +79,9 @@ class TestPhase1:
         assert all(length == 1 for length in table.lengths)
         assert eng.round == 2  # 2*lambda rounds consumed
         for ci in range(len(table.lengths)):
-            assert len(table.paths[ci]) == 2
-            assert k4.snapshot_at(1).has_edge(table.paths[ci][0], table.paths[ci][1])
+            path = table.as_coupon(ci).path
+            assert len(path) == 2
+            assert k4.snapshot_at(1).has_edge(path[0], path[1])
 
     def test_counts_and_lengths(self, rr16):
         eng = make_engine(rr16, seed=7, phi=4)
@@ -95,7 +95,7 @@ class TestPhase1:
         assert eng.round == 2 * lam
         # coupon rests at the endpoint of a walk of its desired length
         for ci, length in enumerate(table.lengths):
-            path = table.paths[ci]
+            path = table.as_coupon(ci).path
             assert len(path) == length + 1
             assert path[-1] == table.holders[ci]
             for step in range(length):
@@ -113,6 +113,19 @@ class TestPhase1:
         endpoints = []
         for i in range(20000):
             eng = make_engine(k4, seed=i, phi=1)
+            table = phase1_distribute(eng, WalkParams(tau=8, lambda_walk=2), record_paths=False)
+            endpoints.extend(table.holders[ci] for ci in table.unused[0])
+        assert empirical_tv(endpoints, target) <= 0.02
+
+
+    def test_endpoints_match_segment_matrix_dynamic(self):
+        # rr: a fresh graph every round, so a coupon stepping on another
+        # round's snapshot, or walking the wrong length, shifts this law.
+        sched = parse_schedule_spec("rr:n=8,d=3", seed=4)
+        target = segment_matrix(sched, 2)[0]
+        endpoints = []
+        for i in range(8000):
+            eng = make_engine(sched, seed=i, phi=1)
             table = phase1_distribute(eng, WalkParams(tau=8, lambda_walk=2), record_paths=False)
             endpoints.extend(table.holders[ci] for ci in table.unused[0])
         assert empirical_tv(endpoints, target) <= 0.02
@@ -137,11 +150,9 @@ class TestSampleCoupon:
 
     def test_serial_choice_uniform(self):
         # Fresh unused set {2,5,7} each trial; chi-square over 30000 draws.
-        table = CouponTable(1, 7, 2)
-        for serial in range(1, 8):
-            table.add(0, serial, 2, None)
+        table = CouponTable(1, 7, 2, np.full(7, 2))
         keep = [ci for ci in range(7) if table.serials[ci] in (2, 5, 7)]
-        rng = random.Random(99)
+        rng = np.random.default_rng(99)
         counts = {2: 0, 5: 0, 7: 0}
         for _ in range(30000):
             table.unused[0] = keep[:]
@@ -258,23 +269,25 @@ class TestLazyWalks:
     def test_regular_graph_stay_probability(self, c5):
         stepper = lazy_adapter(c5, d_max=2)
         g = c5.snapshot_at(1)
-        rng = random.Random(17)
-        stays = sum(stepper.step(rng, 0, g) == 0 for _ in range(30000))
+        rng = np.random.default_rng(17)
+        at = np.zeros(30000, dtype=np.int64)
+        stays = np.count_nonzero(stepper.step(g, at, rng.integers(stepper.high, size=30000)) == 0)
         assert abs(stays / 30000 - 1 / 3) < 0.01  # 1 - 2/3 = 1/(d+1)
 
     def test_star_stay_probabilities(self):
         g = named_graph("star4")
         stepper = LazyStepper(4)
-        rng = random.Random(23)
-        leaf_stays = sum(stepper.step(rng, 1, g) == 1 for _ in range(30000))
-        center_stays = sum(stepper.step(rng, 0, g) == 0 for _ in range(30000))
+        rng = np.random.default_rng(23)
+        leaf, center = np.ones(30000, dtype=np.int64), np.zeros(30000, dtype=np.int64)
+        leaf_stays = np.count_nonzero(stepper.step(g, leaf, rng.integers(stepper.high, size=30000)) == 1)
+        center_stays = np.count_nonzero(stepper.step(g, center, rng.integers(stepper.high, size=30000)) == 0)
         assert abs(leaf_stays / 30000 - 0.8) < 0.01
         assert abs(center_stays / 30000 - 0.2) < 0.01
 
     def test_degree_over_dmax_errors(self):
         g = named_graph("star4")
         with pytest.raises(Exception):
-            LazyStepper(3).step(random.Random(0), 0, g)
+            LazyStepper(3).step(g, np.array([0]), np.array([0]))
 
     def test_star_endpoint_distribution(self):
         # Lazy walk endpoint law equals the lazy matrix power (close to
