@@ -42,7 +42,6 @@ from .walks import (
     LazyStepper,
     WalkParams,
     WalkResult,
-    lazy_adapter,
     many_random_walks,
     naive_walk,
     phase1_distribute,

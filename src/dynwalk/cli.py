@@ -8,7 +8,7 @@ import sys
 
 from .engine import CongestionError, FloodIncompleteError, ProtocolError
 from .graphs import ScheduleError, parse_schedule_spec, write_schedule_file
-from .harness import config_from_values, load_config_file, run_experiment
+from .harness import ALGORITHMS, ExperimentConfig, config_from_values, load_config_file, run_experiment
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -22,7 +22,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run an experiment sweep")
     run_p.add_argument("--config", help="key=value config file; flags override it")
     run_p.add_argument("--schedule", help="schedule spec, e.g. static:petersen or rr:n=16,d=4")
-    run_p.add_argument("--algo", choices=["naive", "single", "many", "gossip", "estimate-mix", "lemma-suite"])
+    run_p.add_argument("--algo", choices=ALGORITHMS)
     run_p.add_argument("--tau", help="oracle | worstcase | integer", default=None)
     run_p.add_argument("--lambda-c", dest="lambda_c", type=float, default=None)
     run_p.add_argument("--k", type=int, default=None)

@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import GraphSchedule, GraphSnapshot, derive_seed
+from .graphs import GraphSchedule, GraphSnapshot, derive_seed, flood_rounds
 
 __all__ = [
     "SimConfig",
@@ -248,62 +248,47 @@ class CongestEngine:
 
         Every informed node retransmits on all its current edges each round,
         so per directed edge the payload travels at most once per round and
-        the accounting is closed-form.  Returns node -> round informed.
-        Per-round connectivity makes the informed set grow every round, which
-        is asserted; a complete flood inside the budget is required unless
-        `require_complete` is False (probabilistic callers).
+        the accounting is closed-form.  Returns node -> round informed.  A
+        round that informs nobody while nodes are uninformed raises
+        ScheduleError (a disconnected snapshot); a complete flood inside the
+        budget is required unless `require_complete` is False (probabilistic
+        callers).
         """
-        if payload_bits > self.B:
-            raise CongestionError(f"flood payload of {payload_bits} bits exceeds B={self.B}")
-        informed_round = {s: self._round for s in sources}
-        informed = set(informed_round)
-        if not informed:
-            raise ValueError("flood needs at least one source")
-        n = self.n
-        for _ in range(budget):
-            t = self._begin_round()
-            g = self.schedule.snapshot_at(t)
-            msgs = sum(len(g.adj[v]) for v in informed)
-            self.log.observe(t, msgs, payload_bits if msgs else 0)
-            if len(informed) < n:
-                new = {u for v in informed for u in g.adj[v] if u not in informed}
-                assert new, f"flood stalled at round {t}: snapshot disconnected"
-                for u in new:
-                    informed_round[u] = t
-                informed |= new
-            self._round = t
-        if require_complete and len(informed) < n:
+        informed_round = self._flood(payload_bits, sources, budget)
+        if require_complete and len(informed_round) < self.n:
             raise FloodIncompleteError(
-                f"flood informed {len(informed)}/{n} nodes in {budget} rounds"
+                f"flood informed {len(informed_round)}/{self.n} nodes in {budget} rounds"
             )
         return informed_round
 
     def flood_until_complete(
-        self, payload_bits: int, sources: Iterable[int], cap: int | None = None
+        self, payload_bits: int, sources: Iterable[int]
     ) -> tuple[int, dict[int, int]]:
         """Broadcast until everyone is informed; returns (rounds used, map).
 
-        Used by protocols that may stop on completion (trivial gossip).  The
-        cap defaults to n - 1, which per-round connectivity guarantees.
+        Used by protocols that may stop on completion (trivial gossip).
+        Per-round connectivity bounds the rounds used by n - 1.
         """
+        start = self._round
+        informed_round = self._flood(payload_bits, sources, None)
+        return self._round - start, informed_round
+
+    def _flood(self, payload_bits: int, sources: Iterable[int], budget: int | None) -> dict[int, int]:
+        """Run `budget` rounds of `flood_rounds` from `sources`, or with no
+        budget as many as it takes to inform every node."""
         if payload_bits > self.B:
             raise CongestionError(f"flood payload of {payload_bits} bits exceeds B={self.B}")
-        cap = cap if cap is not None else self.n - 1
-        informed_round = {s: self._round for s in sources}
-        informed = set(informed_round)
+        informed_round = dict.fromkeys(sources, self._round)
+        if not informed_round:
+            raise ValueError("flood needs at least one source")
+        rounds = flood_rounds(self.schedule, tuple(informed_round), self._round + 1)
         used = 0
-        while len(informed) < self.n:
-            if used >= cap:
-                raise FloodIncompleteError(f"flood incomplete after cap={cap} rounds")
+        while (len(informed_round) < self.n) if budget is None else (used < budget):
             t = self._begin_round()
-            g = self.schedule.snapshot_at(t)
-            msgs = sum(len(g.adj[v]) for v in informed)
-            self.log.observe(t, msgs, payload_bits)
-            new = {u for v in informed for u in g.adj[v] if u not in informed}
-            assert new, f"flood stalled at round {t}: snapshot disconnected"
+            msgs, new = next(rounds)
+            self.log.observe(t, msgs, payload_bits if msgs else 0)
             for u in new:
                 informed_round[u] = t
-            informed |= new
             self._round = t
             used += 1
-        return used, informed_round
+        return informed_round

@@ -148,7 +148,7 @@ def k_gossip_trivial(
     bits = engine.enc.gossip_bits(k)
     coverage = np.zeros((engine.n, k), dtype=bool)
     for idx, token in enumerate(tokens):
-        engine.flood_until_complete(bits, holders[token], cap=engine.n - 1)
+        engine.flood_until_complete(bits, holders[token])
         coverage[:, idx] = True
     return GossipOutcome(
         rounds=engine.round - start_round,

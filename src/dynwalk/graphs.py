@@ -12,7 +12,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "validate_snapshot",
     "named_graph",
     "random_regular_graph",
+    "flood_rounds",
     "flooding_time",
     "dynamic_diameter",
     "parse_schedule_spec",
@@ -39,7 +40,7 @@ __all__ = [
 
 
 class ScheduleError(RuntimeError):
-    """A generator could not produce a valid snapshot."""
+    """A schedule could not produce a valid snapshot, or a flood met a disconnected one."""
 
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -364,28 +365,46 @@ class PermutedSchedule(GraphSchedule):
         return GraphSnapshot(self.n, edges, round=t)
 
 
-def flooding_time(schedule: GraphSchedule, source: int, start_round: int = 1) -> int:
-    """Rounds of temporal BFS needed to inform all n nodes from `source`.
+def flood_rounds(
+    schedule: GraphSchedule, sources: Iterable[int], start_round: int = 1
+) -> Iterator[tuple[int, Collection[int]]]:
+    """Temporal BFS from `sources`, one round per next().
 
-    Round r of the flood uses snapshot start_round + r - 1.  Per-round
-    connectivity guarantees at least one new node per round, so the answer
-    is at most n - 1.
+    Round r runs on snapshot start_round + r - 1: every informed node sends
+    on each of its edges.  Each round yields (messages sent, nodes newly
+    informed).  A round that leaves nodes uninformed but informs none raises
+    ScheduleError; per-round connectivity rules that out, so every node is
+    informed within n - 1 rounds.  After that each round sends 2|E_t|
+    messages and informs nobody.
     """
     n = schedule.n
-    informed = {source}
-    r = 0
+    informed = set(sources)
+    t = start_round
     while len(informed) < n:
-        g = schedule.snapshot_at(start_round + r)
-        new = {u for v in informed for u in g.adj[v] if u not in informed}
+        adj = schedule.snapshot_at(t).adj
+        sent = [u for v in informed for u in adj[v]]
+        new = set(sent)
+        new -= informed
         if not new:
-            raise ScheduleError(
-                f"flood stalled at round {start_round + r}: snapshot disconnected"
-            )
+            raise ScheduleError(f"flood stalled at round {t}: snapshot disconnected")
         informed |= new
-        r += 1
-        if r > n:
-            raise ScheduleError("flooding exceeded n rounds; invalid schedule")
-    return r
+        yield len(sent), new
+        t += 1
+    while True:
+        yield 2 * len(schedule.snapshot_at(t).edges), ()
+        t += 1
+
+
+def flooding_time(schedule: GraphSchedule, source: int, start_round: int = 1) -> int:
+    """Rounds of temporal BFS (`flood_rounds`) needed to inform all n nodes
+    from `source`, starting on snapshot `start_round`."""
+    missing = schedule.n - 1
+    rounds = flood_rounds(schedule, (source,), start_round)
+    used = 0
+    while missing:
+        missing -= len(next(rounds)[1])
+        used += 1
+    return used
 
 
 def dynamic_diameter(schedule: GraphSchedule, horizon: int) -> int:

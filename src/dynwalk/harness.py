@@ -13,7 +13,7 @@ import json
 import math
 import random
 import statistics
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from .graphs import (
     GraphSchedule,
     ScheduleError,
     StaticSchedule,
+    dynamic_diameter,
     parse_schedule_spec,
     random_regular_graph,
 )
@@ -145,8 +146,6 @@ def _parse_bool(key: str, value) -> bool:
 def resolve_phi(config: ExperimentConfig, schedule: GraphSchedule) -> int:
     if config.phi != "oracle":
         return int(config.phi)
-    from .graphs import dynamic_diameter
-
     horizon = 1 if isinstance(schedule, StaticSchedule) else PHI_HORIZON
     return dynamic_diameter(schedule, horizon)
 
@@ -267,15 +266,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunReport, int]:
     failures: list[str] = []
     for i in range(config.seeds):
         seed = config.seed_base + i
-        engine = CongestEngine(
-            schedule,
-            SimConfig(
-                seed=seed,
-                bandwidth_bits=sim.bandwidth_bits,
-                phi=phi,
-                max_rounds=sim.max_rounds,
-            ),
-        )
+        engine = CongestEngine(schedule, replace(sim, seed=seed))
         if config.algo == "naive":
             res = naive_walk(engine, 0, tau, record_path=False)
             rows.append(_walk_row(seed, res))
@@ -483,7 +474,7 @@ def check_eigen_bound(instances: int, seed: int, tol: float = 1e-7) -> PropertyR
         if (n * d) % 2:
             d = 4
         g = random_regular_graph(n, d, rng)
-        diam = _diameter(g)
+        diam = dynamic_diameter(StaticSchedule(g), 1)
         bound = 1.0 - 1.0 / (d * diam * n)
         margin = oracle_mod.spectral_summary(g).lambda2_signed - bound
         worst = max(worst, margin)
@@ -532,24 +523,6 @@ def check_mixing_bound(instances: int, seed: int, c: float = 3.0) -> PropertyRes
         if tau > bound:
             violations += 1
     return PropertyResult("mixing_time_bound", instances, violations, worst, violations == 0)
-
-
-def _diameter(g) -> int:
-    from collections import deque
-
-    best = 0
-    for s in range(g.n):
-        dist = [-1] * g.n
-        dist[s] = 0
-        dq = deque([s])
-        while dq:
-            v = dq.popleft()
-            for u in g.adj[v]:
-                if dist[u] < 0:
-                    dist[u] = dist[v] + 1
-                    dq.append(u)
-        best = max(best, max(dist))
-    return best
 
 
 def check_visits_bound(

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import CongestEngine
+from .oracle import mixing_cap
 from .walks import many_random_walks
 
 __all__ = [
@@ -193,7 +194,7 @@ def estimate_mixing_time(
     n = engine.n
     if K is None:
         K = sample_count(n, epsilon)
-    cap = math.ceil(10 * n * n * max(1.0, math.log(n)))
+    cap = mixing_cap(n)
     start_round = engine.round
     probes: list[tuple[int, str, float]] = []
 

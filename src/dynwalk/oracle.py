@@ -24,6 +24,7 @@ __all__ = [
     "tv_distance",
     "SpectralSummary",
     "spectral_summary",
+    "mixing_cap",
     "mixing_time_oracle",
     "static_mixing_time",
     "dynamic_mixing_bound",
@@ -143,8 +144,9 @@ def spectral_summary(g: GraphSnapshot | np.ndarray) -> SpectralSummary:
     return SpectralSummary(lambda2_signed, lambda2_abs, 1.0 - lambda2_abs)
 
 
-def _mix_cap(n: int) -> int:
-    return int(math.ceil(10 * n * n * max(1.0, math.log(n)))) + 1
+def mixing_cap(n: int) -> int:
+    """Longest walk a mixing-time search on n nodes tries: ceil(10 n^2 max(1, ln n))."""
+    return math.ceil(10 * n * n * max(1.0, math.log(n)))
 
 
 def mixing_time_oracle(
@@ -158,7 +160,7 @@ def mixing_time_oracle(
     if eps <= 0:
         raise ValueError("eps must be positive")
     n = schedule.n
-    cap = cap if cap is not None else _mix_cap(n)
+    cap = cap if cap is not None else mixing_cap(n)
     p = point_mass(n, source)
     t = 0
     while l2_to_uniform(p) >= eps:
@@ -174,7 +176,7 @@ def static_mixing_time(g: GraphSnapshot, eps: float = MIX_EPS) -> int:
     n = g.n
     P = transition_matrix(g)
     M = np.eye(n)  # row x of M is pi_x(t)
-    cap = _mix_cap(n)
+    cap = mixing_cap(n)
     u = 1.0 / n
     pending = set(range(n))
     t = 0

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import CongestEngine, ProtocolError
-from .graphs import GraphSchedule, GraphSnapshot
+from .graphs import GraphSnapshot
 
 __all__ = [
     "WalkParams",
@@ -36,7 +36,6 @@ __all__ = [
     "WalkResult",
     "SimpleStepper",
     "LazyStepper",
-    "lazy_adapter",
     "naive_walk",
     "concurrent_naive_walks",
     "phase1_distribute",
@@ -78,8 +77,7 @@ class WalkParams:
 
     @classmethod
     def for_single(cls, tau: int, phi: int, lambda_c: float = 1.0) -> "WalkParams":
-        lam = max(1, math.ceil(lambda_c * math.sqrt(max(1, tau) * phi)))
-        return cls(tau=tau, lambda_walk=lam, lambda_c=lambda_c)
+        return cls.for_many(tau, phi, 1, lambda_c)
 
     @classmethod
     def for_many(cls, tau: int, phi: int, k: int, lambda_c: float = 1.0) -> "WalkParams":
@@ -203,15 +201,9 @@ class LazyStepper:
         return np.where(move, nbr[v, np.where(move, j, 0)], v)
 
 
-def lazy_adapter(schedule: GraphSchedule, d_max: int) -> LazyStepper:
-    """Walk stepper that makes a (possibly non-regular) schedule behave like a
-    (d_max+1)-regular one with uniform stationary distribution."""
-    return LazyStepper(d_max)
-
-
 def _simple_stepper(engine: CongestEngine) -> SimpleStepper:
     if engine.schedule.d is None:
-        raise ProtocolError("non-regular schedule: engage the lazy adapter")
+        raise ProtocolError("non-regular schedule: walk it with a LazyStepper")
     return SimpleStepper(engine.schedule.d)
 
 
@@ -448,19 +440,17 @@ def many_random_walks(
     k = len(sources)
     if k == 0:
         return []
-    phi = engine.config.phi
-    if lambda_walk is None:
-        if phi is None:
-            raise ProtocolError("many_random_walks needs phi to size lambda")
-        lam = max(1, math.ceil(lambda_c * math.sqrt(k * max(1, tau) * phi)))
+    if lambda_walk is not None:
+        params = WalkParams(tau=tau, lambda_walk=lambda_walk, lambda_c=lambda_c)
+    elif engine.config.phi is None:
+        raise ProtocolError("many_random_walks needs phi to size lambda")
     else:
-        lam = lambda_walk
-    if lam >= tau:
+        params = WalkParams.for_many(tau, engine.config.phi, k, lambda_c)
+    if params.lambda_walk >= tau:
         return concurrent_naive_walks(
             engine, sources, tau, record_path=record_path,
             token_bits=engine.enc.token_bits(max(1, tau), k),
         )
-    params = WalkParams(tau=tau, lambda_walk=lam, lambda_c=lambda_c)
     table = phase1_distribute(engine, params, record_paths=record_path)
     return [
         single_random_walk(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dynwalk.engine import CongestEngine, SimConfig
-from dynwalk.graphs import parse_schedule_spec
+from dynwalk.graphs import GraphSnapshot, PeriodicSchedule, parse_schedule_spec
 
 AMPLE = 1 << 24  # bandwidth that never congests at desk scale
 
@@ -39,3 +39,9 @@ def petersen():
 @pytest.fixture(scope="session")
 def rr16():
     return parse_schedule_spec("srr:n=16,d=3", seed=99)
+
+
+@pytest.fixture(scope="session")
+def triangles():
+    """Two disjoint triangles: regular, but every snapshot is disconnected."""
+    return PeriodicSchedule([GraphSnapshot(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])])

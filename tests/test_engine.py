@@ -1,3 +1,9 @@
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,12 +20,18 @@ from dynwalk.engine import (
     default_bandwidth,
 )
 from dynwalk.graphs import (
+    PeriodicSchedule,
     PermutedSchedule,
     RandomRegularSchedule,
+    ScheduleError,
     dynamic_diameter,
+    flooding_time,
     named_graph,
     parse_schedule_spec,
+    random_regular_graph,
 )
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestExchange:
@@ -183,6 +195,111 @@ class TestFlood:
         eng = make_engine(k4, seed=0, bandwidth=4)
         with pytest.raises(CongestionError):
             eng.flood(8, [0], budget=1)
+
+
+class TestDisconnectedSnapshot:
+    # The engine idles round 1, so each flood starts on round 2: node 0's
+    # triangle is informed in round 2 and round 3 informs nobody.
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda eng: eng.flood(8, [0], 3, require_complete=False),
+            lambda eng: eng.flood_until_complete(8, [0]),
+            lambda eng: flooding_time(eng.schedule, 0, start_round=2),
+        ],
+        ids=["flood", "flood_until_complete", "flooding_time"],
+    )
+    def test_stall_names_round(self, triangles, run):
+        eng = make_engine(triangles, seed=0)
+        eng.idle(1)
+        with pytest.raises(ScheduleError, match="flood stalled at round 3: snapshot disconnected"):
+            run(eng)
+
+    def test_stall_detected_under_optimize(self):
+        # The stall check is no `assert`: `python -O` must not turn a
+        # disconnected snapshot into a silently partial flood.
+        code = (
+            "from dynwalk.engine import CongestEngine\n"
+            "from dynwalk.graphs import GraphSnapshot, PeriodicSchedule, ScheduleError\n"
+            "g = GraphSnapshot(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])\n"
+            "eng = CongestEngine(PeriodicSchedule([g]))\n"
+            "try:\n"
+            "    print(eng.flood(8, [0], 3, require_complete=False))\n"
+            "except ScheduleError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "flood stalled at round 2: snapshot disconnected"
+
+
+def reference_flood(schedule, sources, start, budget):
+    """Per-node model of `budget` flood rounds from round `start`: u is
+    informed in round t iff one of its G_t neighbors was informed before t,
+    and round t sends one message per edge end of every node informed
+    before t.  Returns (node -> round informed, messages per round)."""
+    informed = dict.fromkeys(sources, start - 1)
+    msgs = []
+    for t in range(start, start + budget):
+        g = schedule.snapshot_at(t)
+        before = set(informed)
+        msgs.append(sum(g.degree(v) for v in before))
+        for u in range(schedule.n):
+            if u not in before and any(v in before for v in g.adj[u]):
+                informed[u] = t
+    return informed, msgs
+
+
+@st.composite
+def flood_cases(draw):
+    n, d = draw(st.sampled_from([(5, 4), (6, 3), (7, 4), (8, 3), (9, 4), (10, 3)]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    sched = PeriodicSchedule([random_regular_graph(n, d, rng) for _ in range(draw(st.integers(1, 3)))])
+    sources = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    start = draw(st.integers(1, 6))
+    # Up to twice n: budgets past the flooding time cover the rounds in
+    # which every node is already informed.
+    budget = draw(st.integers(0, 2 * n))
+    return sched, sources, start, budget
+
+
+class TestFloodProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(flood_cases(), st.booleans())
+    def test_flood_matches_per_node_reference(self, case, require_complete):
+        sched, sources, start, budget = case
+        expected, msgs = reference_flood(sched, sources, start, budget)
+        eng = CongestEngine(sched, SimConfig(bandwidth_bits=AMPLE, record_rounds=True))
+        eng.idle(start - 1)
+        if require_complete and len(expected) < sched.n:
+            with pytest.raises(FloodIncompleteError):
+                eng.flood(8, sources, budget, require_complete)
+        else:
+            assert eng.flood(8, sources, budget, require_complete) == expected
+        flood_records = [(r.t, r.msgs, r.max_edge_bits) for r in eng.log.records[start - 1:]]
+        rounds = range(start, start + budget)
+        assert flood_records == [(t, m, 8 if m else 0) for t, m in zip(rounds, msgs)]
+        assert eng.round == start - 1 + budget
+
+    @settings(max_examples=100, deadline=None)
+    @given(flood_cases())
+    def test_until_complete_matches_reference_and_flooding_time(self, case):
+        sched, sources, start, _ = case
+        expected, _ = reference_flood(sched, sources, start, sched.n - 1)
+        eng = CongestEngine(sched, SimConfig(bandwidth_bits=AMPLE))
+        eng.idle(start - 1)
+        used, informed = eng.flood_until_complete(8, sources)
+        assert informed == expected and len(informed) == sched.n
+        assert used == max(expected.values()) - (start - 1) == eng.round - (start - 1)
+        eng = CongestEngine(sched, SimConfig(bandwidth_bits=AMPLE))
+        eng.idle(start - 1)
+        assert eng.flood_until_complete(8, sources[:1])[0] == flooding_time(sched, sources[0], start)
 
 
 class TestEncodings:

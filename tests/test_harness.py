@@ -21,7 +21,7 @@ from dynwalk.harness import (
     resolve_tau,
     run_experiment,
 )
-from dynwalk.graphs import parse_schedule_spec
+from dynwalk.graphs import parse_schedule_spec, write_schedule_file
 
 
 class TestConfig:
@@ -209,6 +209,16 @@ class TestCli:
             "--seeds", "1", "--out", str(tmp_path / "o"),
         ])
         assert "flood" in self._one_line_error(capsys, code)
+
+    def test_disconnected_schedule_exit_2(self, tmp_path, capsys, triangles):
+        # The gossip walks run, then the first broadcast stalls.
+        path = tmp_path / "triangles.jsonl"
+        write_schedule_file(triangles, 1, path)
+        code = main([
+            "run", "--schedule", f"periodic:{path}", "--algo", "gossip", "--k", "2", "--tau", "4",
+            "--phi", "3", "--seeds", "1", "--out", str(tmp_path / "o"),
+        ])
+        assert "snapshot disconnected" in self._one_line_error(capsys, code)
 
     # tau=3 <= 2*lambda: `single` walks naively too, and like `naive` it
     # refuses a non-regular schedule rather than walk a non-uniform chain.

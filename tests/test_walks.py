@@ -13,7 +13,6 @@ from dynwalk.walks import (
     LazyStepper,
     WalkParams,
     concurrent_naive_walks,
-    lazy_adapter,
     many_random_walks,
     naive_walk,
     phase1_distribute,
@@ -267,7 +266,7 @@ class TestManyRandomWalks:
 
 class TestLazyWalks:
     def test_regular_graph_stay_probability(self, c5):
-        stepper = lazy_adapter(c5, d_max=2)
+        stepper = LazyStepper(2)
         g = c5.snapshot_at(1)
         rng = np.random.default_rng(17)
         at = np.zeros(30000, dtype=np.int64)
@@ -296,7 +295,7 @@ class TestLazyWalks:
         L = lazy_transition_matrix(named_graph("star4"), 4)
         steps = 120
         target = np.linalg.matrix_power(L, steps)[1]
-        stepper = lazy_adapter(star, 4)
+        stepper = LazyStepper(4)
         dests = []
         for i in range(6000):
             eng = make_engine(star, seed=i)
