@@ -4,6 +4,7 @@ regular graphs, with an exact spectral oracle for desk-scale verification."""
 from .engine import CongestEngine, Encodings, RoundLog, SimConfig, default_bandwidth
 from .gossip import GossipParams, k_gossip_race, k_gossip_rw, k_gossip_trivial, resolve_gossip_params
 from .graphs import (
+    DynwalkError,
     GraphSchedule,
     GraphSnapshot,
     PeriodicSchedule,
@@ -40,6 +41,7 @@ from .walks import (
     Coupon,
     CouponTable,
     LazyStepper,
+    WalkBatch,
     WalkParams,
     WalkResult,
     many_random_walks,

@@ -6,8 +6,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .engine import CongestionError, FloodIncompleteError, ProtocolError
-from .graphs import ScheduleError, parse_schedule_spec, write_schedule_file
+from .graphs import DynwalkError, parse_schedule_spec, write_schedule_file
 from .harness import ALGORITHMS, ExperimentConfig, config_from_values, load_config_file, run_experiment
 
 EXIT_OK = 0
@@ -73,12 +72,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {args.rounds} snapshots to {args.out}")
             return EXIT_OK
         config = _config_from_args(args)
-    except (ValueError, ScheduleError, OSError) as exc:
+    except (DynwalkError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     try:
         report, code = run_experiment(config)
-    except (ScheduleError, CongestionError, FloodIncompleteError, ProtocolError, ValueError) as exc:
+    except (DynwalkError, ValueError) as exc:
         print(f"run error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     for failure in report.failures:

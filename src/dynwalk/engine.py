@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import GraphSchedule, GraphSnapshot, derive_seed, flood_rounds
+from .graphs import DynwalkError, GraphSchedule, GraphSnapshot, derive_seed, flood_rounds
 
 __all__ = [
     "SimConfig",
@@ -35,19 +35,19 @@ __all__ = [
 ]
 
 
-class CongestionError(RuntimeError):
+class CongestionError(DynwalkError):
     """Some directed edge would carry more than B bits in one round."""
 
 
-class RoundLimitError(RuntimeError):
+class RoundLimitError(DynwalkError):
     """The run consumed more rounds than SimConfig.max_rounds allows."""
 
 
-class FloodIncompleteError(RuntimeError):
+class FloodIncompleteError(DynwalkError):
     """A flood with a supposedly sufficient budget left nodes uninformed."""
 
 
-class ProtocolError(RuntimeError):
+class ProtocolError(DynwalkError):
     """A node program violated the model (e.g. sent on a missing edge)."""
 
 
@@ -281,6 +281,9 @@ class CongestEngine:
         informed_round = dict.fromkeys(sources, self._round)
         if not informed_round:
             raise ValueError("flood needs at least one source")
+        bad = next((s for s in informed_round if not 0 <= s < self.n), None)
+        if bad is not None:
+            raise ValueError(f"flood source {bad} is outside [0, {self.n})")
         rounds = flood_rounds(self.schedule, tuple(informed_round), self._round + 1)
         used = 0
         while (len(informed_round) < self.n) if budget is None else (used < budget):

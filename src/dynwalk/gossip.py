@@ -113,8 +113,8 @@ def k_gossip_rw(
     token_index = {token: idx for idx, token in enumerate(tokens)}
     coverage = np.zeros((engine.n, k), dtype=bool)
     holder_sets: dict[int, set[int]] = {t: set(holders[t]) for t in tokens}
-    for res, token in zip(results, token_of_walk):
-        holder_sets[token].add(res.destination)
+    for dest, token in zip(results.destinations.tolist(), token_of_walk):
+        holder_sets[token].add(dest)
     bits = engine.enc.gossip_bits(k)
     for token in tokens:
         informed = engine.flood(

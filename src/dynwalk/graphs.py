@@ -24,6 +24,7 @@ __all__ = [
     "PeriodicSchedule",
     "RandomRegularSchedule",
     "PermutedSchedule",
+    "DynwalkError",
     "ScheduleError",
     "ValidationReport",
     "validate_snapshot",
@@ -39,7 +40,11 @@ __all__ = [
 ]
 
 
-class ScheduleError(RuntimeError):
+class DynwalkError(RuntimeError):
+    """Base of every error dynwalk raises for a bad input or a violated model assumption."""
+
+
+class ScheduleError(DynwalkError):
     """A schedule could not produce a valid snapshot, or a flood met a disconnected one."""
 
 

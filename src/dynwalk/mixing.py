@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import CongestEngine
+from .graphs import DynwalkError
 from .oracle import mixing_cap
 from .walks import many_random_walks
 
@@ -46,7 +47,7 @@ _CAL_Z = 2.05
 _CAL_C_K = 80.0
 
 
-class EstimationError(RuntimeError):
+class EstimationError(DynwalkError):
     """The doubling search hit its cap without a PASS."""
 
 
@@ -149,11 +150,14 @@ def uniformity_test(
 def sample_endpoints(
     engine: CongestEngine, source: int, length: int, K: int
 ) -> np.ndarray:
-    """K endpoint samples of length-`length` walks from `source`."""
+    """K endpoint samples of length-`length` walks from `source`.
+
+    The endpoints are the `destinations` array of `many_random_walks`; no
+    per-walk record is built.  The array is read-only.
+    """
     if length < 1 or K < 1:
         raise ValueError("length and K must be >= 1")
-    results = many_random_walks(engine, [source] * K, length, record_path=False)
-    return np.array([r.destination for r in results], dtype=np.int64)
+    return many_random_walks(engine, np.full(K, source), length, record_path=False).destinations
 
 
 @dataclass

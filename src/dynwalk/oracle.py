@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GraphSchedule, GraphSnapshot, StaticSchedule
+from .graphs import DynwalkError, GraphSchedule, GraphSnapshot, StaticSchedule
 
 __all__ = [
     "MIX_EPS",
@@ -37,7 +37,7 @@ MIX_EPS = 1.0 / (2.0 * math.e)
 N_CAP = 512
 
 
-class MixingCapError(RuntimeError):
+class MixingCapError(DynwalkError):
     """Mixing search exceeded its cap; the chain is not converging."""
 
 

@@ -20,13 +20,13 @@ textbook protocol.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .engine import CongestEngine, ProtocolError
-from .graphs import GraphSnapshot
+from .graphs import DynwalkError, GraphSnapshot
 
 __all__ = [
     "WalkParams",
@@ -34,6 +34,7 @@ __all__ = [
     "CouponTable",
     "CouponsExhausted",
     "WalkResult",
+    "WalkBatch",
     "SimpleStepper",
     "LazyStepper",
     "naive_walk",
@@ -52,7 +53,7 @@ TAG_STITCH = 13  # Phase-2 coupon sampling
 TAG_NAIVE = 14   # naive walk steps
 
 
-class CouponsExhausted(RuntimeError):
+class CouponsExhausted(DynwalkError):
     """A connector has no unused coupon serial left."""
 
 
@@ -161,6 +162,39 @@ class WalkResult:
     walk_id: int = 0
 
 
+class WalkBatch(Sequence[WalkResult]):
+    """The outcomes of a batch of walks, endpoints first.
+
+    `destinations` holds walk j's endpoint at index j (int64, read-only) and
+    is filled when the batch is made.  The per-walk `WalkResult`s are built
+    from the run's own arrays the first time the batch is indexed or
+    iterated, so a caller that needs only the endpoints never builds them.
+    """
+
+    __slots__ = ("destinations", "_build", "_results")
+
+    def __init__(self, destinations, build: Callable[[], list[WalkResult]]):
+        self.destinations = np.asarray(destinations, dtype=np.int64)
+        self.destinations.flags.writeable = False
+        self._build = build
+        self._results: list[WalkResult] | None = None
+
+    def _walks(self) -> list[WalkResult]:
+        if self._results is None:
+            self._results = self._build()
+            self._build = None
+        return self._results
+
+    def __len__(self) -> int:
+        return len(self.destinations)
+
+    def __getitem__(self, index):
+        return self._walks()[index]
+
+    def __iter__(self):
+        return iter(self._walks())
+
+
 class SimpleStepper:
     """Uniform-neighbor step of the simple random walk on a d-regular schedule.
 
@@ -232,19 +266,21 @@ def _walk_tokens(engine, sources, steps, token_bits, stepper, record_path):
     return pos, trail
 
 
-def _naive_results(engine, sources, length, token_bits, stepper, record_path, walk_ids):
+def _naive_batch(engine, sources, length, token_bits, stepper, record_path, walk_ids) -> WalkBatch:
+    sources = np.array(sources, dtype=np.int64)
     start_round = engine.round
     pos, trail = _walk_tokens(engine, sources, length, token_bits, stepper, record_path)
-    used = engine.round - start_round
-    prov = list(range(start_round + 1, engine.round + 1))
-    paths = trail.T.tolist() if record_path else [None] * len(pos)
-    # Positional fields (see WalkResult): thousands of walks per call in sample_endpoints.
-    return [
-        WalkResult(s, dest, used, [s], prov[:], [], 0, path, walk_id)
-        for s, dest, path, walk_id in zip(
-            np.asarray(sources, dtype=np.int64).tolist(), pos.tolist(), paths, walk_ids
-        )
-    ]
+    end_round = engine.round
+
+    def build() -> list[WalkResult]:
+        prov = list(range(start_round + 1, end_round + 1))
+        paths = trail.T.tolist() if record_path else [None] * len(pos)
+        return [
+            WalkResult(s, dest, end_round - start_round, [s], prov[:], [], 0, path, walk_id)
+            for s, dest, path, walk_id in zip(sources.tolist(), pos.tolist(), paths, walk_ids)
+        ]
+
+    return WalkBatch(pos, build)
 
 
 def naive_walk(
@@ -258,7 +294,7 @@ def naive_walk(
     """Forward one token for `length` rounds, one uniform step per snapshot."""
     stepper = stepper or _simple_stepper(engine)
     bits = engine.enc.token_bits(max(1, length))
-    return _naive_results(engine, [source], length, bits, stepper, record_path, [walk_id])[0]
+    return _naive_batch(engine, [source], length, bits, stepper, record_path, [walk_id])[0]
 
 
 def concurrent_naive_walks(
@@ -268,12 +304,16 @@ def concurrent_naive_walks(
     stepper=None,
     record_path: bool = True,
     token_bits: int | None = None,
-) -> list[WalkResult]:
-    """Run len(sources) naive walks simultaneously in `length` rounds."""
+) -> WalkBatch:
+    """Run len(sources) naive walks simultaneously in `length` rounds.
+
+    Returns a `WalkBatch`: walk j starts at sources[j], and its endpoint is
+    `destinations[j]`.
+    """
     stepper = stepper or _simple_stepper(engine)
     k = len(sources)
     bits = token_bits if token_bits is not None else engine.enc.token_bits(max(1, length), k)
-    return _naive_results(engine, sources, length, bits, stepper, record_path, range(k))
+    return _naive_batch(engine, sources, length, bits, stepper, record_path, range(k))
 
 
 def phase1_distribute(
@@ -367,7 +407,7 @@ def single_random_walk(
     token_bits = engine.enc.token_bits(tau, k_context)
     stepper = _simple_stepper(engine)
     if coupons is None and tau <= 2 * lam:
-        return _naive_results(engine, [source], tau, token_bits, stepper, record_path, [walk_id])[0]
+        return _naive_batch(engine, [source], tau, token_bits, stepper, record_path, [walk_id])[0]
     phi = engine.config.phi
     if phi is None:
         raise ProtocolError("stitched walks need phi in SimConfig")
@@ -430,16 +470,17 @@ def many_random_walks(
     lambda_walk: int | None = None,
     lambda_c: float = 1.0,
     record_path: bool = True,
-) -> list[WalkResult]:
+) -> WalkBatch:
     """k independent tau-length walks sharing one Phase 1.
 
     With lambda >= tau the walks are performed naively and concurrently in
     tau rounds; otherwise one coupon distribution serves all sources and the
-    stitching runs source by source, consuming disjoint coupons.
+    stitching runs source by source, consuming disjoint coupons.  Returns a
+    `WalkBatch` in source order whose `destinations` are the endpoints.
     """
     k = len(sources)
     if k == 0:
-        return []
+        return WalkBatch(np.empty(0, dtype=np.int64), list)
     if lambda_walk is not None:
         params = WalkParams(tau=tau, lambda_walk=lambda_walk, lambda_c=lambda_c)
     elif engine.config.phi is None:
@@ -452,12 +493,13 @@ def many_random_walks(
             token_bits=engine.enc.token_bits(max(1, tau), k),
         )
     table = phase1_distribute(engine, params, record_paths=record_path)
-    return [
+    results = [
         single_random_walk(
             engine, s, params, coupons=table, walk_id=j, k_context=k, record_path=record_path
         )
         for j, s in enumerate(sources)
     ]
+    return WalkBatch([r.destination for r in results], lambda: results)
 
 
 @dataclass

@@ -196,6 +196,22 @@ class TestFlood:
         with pytest.raises(CongestionError):
             eng.flood(8, [0], budget=1)
 
+    @pytest.mark.parametrize(
+        "run, bad",
+        [
+            (lambda eng: eng.flood_until_complete(4, [-1, 0]), -1),
+            (lambda eng: eng.flood_until_complete(4, [0, 9]), 9),
+            (lambda eng: eng.flood(4, [-1], 4), -1),
+            (lambda eng: eng.flood(4, [9], 4), 9),
+        ],
+        ids=["until_complete-1", "until_complete-n", "flood-1", "flood-n"],
+    )
+    def test_source_out_of_range(self, c9, run, bad):
+        eng = make_engine(c9, seed=0)
+        with pytest.raises(ValueError, match=rf"flood source {bad} is outside \[0, 9\)"):
+            run(eng)
+        assert eng.round == 0 and eng.log.rounds == 0
+
 
 class TestDisconnectedSnapshot:
     # The engine idles round 1, so each flood starts on round 2: node 0's

@@ -21,7 +21,12 @@ from dynwalk.harness import (
     resolve_tau,
     run_experiment,
 )
-from dynwalk.graphs import parse_schedule_spec, write_schedule_file
+from dynwalk import DynwalkError
+from dynwalk.engine import CongestionError, FloodIncompleteError, ProtocolError, RoundLimitError
+from dynwalk.graphs import ScheduleError, parse_schedule_spec, write_schedule_file
+from dynwalk.mixing import EstimationError
+from dynwalk.oracle import MixingCapError
+from dynwalk.walks import CouponsExhausted
 
 
 class TestConfig:
@@ -181,6 +186,17 @@ class TestLemmaChecks:
         assert any(name.startswith("connector_bound") for name in names)
 
 
+@pytest.mark.parametrize(
+    "error",
+    [ScheduleError, CongestionError, RoundLimitError, FloodIncompleteError, ProtocolError,
+     CouponsExhausted, EstimationError, MixingCapError],
+    ids=lambda cls: cls.__name__,
+)
+def test_named_errors_share_one_base(error):
+    # The CLI maps every DynwalkError to exit code 2.
+    assert issubclass(error, DynwalkError) and issubclass(error, RuntimeError)
+
+
 class TestCli:
     def test_missing_required(self, capsys):
         assert main(["run", "--algo", "naive"]) == EXIT_CONFIG_ERROR
@@ -229,6 +245,14 @@ class TestCli:
             "--seeds", "1", "--out", str(tmp_path / "o"),
         ])
         assert "non-regular" in self._one_line_error(capsys, code)
+
+    def test_mixing_cap_exit_2(self, tmp_path, capsys):
+        # C8 is bipartite, so resolving tau from the oracle never mixes.
+        code = main([
+            "run", "--schedule", "static:C8", "--algo", "single", "--seeds", "1",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert "cap" in self._one_line_error(capsys, code)
 
     def test_bad_oracle_value_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

@@ -20,6 +20,7 @@ from dynwalk.mixing import (
     uniformity_test,
 )
 from dynwalk.oracle import MIX_EPS, l2_to_uniform, mixing_time_oracle, point_mass, spectral_summary, evolve
+from dynwalk.walks import concurrent_naive_walks
 
 
 class TestConstants:
@@ -134,6 +135,16 @@ class TestSampleEndpoints:
         p10 = evolve(point_mass(4, 0), k4, 1, 10)
         samples = sample_endpoints(eng, 0, 10, 30000)
         assert empirical_tv(samples, p10) <= 0.02
+
+
+    def test_equals_concurrent_naive_destinations(self, rr16):
+        # K * length * phi >= length, so lambda >= length and the walks run naively.
+        eng = make_engine(rr16, seed=8, phi=4)
+        samples = sample_endpoints(eng, 3, 12, 500)
+        ref = make_engine(rr16, seed=8, phi=4)
+        batch = concurrent_naive_walks(ref, [3] * 500, 12, record_path=False)
+        assert samples.tolist() == batch.destinations.tolist()
+        assert eng.log.summary() == ref.log.summary() and eng.round == ref.round == 12
 
 
 class TestEstimator:

@@ -2,16 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import empirical_tv, make_engine
 from dynwalk.graphs import StaticSchedule, named_graph, parse_schedule_spec
 from dynwalk.oracle import lazy_transition_matrix, segment_matrix, transition_matrix
 from dynwalk.walks import (
+    TAG_NAIVE,
     CouponTable,
     CouponsExhausted,
     LazyStepper,
     WalkParams,
+    WalkResult,
     concurrent_naive_walks,
     many_random_walks,
     naive_walk,
@@ -261,7 +265,101 @@ class TestManyRandomWalks:
             assert empirical_tv(dests[j], target[s]) <= 0.03
 
     def test_empty_sources(self, k4):
-        assert many_random_walks(make_engine(k4, seed=0, phi=1), [], tau=5) == []
+        eng = make_engine(k4, seed=0, phi=1)
+        batch = many_random_walks(eng, [], tau=5)
+        assert list(batch) == [] and batch.destinations.shape == (0,)
+        assert eng.round == 0
+
+
+def reference_naive(schedule, seed, sources, length, record_path):
+    """Naive walks one token at a time on `TAG_NAIVE`'s (length, k) draws,
+    with the fields a naive walk's `WalkResult` has always carried."""
+    draws = make_engine(schedule, seed).stream(TAG_NAIVE).integers(schedule.d, size=(length, len(sources)))
+    out = []
+    for j, s in enumerate(sources):
+        path = [s]
+        for i in range(length):
+            path.append(schedule.snapshot_at(i + 1).adj[path[-1]][draws[i, j]])
+        prov = list(range(1, length + 1))
+        out.append(WalkResult(s, path[-1], length, [s], prov, [], 0, path if record_path else None, j))
+    return out
+
+
+def reference_stitched(schedule, seed, phi, sources, params, record_path):
+    """The k walks of `many_random_walks`' stitched branch, one call each."""
+    eng = make_engine(schedule, seed, phi=phi)
+    table = phase1_distribute(eng, params, record_paths=record_path)
+    return [
+        single_random_walk(eng, s, params, coupons=table, walk_id=j, k_context=len(sources),
+                           record_path=record_path)
+        for j, s in enumerate(sources)
+    ], eng.round
+
+
+def assert_batch_matches(batch, expected):
+    assert len(batch) == len(expected)
+    assert batch.destinations.tolist() == [r.destination for r in batch]
+    assert list(batch) == expected
+
+
+@st.composite
+def batch_cases(draw):
+    n = draw(st.sampled_from([6, 8, 10]))
+    kind = draw(st.sampled_from(["rr", "srr"]))
+    schedule = parse_schedule_spec(f"{kind}:n={n},d=3", seed=draw(st.integers(0, 10**6)))
+    sources = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5))
+    tau = draw(st.integers(0, 16))
+    lam = draw(st.integers(1, tau + 2))
+    return schedule, sources, tau, lam, draw(st.booleans()), draw(st.integers(0, 10**6))
+
+
+class TestWalkBatch:
+    @pytest.mark.parametrize("record_path", [True, False])
+    def test_naive_branch(self, rr16, record_path):
+        sources = [0, 5, 5, 13]
+        eng = make_engine(rr16, seed=3, phi=4)
+        batch = many_random_walks(eng, sources, tau=9, record_path=record_path)  # lambda = 12 >= 9
+        assert eng.round == 9
+        assert_batch_matches(batch, reference_naive(rr16, 3, sources, 9, record_path))
+
+    @pytest.mark.parametrize("record_path", [True, False])
+    def test_stitched_branch(self, rr16, record_path):
+        sources = [0, 5, 9, 13]
+        params = WalkParams(tau=60, lambda_walk=5)
+        eng = make_engine(rr16, seed=11, phi=4)
+        batch = many_random_walks(eng, sources, tau=60, lambda_walk=5, record_path=record_path)
+        expected, rounds = reference_stitched(rr16, 11, 4, sources, params, record_path)
+        assert sum(len(r.segment_lengths) for r in expected) >= 4
+        assert eng.round == rounds
+        assert_batch_matches(batch, expected)
+
+    @pytest.mark.parametrize("record_path", [True, False])
+    def test_concurrent_naive_walks(self, rr16, record_path):
+        sources = [1, 2, 2, 9, 15]
+        batch = concurrent_naive_walks(make_engine(rr16, seed=7), sources, 7, record_path=record_path)
+        assert_batch_matches(batch, reference_naive(rr16, 7, sources, 7, record_path))
+
+    def test_read_only_and_built_once(self, k4):
+        batch = concurrent_naive_walks(make_engine(k4, seed=0), [0, 1, 2], 4)
+        with pytest.raises(ValueError):
+            batch.destinations[0] = 3
+        assert batch[1] is list(batch)[1] and batch[0:2] == list(batch)[:2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch_cases())
+    def test_matches_reference(self, case):
+        schedule, sources, tau, lam, record_path, seed = case
+        phi = schedule.n - 1  # per-round connectivity completes every flood within n - 1 rounds
+        eng = make_engine(schedule, seed, phi=phi)
+        batch = many_random_walks(eng, sources, tau, lambda_walk=lam, record_path=record_path)
+        if lam >= tau:
+            expected, rounds = reference_naive(schedule, seed, sources, tau, record_path), tau
+        else:
+            expected, rounds = reference_stitched(
+                schedule, seed, phi, sources, WalkParams(tau, lam), record_path
+            )
+        assert eng.round == rounds
+        assert_batch_matches(batch, expected)
 
 
 class TestLazyWalks:
