@@ -429,6 +429,8 @@ def dynamic_diameter(schedule: GraphSchedule, horizon: int) -> int:
 
 def write_schedule_file(schedule: GraphSchedule, rounds: int, path: str | Path) -> None:
     """Serialize the first `rounds` snapshots as JSON Lines with a header."""
+    if rounds < 1:
+        raise ValueError(f"rounds={rounds} must be at least 1")
     path = Path(path)
     with path.open("w") as fh:
         header = {"n": schedule.n, "d": schedule.d, "T": rounds}
@@ -450,6 +452,8 @@ def read_schedule_file(path: str | Path) -> tuple[int, int | None, list[GraphSna
     n, d = header["n"], header.get("d")
     rows = sorted(lines[1:], key=lambda row: row["t"])
     graphs = [GraphSnapshot(n, [tuple(e) for e in row["edges"]], round=row["t"]) for row in rows]
+    if not graphs:
+        raise ScheduleError(f"schedule file {path} holds no snapshots")
     if len(graphs) != header.get("T", len(graphs)):
         raise ScheduleError(f"schedule file {path} declares T={header.get('T')} but has {len(graphs)} rows")
     return n, d, graphs

@@ -14,6 +14,7 @@ import math
 import random
 import statistics
 from dataclasses import asdict, dataclass, field, replace
+from itertools import islice, pairwise
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from . import oracle as oracle_mod
 from .engine import CongestEngine, SimConfig
 from .graphs import (
     GraphSchedule,
-    ScheduleError,
+    RandomRegularSchedule,
     StaticSchedule,
     dynamic_diameter,
     parse_schedule_spec,
@@ -32,6 +33,7 @@ from .graphs import (
 )
 from .walks import (
     WalkParams,
+    concurrent_naive_walks,
     many_random_walks,
     naive_walk,
     single_random_walk,
@@ -76,6 +78,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algo!r}; choose from {ALGORITHMS}")
+        if self.seeds < 1 or self.k < 1:
+            raise ValueError(f"seeds and k must be at least 1, got seeds={self.seeds}, k={self.k}")
 
     def adversary_seed(self) -> int:
         return self.seed_base ^ ADVERSARY_TAG
@@ -383,14 +387,13 @@ _SUITE_NS = [8, 10, 12, 16, 20, 24, 28, 32]
 _SUITE_DS = [3, 4, 5]
 
 
-def _random_schedule(rng: random.Random) -> GraphSchedule:
-    from .graphs import RandomRegularSchedule
+def _suite_shape(rng: random.Random) -> tuple[int, int]:
+    n, d = rng.choice(_SUITE_NS), rng.choice(_SUITE_DS)
+    return n, (4 if (n * d) % 2 else d)
 
-    n = rng.choice(_SUITE_NS)
-    d = rng.choice(_SUITE_DS)
-    if (n * d) % 2:
-        d = 4
-    return RandomRegularSchedule(n, d, seed=rng.randrange(2**48))
+
+def _random_schedule(rng: random.Random) -> GraphSchedule:
+    return RandomRegularSchedule(*_suite_shape(rng), seed=rng.randrange(2**48))
 
 
 def _random_distribution(rng: random.Random, n: int) -> np.ndarray:
@@ -398,131 +401,104 @@ def _random_distribution(rng: random.Random, n: int) -> np.ndarray:
     return weights / weights.sum()
 
 
-def check_stationarity(instances: int, seed: int, tol: float = 1e-12, steps: int = 20) -> PropertyResult:
-    """Uniform is exactly stationary on regular schedules."""
+def _property(name: str, instances: int, seed: int, tol: float, margins) -> PropertyResult:
+    """`margins(rng)` draws one instance and returns its margins; an instance
+    violates when any of them exceeds tol."""
     rng = random.Random(seed)
-    worst = 0.0
+    worst = -math.inf
     violations = 0
     for _ in range(instances):
+        ms = margins(rng)
+        worst = max([worst, *ms])
+        violations += any(m > tol for m in ms)
+    return PropertyResult(name, instances, violations, worst, violations == 0)
+
+
+def _laws(p0: np.ndarray, schedule: GraphSchedule, steps: int) -> list[np.ndarray]:
+    """p_0 .. p_steps of the walk started from p0 at round 1."""
+    return list(islice(oracle_mod.walk_laws(p0, schedule), steps + 1))
+
+
+def _worst_lambda(schedule: GraphSchedule, rounds: int) -> float:
+    """Largest |lambda_2| over the snapshots of rounds 1..rounds."""
+    return max(oracle_mod.spectral_summary(schedule.snapshot_at(t)).lambda2_abs for t in range(1, rounds + 1))
+
+
+def check_stationarity(instances: int, seed: int, tol: float = 1e-12, steps: int = 20) -> PropertyResult:
+    """Uniform is exactly stationary on regular schedules."""
+
+    def margins(rng):
         schedule = _random_schedule(rng)
-        p = oracle_mod.evolve(oracle_mod.uniform(schedule.n), schedule, 1, steps)
-        dev = float(np.abs(p - 1.0 / schedule.n).max())
-        worst = max(worst, dev)
-        if dev > tol:
-            violations += 1
-    return PropertyResult("stationarity", instances, violations, worst, violations == 0)
+        p = _laws(oracle_mod.uniform(schedule.n), schedule, steps)[-1]
+        return [float(np.abs(p - 1.0 / schedule.n).max())]
+
+    return _property("stationarity", instances, seed, tol, margins)
 
 
 def check_contraction(instances: int, seed: int, tol: float = 1e-7, steps: int = 50) -> PropertyResult:
     """||p_t - u|| <= lambda^t * ||p_0 - u|| with lambda the worst snapshot
     second eigenvalue (absolute) over the steps used."""
-    rng = random.Random(seed)
-    worst = -math.inf
-    violations = 0
-    for _ in range(instances):
+
+    def margins(rng):
         schedule = _random_schedule(rng)
-        n = schedule.n
-        p0 = _random_distribution(rng, n)
-        lam = max(
-            oracle_mod.spectral_summary(schedule.snapshot_at(t)).lambda2_abs
-            for t in range(1, steps + 1)
-        )
-        d0 = oracle_mod.l2_to_uniform(p0)
-        p = p0
-        bound = d0
-        bad = False
-        for t in range(1, steps + 1):
-            p = p @ oracle_mod.transition_matrix(schedule.snapshot_at(t))
+        p0 = _random_distribution(rng, schedule.n)
+        lam = _worst_lambda(schedule, steps)
+        bound = oracle_mod.l2_to_uniform(p0)
+        out = []
+        for p in _laws(p0, schedule, steps)[1:]:
             bound *= lam
-            margin = oracle_mod.l2_to_uniform(p) - bound
-            worst = max(worst, margin)
-            if margin > tol:
-                bad = True
-        violations += bad
-    return PropertyResult("contraction", instances, violations, worst, violations == 0)
+            out.append(oracle_mod.l2_to_uniform(p) - bound)
+        return out
+
+    return _property("contraction", instances, seed, tol, margins)
 
 
 def check_monotonicity(instances: int, seed: int, tol: float = 1e-7, steps: int = 50) -> PropertyResult:
     """Distance to uniform never increases step over step."""
-    rng = random.Random(seed)
-    worst = -math.inf
-    violations = 0
-    for _ in range(instances):
+
+    def margins(rng):
         schedule = _random_schedule(rng)
-        p = oracle_mod.point_mass(schedule.n, rng.randrange(schedule.n))
-        prev = oracle_mod.l2_to_uniform(p)
-        bad = False
-        for t in range(1, steps + 1):
-            p = p @ oracle_mod.transition_matrix(schedule.snapshot_at(t))
-            cur = oracle_mod.l2_to_uniform(p)
-            worst = max(worst, cur - prev)
-            if cur - prev > tol:
-                bad = True
-            prev = cur
-        violations += bad
-    return PropertyResult("monotonicity", instances, violations, worst, violations == 0)
+        p0 = oracle_mod.point_mass(schedule.n, rng.randrange(schedule.n))
+        dists = [oracle_mod.l2_to_uniform(p) for p in _laws(p0, schedule, steps)]
+        return [cur - prev for prev, cur in pairwise(dists)]
+
+    return _property("monotonicity", instances, seed, tol, margins)
 
 
 def check_eigen_bound(instances: int, seed: int, tol: float = 1e-7) -> PropertyResult:
     """Signed second eigenvalue is at most 1 - 1/(d*D*n), D the diameter."""
-    rng = random.Random(seed)
-    worst = -math.inf
-    violations = 0
-    for _ in range(instances):
-        n = rng.choice(_SUITE_NS)
-        d = rng.choice(_SUITE_DS)
-        if (n * d) % 2:
-            d = 4
+
+    def margins(rng):
+        n, d = _suite_shape(rng)
         g = random_regular_graph(n, d, rng)
-        diam = dynamic_diameter(StaticSchedule(g), 1)
-        bound = 1.0 - 1.0 / (d * diam * n)
-        margin = oracle_mod.spectral_summary(g).lambda2_signed - bound
-        worst = max(worst, margin)
-        if margin > tol:
-            violations += 1
-    return PropertyResult("eigen_bound", instances, violations, worst, violations == 0)
+        bound = 1.0 - 1.0 / (d * dynamic_diameter(StaticSchedule(g), 1) * n)
+        return [oracle_mod.spectral_summary(g).lambda2_signed - bound]
+
+    return _property("eigen_bound", instances, seed, tol, margins)
 
 
 def check_supnorm(instances: int, seed: int, tol: float = 1e-7, steps: int = 30) -> PropertyResult:
     """Sup norm of the evolving distribution never increases."""
-    rng = random.Random(seed)
-    worst = -math.inf
-    violations = 0
-    for _ in range(instances):
+
+    def margins(rng):
         schedule = _random_schedule(rng)
-        p = _random_distribution(rng, schedule.n)
-        prev = float(np.abs(p).max())
-        bad = False
-        for t in range(1, steps + 1):
-            p = p @ oracle_mod.transition_matrix(schedule.snapshot_at(t))
-            cur = float(np.abs(p).max())
-            worst = max(worst, cur - prev)
-            if cur - prev > tol:
-                bad = True
-            prev = cur
-        violations += bad
-    return PropertyResult("supnorm_nonincrease", instances, violations, worst, violations == 0)
+        p0 = _random_distribution(rng, schedule.n)
+        sups = [float(np.abs(p).max()) for p in _laws(p0, schedule, steps)]
+        return [cur - prev for prev, cur in pairwise(sups)]
+
+    return _property("supnorm_nonincrease", instances, seed, tol, margins)
 
 
 def check_mixing_bound(instances: int, seed: int, c: float = 3.0) -> PropertyResult:
     """Measured tau^x(1/n) <= c * ln(n) / (1 - lambda), lambda over snapshots."""
-    rng = random.Random(seed)
-    worst = -math.inf
-    violations = 0
-    for _ in range(instances):
+
+    def margins(rng):
         schedule = _random_schedule(rng)
         n = schedule.n
-        source = rng.randrange(n)
-        tau = oracle_mod.mixing_time_oracle(schedule, source, 1.0 / n)
-        lam = max(
-            oracle_mod.spectral_summary(schedule.snapshot_at(t)).lambda2_abs
-            for t in range(1, max(2, tau) + 1)
-        )
-        bound = c * math.log(n) / (1.0 - lam)
-        worst = max(worst, tau - bound)
-        if tau > bound:
-            violations += 1
-    return PropertyResult("mixing_time_bound", instances, violations, worst, violations == 0)
+        tau = oracle_mod.mixing_time_oracle(schedule, rng.randrange(n), 1.0 / n)
+        return [tau - c * math.log(n) / (1.0 - _worst_lambda(schedule, max(2, tau)))]
+
+    return _property("mixing_time_bound", instances, seed, 0.0, margins)
 
 
 def check_visits_bound(
@@ -543,8 +519,6 @@ def check_visits_bound(
     bound = 32.0 * d * math.sqrt(k * length + 1.0) * math.log2(n) + k
     violations = 0
     worst = -math.inf
-    from .walks import concurrent_naive_walks
-
     for i in range(trials):
         engine = CongestEngine(schedule, SimConfig(seed=seed + i, bandwidth_bits=1 << 30, phi=phi))
         sources = [j % n for j in range(k)]
@@ -618,8 +592,7 @@ def lemma_suite(instances: int = 200, seed: int = 0, census_trials: int = 200) -
     ]
     c9 = parse_schedule_spec("static:C9", seed=seed ^ ADVERSARY_TAG)
     rr16 = parse_schedule_spec("srr:n=16,d=3", seed=seed ^ ADVERSARY_TAG)
-    for sched, phi in ((c9, 4), (rr16, None)):
-        phi = phi if phi is not None else resolve_phi(ExperimentConfig(sched.spec, "naive"), sched)
+    for sched, phi in ((c9, 4), (rr16, dynamic_diameter(rr16, 1))):
         for k, length in ((1, 40), (4, 40), (4, 160)):
             results.append(
                 check_visits_bound(sched, k, length, census_trials, seed ^ 0x60, phi=phi)

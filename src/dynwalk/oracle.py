@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
 
@@ -20,6 +21,7 @@ __all__ = [
     "uniform",
     "point_mass",
     "evolve",
+    "walk_laws",
     "l2_to_uniform",
     "tv_distance",
     "SpectralSummary",
@@ -107,6 +109,16 @@ def evolve(
     return p
 
 
+def walk_laws(p0: np.ndarray, schedule: GraphSchedule, start: int = 1):
+    """Yield p_0 = p0, then p_t = p_{t-1} @ A(G_{start+t-1}), one law per next();
+    a step's matrix is built only when its law is asked for. A matrix p0's rows
+    evolve side by side."""
+    p = np.asarray(p0, dtype=float)
+    for t in count(start):
+        yield p
+        p = p @ transition_matrix(schedule.snapshot_at(t))
+
+
 def l2_to_uniform(p: np.ndarray) -> float:
     n = len(p)
     return float(np.linalg.norm(np.asarray(p) - 1.0 / n))
@@ -159,16 +171,12 @@ def mixing_time_oracle(
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    n = schedule.n
-    cap = cap if cap is not None else mixing_cap(n)
-    p = point_mass(n, source)
-    t = 0
-    while l2_to_uniform(p) >= eps:
-        p = p @ transition_matrix(schedule.snapshot_at(t + 1))
-        t += 1
-        if t > cap:
+    cap = cap if cap is not None else mixing_cap(schedule.n)
+    for t, p in enumerate(walk_laws(point_mass(schedule.n, source), schedule)):
+        if l2_to_uniform(p) < eps:
+            return t
+        if t >= cap:
             raise MixingCapError(f"no mixing below eps={eps} within {cap} steps")
-    return t
 
 
 def static_mixing_time(g: GraphSnapshot, eps: float = MIX_EPS) -> int:
@@ -216,10 +224,5 @@ def segment_matrix(schedule: GraphSchedule, lambda_walk: int) -> np.ndarray:
         raise ValueError("lambda_walk must be >= 1")
     n = schedule.n
     _check_size(n)
-    prod = np.eye(n)
-    total = np.zeros((n, n))
-    for step in range(1, 2 * lambda_walk):
-        prod = prod @ transition_matrix(schedule.snapshot_at(step))
-        if step >= lambda_walk:
-            total += prod
-    return total / lambda_walk
+    laws = islice(walk_laws(np.eye(n), schedule), lambda_walk, 2 * lambda_walk)
+    return sum(laws, np.zeros((n, n))) / lambda_walk

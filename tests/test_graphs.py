@@ -182,6 +182,22 @@ class TestFilesAndSpecs:
         header = json.loads(path.read_text().splitlines()[0])
         assert header == {"n": 8, "d": 3, "T": 5}
 
+    @pytest.mark.parametrize("rounds", [0, -2])
+    def test_write_rejects_nonpositive_rounds(self, tmp_path, rounds):
+        path = tmp_path / "sched.jsonl"
+        with pytest.raises(ValueError, match="rounds"):
+            write_schedule_file(RandomRegularSchedule(8, 3, seed=4), rounds, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("spec", ["static:{}", "perm:base={}", "periodic:{}"])
+    def test_header_only_file_names_itself(self, tmp_path, spec):
+        path = tmp_path / "empty.jsonl"
+        path.write_text(json.dumps({"n": 8, "d": 3, "T": 0}) + "\n")
+        with pytest.raises(ScheduleError, match=re.escape(f"{path} holds no snapshots")):
+            read_schedule_file(path)
+        with pytest.raises(ScheduleError, match="holds no snapshots"):
+            parse_schedule_spec(spec.format(path), seed=0)
+
     def test_periodic_from_file(self, tmp_path):
         sched = RandomRegularSchedule(8, 3, seed=4)
         path = tmp_path / "sched.jsonl"

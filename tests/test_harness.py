@@ -1,10 +1,16 @@
 import json
+import math
+import random
 import statistics
 
+import numpy as np
 import pytest
 
 from dynwalk.cli import EXIT_CONFIG_ERROR, EXIT_OK, main
+from dynwalk import oracle
 from dynwalk.harness import (
+    PropertyResult,
+    _property,
     config_from_values,
     save_config_file,
     ADVERSARY_TAG,
@@ -23,7 +29,15 @@ from dynwalk.harness import (
 )
 from dynwalk import DynwalkError
 from dynwalk.engine import CongestionError, FloodIncompleteError, ProtocolError, RoundLimitError
-from dynwalk.graphs import ScheduleError, parse_schedule_spec, write_schedule_file
+from dynwalk.graphs import (
+    RandomRegularSchedule,
+    ScheduleError,
+    StaticSchedule,
+    dynamic_diameter,
+    parse_schedule_spec,
+    random_regular_graph,
+    write_schedule_file,
+)
 from dynwalk.mixing import EstimationError
 from dynwalk.oracle import MixingCapError
 from dynwalk.walks import CouponsExhausted
@@ -186,6 +200,174 @@ class TestLemmaChecks:
         assert any(name.startswith("connector_bound") for name in names)
 
 
+# The lemma checks as they were written before they shared one property loop
+# and read their laws from `oracle.walk_laws`: each its own rng, worst margin,
+# violation count and product loop. They pin the shared loop's results.
+
+def _ref_random_schedule(rng):
+    n = rng.choice([8, 10, 12, 16, 20, 24, 28, 32])
+    d = rng.choice([3, 4, 5])
+    if (n * d) % 2:
+        d = 4
+    return RandomRegularSchedule(n, d, seed=rng.randrange(2**48))
+
+
+def _ref_random_distribution(rng, n):
+    weights = np.array([rng.random() for _ in range(n)]) + 1e-9
+    return weights / weights.sum()
+
+
+def _ref_stationarity(instances, seed, tol=1e-12, steps=20):
+    rng = random.Random(seed)
+    worst = 0.0
+    violations = 0
+    for _ in range(instances):
+        schedule = _ref_random_schedule(rng)
+        p = oracle.evolve(oracle.uniform(schedule.n), schedule, 1, steps)
+        dev = float(np.abs(p - 1.0 / schedule.n).max())
+        worst = max(worst, dev)
+        if dev > tol:
+            violations += 1
+    return PropertyResult("stationarity", instances, violations, worst, violations == 0)
+
+
+def _ref_contraction(instances, seed, tol=1e-7, steps=50):
+    rng = random.Random(seed)
+    worst = -math.inf
+    violations = 0
+    for _ in range(instances):
+        schedule = _ref_random_schedule(rng)
+        p0 = _ref_random_distribution(rng, schedule.n)
+        lam = max(
+            oracle.spectral_summary(schedule.snapshot_at(t)).lambda2_abs
+            for t in range(1, steps + 1)
+        )
+        p = p0
+        bound = oracle.l2_to_uniform(p0)
+        bad = False
+        for t in range(1, steps + 1):
+            p = p @ oracle.transition_matrix(schedule.snapshot_at(t))
+            bound *= lam
+            margin = oracle.l2_to_uniform(p) - bound
+            worst = max(worst, margin)
+            if margin > tol:
+                bad = True
+        violations += bad
+    return PropertyResult("contraction", instances, violations, worst, violations == 0)
+
+
+def _ref_monotonicity(instances, seed, tol=1e-7, steps=50):
+    rng = random.Random(seed)
+    worst = -math.inf
+    violations = 0
+    for _ in range(instances):
+        schedule = _ref_random_schedule(rng)
+        p = oracle.point_mass(schedule.n, rng.randrange(schedule.n))
+        prev = oracle.l2_to_uniform(p)
+        bad = False
+        for t in range(1, steps + 1):
+            p = p @ oracle.transition_matrix(schedule.snapshot_at(t))
+            cur = oracle.l2_to_uniform(p)
+            worst = max(worst, cur - prev)
+            if cur - prev > tol:
+                bad = True
+            prev = cur
+        violations += bad
+    return PropertyResult("monotonicity", instances, violations, worst, violations == 0)
+
+
+def _ref_supnorm(instances, seed, tol=1e-7, steps=30):
+    rng = random.Random(seed)
+    worst = -math.inf
+    violations = 0
+    for _ in range(instances):
+        schedule = _ref_random_schedule(rng)
+        p = _ref_random_distribution(rng, schedule.n)
+        prev = float(np.abs(p).max())
+        bad = False
+        for t in range(1, steps + 1):
+            p = p @ oracle.transition_matrix(schedule.snapshot_at(t))
+            cur = float(np.abs(p).max())
+            worst = max(worst, cur - prev)
+            if cur - prev > tol:
+                bad = True
+            prev = cur
+        violations += bad
+    return PropertyResult("supnorm_nonincrease", instances, violations, worst, violations == 0)
+
+
+def _ref_eigen_bound(instances, seed, tol=1e-7):
+    rng = random.Random(seed)
+    worst = -math.inf
+    violations = 0
+    for _ in range(instances):
+        n = rng.choice([8, 10, 12, 16, 20, 24, 28, 32])
+        d = rng.choice([3, 4, 5])
+        if (n * d) % 2:
+            d = 4
+        g = random_regular_graph(n, d, rng)
+        bound = 1.0 - 1.0 / (d * dynamic_diameter(StaticSchedule(g), 1) * n)
+        margin = oracle.spectral_summary(g).lambda2_signed - bound
+        worst = max(worst, margin)
+        if margin > tol:
+            violations += 1
+    return PropertyResult("eigen_bound", instances, violations, worst, violations == 0)
+
+
+def _ref_mixing_bound(instances, seed, c=3.0):
+    rng = random.Random(seed)
+    worst = -math.inf
+    violations = 0
+    for _ in range(instances):
+        schedule = _ref_random_schedule(rng)
+        n = schedule.n
+        source = rng.randrange(n)
+        tau = oracle.mixing_time_oracle(schedule, source, 1.0 / n)
+        lam = max(
+            oracle.spectral_summary(schedule.snapshot_at(t)).lambda2_abs
+            for t in range(1, max(2, tau) + 1)
+        )
+        bound = c * math.log(n) / (1.0 - lam)
+        worst = max(worst, tau - bound)
+        if tau > bound:
+            violations += 1
+    return PropertyResult("mixing_time_bound", instances, violations, worst, violations == 0)
+
+
+class TestLemmaChecksMatchLoops:
+    # Three instances per seed. tol=-1 makes every instance violate and
+    # tol=-1e-3 some of them, so the violation rule is pinned as well as the
+    # worst margin.
+    @pytest.mark.parametrize("tol", [None, -1.0, -1e-3], ids=["default-tol", "tol-1", "tol-1e-3"])
+    @pytest.mark.parametrize(
+        "check, reference",
+        [
+            (check_stationarity, _ref_stationarity),
+            (check_contraction, _ref_contraction),
+            (check_monotonicity, _ref_monotonicity),
+            (check_supnorm, _ref_supnorm),
+            (check_eigen_bound, _ref_eigen_bound),
+        ],
+        ids=lambda f: f.__name__,
+    )
+    def test_equal_results(self, check, reference, tol):
+        kwargs = {} if tol is None else {"tol": tol}
+        for seed in range(10):
+            assert check(3, seed, **kwargs) == reference(3, seed, **kwargs)
+
+    def test_any_margin_over_tol_violates(self):
+        # The margins below are not sorted, so only the any-margin rule
+        # counts both instances.
+        draws = iter([[0.0, 2.0, -1.0], [-3.0, -2.0, -4.0], [5.0, 0.0]])
+        result = _property("p", 3, 0, 1.0, lambda rng: next(draws))
+        assert result == PropertyResult("p", 3, 2, 5.0, False)
+
+    @pytest.mark.parametrize("c", [3.0, 0.01])
+    def test_mixing_bound_equal_results(self, c):
+        for seed in range(10):
+            assert check_mixing_bound(3, seed, c=c) == _ref_mixing_bound(3, seed, c=c)
+
+
 @pytest.mark.parametrize(
     "error",
     [ScheduleError, CongestionError, RoundLimitError, FloodIncompleteError, ProtocolError,
@@ -259,6 +441,38 @@ class TestCli:
         cfg.write_text("schedule=static:C5\nalgo=naive\noracle=maybe\n")
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert "oracle" in self._one_line_error(capsys, code)
+
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flags", "config"])
+    @pytest.mark.parametrize(
+        "algo, field, value", [("lemma-suite", "seeds", 0), ("single", "seeds", -3), ("many", "k", 0)]
+    )
+    def test_empty_sweep_exit_2(self, tmp_path, capsys, via_config, algo, field, value):
+        out = tmp_path / "o"
+        if via_config:
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text(f"schedule=static:K4\nalgo={algo}\n{field}={value}\n")
+            argv = ["run", "--config", str(cfg)]
+        else:
+            argv = ["run", "--schedule", "static:K4", "--algo", algo, f"--{field}", str(value)]
+        code = main([*argv, "--out", str(out)])
+        assert f"{field}={value}" in self._one_line_error(capsys, code)
+        assert not out.exists()
+
+    def test_schedule_rounds_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "s.jsonl"
+        code = main(["schedule", "--schedule", "rr:n=8,d=3", "--rounds", "0", "--out", str(out)])
+        assert "rounds" in self._one_line_error(capsys, code)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", ["static:{}", "perm:base={}", "periodic:{}"])
+    def test_header_only_schedule_file_exit_2(self, tmp_path, capsys, spec):
+        path = tmp_path / "empty.jsonl"
+        path.write_text('{"n": 8, "d": 3, "T": 0}\n')
+        code = main([
+            "run", "--schedule", spec.format(path), "--algo", "naive", "--seeds", "1",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert str(path) in self._one_line_error(capsys, code)
 
     def test_small_run(self, tmp_path):
         code = main([

@@ -1,9 +1,22 @@
 import math
+import random
+from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dynwalk.graphs import PeriodicSchedule, RandomRegularSchedule, StaticSchedule, named_graph
+from dynwalk import oracle
+from dynwalk.graphs import (
+    PeriodicSchedule,
+    RandomRegularSchedule,
+    StaticSchedule,
+    named_graph,
+    parse_schedule_spec,
+    random_regular_graph,
+)
+from dynwalk.mixing import epsilon_prime
 from dynwalk.oracle import (
     MIX_EPS,
     MixingCapError,
@@ -19,6 +32,7 @@ from dynwalk.oracle import (
     transition_matrix,
     tv_distance,
     uniform,
+    walk_laws,
 )
 
 
@@ -64,6 +78,117 @@ class TestEvolve:
     def test_rejects_bad_distribution(self, k4):
         with pytest.raises(ValueError):
             evolve(np.array([0.5, 0.2, 0.2, 0.2]), k4, 1, 1)
+
+
+def _explicit_matrix(g):
+    """A(G) entry by entry: 1/deg(u) on every edge (u, v)."""
+    A = np.zeros((g.n, g.n))
+    for u in range(g.n):
+        for v in g.adj[u]:
+            A[u, v] = 1.0 / len(g.adj[u])
+    return A
+
+
+_POOL8 = [
+    named_graph("K8"),
+    named_graph("C8"),
+    random_regular_graph(8, 3, random.Random(1)),
+    random_regular_graph(8, 4, random.Random(2)),
+]
+
+_schedules8 = st.one_of(
+    st.lists(st.sampled_from(_POOL8), min_size=1, max_size=4).map(PeriodicSchedule),
+    st.integers(0, 2**16).map(lambda seed: parse_schedule_spec("rr:n=8,d=3", seed=seed)),
+)
+
+
+class TestWalkLaws:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        _schedules8,
+        st.integers(1, 6),
+        st.integers(0, 8),
+        st.one_of(st.none(), st.lists(st.floats(0.01, 1.0), min_size=8, max_size=8)),
+    )
+    def test_matches_per_step_product(self, schedule, start, steps, weights):
+        p0 = np.eye(8) if weights is None else np.array(weights) / sum(weights)
+        laws = list(islice(walk_laws(p0, schedule, start), steps + 1))
+        expect = p0
+        assert np.array_equal(laws[0], expect)
+        for t in range(1, steps + 1):
+            expect = expect @ _explicit_matrix(schedule.snapshot_at(start + t - 1))
+            assert np.array_equal(laws[t], expect)
+        if weights is not None:
+            assert np.array_equal(laws[steps], evolve(p0, schedule, start, steps))
+
+    def test_builds_a_matrix_only_when_its_law_is_asked_for(self, monkeypatch, c9):
+        built = []
+        real = oracle.transition_matrix
+        monkeypatch.setattr(oracle, "transition_matrix", lambda g: built.append(g) or real(g))
+        laws = walk_laws(point_mass(9, 0), c9, start=3)
+        assert built == []
+        next(laws)
+        assert built == []
+        next(laws), next(laws)
+        assert len(built) == 2
+
+
+# The product loops mixing_time_oracle and segment_matrix ran before they
+# read their laws from walk_laws; kept as references.
+
+def _loop_mixing_time(schedule, source, eps, cap):
+    p = point_mass(schedule.n, source)
+    t = 0
+    while l2_to_uniform(p) >= eps:
+        p = p @ transition_matrix(schedule.snapshot_at(t + 1))
+        t += 1
+        if t > cap:
+            raise MixingCapError("cap")
+    return t
+
+
+def _loop_segment_matrix(schedule, lambda_walk):
+    n = schedule.n
+    prod = np.eye(n)
+    total = np.zeros((n, n))
+    for step in range(1, 2 * lambda_walk):
+        prod = prod @ transition_matrix(schedule.snapshot_at(step))
+        if step >= lambda_walk:
+            total += prod
+    return total / lambda_walk
+
+
+_INSTANCES = [
+    "static:K4", "static:C5", "static:C9", "static:petersen", "srr:n=16,d=3",
+    "rr:n=8,d=3", "rr:n=16,d=4", "perm:base=C9",
+]
+
+
+class TestOnWalkLaws:
+    """mixing_time_oracle and segment_matrix equal their own product loops bit for bit."""
+
+    @pytest.mark.parametrize("spec", _INSTANCES)
+    def test_mixing_time_equals_loop(self, spec):
+        schedule = parse_schedule_spec(spec, seed=5)
+        for eps in (MIX_EPS, epsilon_prime(schedule.n), 1.0 / schedule.n):
+            for source in (0, schedule.n - 1):
+                expect = _loop_mixing_time(schedule, source, eps, 10_000)
+                assert mixing_time_oracle(schedule, source, eps) == expect
+
+    @pytest.mark.parametrize("spec", _INSTANCES)
+    def test_segment_matrix_equals_loop(self, spec):
+        schedule = parse_schedule_spec(spec, seed=5)
+        for lam in range(1, 7):
+            assert np.array_equal(segment_matrix(schedule, lam), _loop_segment_matrix(schedule, lam))
+
+    @pytest.mark.parametrize("spec", ["static:C9", "rr:n=8,d=3", "perm:base=C9"])
+    def test_mixing_cap_boundary(self, spec):
+        schedule = parse_schedule_spec(spec, seed=5)
+        T = mixing_time_oracle(schedule, 0, MIX_EPS)
+        assert T >= 2
+        assert mixing_time_oracle(schedule, 0, MIX_EPS, cap=T) == T
+        with pytest.raises(MixingCapError):
+            mixing_time_oracle(schedule, 0, MIX_EPS, cap=T - 1)
 
 
 class TestNorms:
