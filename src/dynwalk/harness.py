@@ -147,11 +147,12 @@ def _parse_bool(key: str, value) -> bool:
     raise ValueError(f"{key}={value!r} is not a boolean (true/false, 1/0, yes/no)")
 
 
+def _oracle_phi(schedule: GraphSchedule) -> int:
+    return dynamic_diameter(schedule, 1 if isinstance(schedule, StaticSchedule) else PHI_HORIZON)
+
+
 def resolve_phi(config: ExperimentConfig, schedule: GraphSchedule) -> int:
-    if config.phi != "oracle":
-        return int(config.phi)
-    horizon = 1 if isinstance(schedule, StaticSchedule) else PHI_HORIZON
-    return dynamic_diameter(schedule, horizon)
+    return _oracle_phi(schedule) if config.phi == "oracle" else int(config.phi)
 
 
 def resolve_tau(config: ExperimentConfig, schedule: GraphSchedule) -> int:
@@ -515,8 +516,7 @@ def check_visits_bound(
     k naive walks of the given length; the tolerated frequency is 1/n + 0.02.
     """
     n = schedule.n
-    d = schedule.d
-    bound = 32.0 * d * math.sqrt(k * length + 1.0) * math.log2(n) + k
+    bound = 32.0 * schedule.d * math.sqrt(k * length + 1.0) * math.log2(n) + k
     violations = 0
     worst = -math.inf
     for i in range(trials):
@@ -592,7 +592,7 @@ def lemma_suite(instances: int = 200, seed: int = 0, census_trials: int = 200) -
     ]
     c9 = parse_schedule_spec("static:C9", seed=seed ^ ADVERSARY_TAG)
     rr16 = parse_schedule_spec("srr:n=16,d=3", seed=seed ^ ADVERSARY_TAG)
-    for sched, phi in ((c9, 4), (rr16, dynamic_diameter(rr16, 1))):
+    for sched, phi in ((c9, 4), (rr16, _oracle_phi(rr16))):
         for k, length in ((1, 40), (4, 40), (4, 160)):
             results.append(
                 check_visits_bound(sched, k, length, census_trials, seed ^ 0x60, phi=phi)

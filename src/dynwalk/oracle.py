@@ -109,12 +109,12 @@ def evolve(
     return p
 
 
-def walk_laws(p0: np.ndarray, schedule: GraphSchedule, start: int = 1):
-    """Yield p_0 = p0, then p_t = p_{t-1} @ A(G_{start+t-1}), one law per next();
-    a step's matrix is built only when its law is asked for. A matrix p0's rows
+def walk_laws(p0: np.ndarray, schedule: GraphSchedule):
+    """Yield p_0 = p0, then p_t = p_{t-1} @ A(G_t), one law per next(); a
+    step's matrix is built only when its law is asked for. A matrix p0's rows
     evolve side by side."""
     p = np.asarray(p0, dtype=float)
-    for t in count(start):
+    for t in count(1):
         yield p
         p = p @ transition_matrix(schedule.snapshot_at(t))
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dynwalk.cli import EXIT_CONFIG_ERROR, EXIT_OK, main
-from dynwalk import oracle
+from dynwalk import harness, oracle
 from dynwalk.harness import (
     PropertyResult,
     _property,
@@ -107,6 +107,22 @@ class TestConfig:
         assert resolve_phi(cfg, sched) == 1
         cfg2 = ExperimentConfig("static:K4", "naive", tau="7", phi="3")
         assert resolve_tau(cfg2, sched) == 7 and resolve_phi(cfg2, sched) == 3
+
+    @pytest.mark.parametrize("spec, horizon", [("static:K4", 1), ("srr:n=16,d=3", 1), ("rr:n=16,d=3", 16)])
+    def test_oracle_phi_horizon(self, monkeypatch, spec, horizon):
+        # resolve_phi and the lemma suite's census take phi over one round of a
+        # static schedule and over PHI_HORIZON rounds of a changing one.
+        seen = []
+        real = harness.dynamic_diameter
+        monkeypatch.setattr(harness, "dynamic_diameter", lambda s, h: seen.append(h) or real(s, h))
+        resolve_phi(ExperimentConfig(spec, "naive"), parse_schedule_spec(spec, seed=0))
+        assert seen == [horizon]
+        seen.clear()
+        monkeypatch.setattr(harness, "parse_schedule_spec", lambda _, seed: parse_schedule_spec(spec, seed=seed))
+        for name in [n for n in vars(harness) if n.startswith("check_")]:
+            monkeypatch.setattr(harness, name, lambda *a, **kw: None)
+        harness.lemma_suite(instances=0)
+        assert seen == [horizon]
 
 
 class TestRunExperiment:

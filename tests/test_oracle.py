@@ -106,26 +106,25 @@ class TestWalkLaws:
     @settings(max_examples=80, deadline=None)
     @given(
         _schedules8,
-        st.integers(1, 6),
         st.integers(0, 8),
         st.one_of(st.none(), st.lists(st.floats(0.01, 1.0), min_size=8, max_size=8)),
     )
-    def test_matches_per_step_product(self, schedule, start, steps, weights):
+    def test_matches_per_step_product(self, schedule, steps, weights):
         p0 = np.eye(8) if weights is None else np.array(weights) / sum(weights)
-        laws = list(islice(walk_laws(p0, schedule, start), steps + 1))
+        laws = list(islice(walk_laws(p0, schedule), steps + 1))
         expect = p0
         assert np.array_equal(laws[0], expect)
         for t in range(1, steps + 1):
-            expect = expect @ _explicit_matrix(schedule.snapshot_at(start + t - 1))
+            expect = expect @ _explicit_matrix(schedule.snapshot_at(t))
             assert np.array_equal(laws[t], expect)
         if weights is not None:
-            assert np.array_equal(laws[steps], evolve(p0, schedule, start, steps))
+            assert np.array_equal(laws[steps], evolve(p0, schedule, 1, steps))
 
     def test_builds_a_matrix_only_when_its_law_is_asked_for(self, monkeypatch, c9):
         built = []
         real = oracle.transition_matrix
         monkeypatch.setattr(oracle, "transition_matrix", lambda g: built.append(g) or real(g))
-        laws = walk_laws(point_mass(9, 0), c9, start=3)
+        laws = walk_laws(point_mass(9, 0), c9)
         assert built == []
         next(laws)
         assert built == []
