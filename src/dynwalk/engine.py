@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -117,13 +117,15 @@ class RoundLog:
         self.records: list[RoundRecord] = []
         self._keep = keep_records
 
-    def observe(self, t: int, msgs: int, max_bits: int) -> None:
-        self.rounds += 1
-        self.total_msgs += msgs
-        if max_bits > self.max_edge_bits:
+    def observe(self, t: int, msgs: Sequence[int], max_bits: int) -> None:
+        """Log rounds t, t + 1, ...: round t + i sends msgs[i] messages, and
+        its busiest directed edge carries `max_bits` if it sends any."""
+        self.rounds += len(msgs)
+        self.total_msgs += sum(msgs)
+        if max_bits > self.max_edge_bits and any(msgs):
             self.max_edge_bits = max_bits
         if self._keep:
-            self.records.append(RoundRecord(t, msgs, max_bits))
+            self.records += [RoundRecord(t + i, m, max_bits if m else 0) for i, m in enumerate(msgs)]
 
     def summary(self) -> dict:
         return {
@@ -218,7 +220,7 @@ class CongestEngine:
                 raise CongestionError(
                     f"round {t}: edge ({e // n},{e % n}) would carry {top} bits > B={self.B}"
                 )
-        self.log.observe(t, msgs, top)
+        self.log.observe(t, (msgs,), top)
         self._round = t
 
     def _reject(self, t: int, src: np.ndarray, dst: np.ndarray) -> None:
@@ -234,7 +236,7 @@ class CongestEngine:
         """Consume rounds with no traffic (still logged)."""
         for _ in range(rounds):
             t = self._begin_round()
-            self.log.observe(t, 0, 0)
+            self.log.observe(t, (0,), 0)
             self._round = t
 
     def flood(
@@ -248,12 +250,17 @@ class CongestEngine:
 
         Every informed node retransmits on all its current edges each round,
         so per directed edge the payload travels at most once per round and
-        the accounting is closed-form.  Returns node -> round informed.  A
-        round that informs nobody while nodes are uninformed raises
-        ScheduleError (a disconnected snapshot); a complete flood inside the
-        budget is required unless `require_complete` is False (probabilistic
-        callers).
+        the accounting is closed-form.  Rounds are simulated only until every
+        node is informed; the rest of the budget, 2|E_t| messages a round
+        (n*d on a declared-regular schedule, building no snapshot), is
+        charged in one step.  Returns node -> round informed.  A negative
+        budget raises ValueError before any round is charged.  A round that
+        informs nobody while nodes are uninformed raises ScheduleError (a
+        disconnected snapshot); a complete flood inside the budget is
+        required unless `require_complete` is False (probabilistic callers).
         """
+        if budget < 0:
+            raise ValueError(f"flood budget {budget} is negative")
         informed_round = self._flood(payload_bits, sources, budget)
         if require_complete and len(informed_round) < self.n:
             raise FloodIncompleteError(
@@ -274,8 +281,7 @@ class CongestEngine:
         return self._round - start, informed_round
 
     def _flood(self, payload_bits: int, sources: Iterable[int], budget: int | None) -> dict[int, int]:
-        """Run `budget` rounds of `flood_rounds` from `sources`, or with no
-        budget as many as it takes to inform every node."""
+        """Flood for `budget` rounds, or with None until all are informed (see `flood`)."""
         if payload_bits > self.B:
             raise CongestionError(f"flood payload of {payload_bits} bits exceeds B={self.B}")
         informed_round = dict.fromkeys(sources, self._round)
@@ -284,14 +290,28 @@ class CongestEngine:
         bad = next((s for s in informed_round if not 0 <= s < self.n), None)
         if bad is not None:
             raise ValueError(f"flood source {bad} is outside [0, {self.n})")
-        rounds = flood_rounds(self.schedule, tuple(informed_round), self._round + 1)
-        used = 0
-        while (len(informed_round) < self.n) if budget is None else (used < budget):
-            t = self._begin_round()
-            msgs, new = next(rounds)
-            self.log.observe(t, msgs, payload_bits if msgs else 0)
-            for u in new:
-                informed_round[u] = t
-            self._round = t
-            used += 1
+        first, msgs = self._round + 1, []
+        rounds = flood_rounds(self.schedule, tuple(informed_round), first)
+        end = None if budget is None else self._round + budget
+        try:
+            while len(informed_round) < self.n and self._round != end:
+                t = self._begin_round()
+                sent, new = next(rounds)
+                msgs.append(sent)
+                for u in new:
+                    informed_round[u] = t
+                self._round = t
+            t = self._round
+            left = 0 if end is None else end - t
+            if left:  # every node is informed, so each round left sends 2|E_t| messages
+                fit = min(left, self.config.max_rounds - t)
+                if self.schedule.d is None:
+                    msgs += [2 * len(self.schedule.snapshot_at(u).edges) for u in range(t + 1, t + fit + 1)]
+                else:
+                    msgs += [self.n * self.schedule.d] * fit
+                self._round += fit
+                if fit < left:
+                    self._begin_round()  # raises RoundLimitError, as round t + fit + 1 would
+        finally:  # the rounds run before an error stay charged
+            self.log.observe(first, msgs, payload_bits)
         return informed_round

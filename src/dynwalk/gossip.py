@@ -78,10 +78,7 @@ class GossipOutcome:
     rounds: int
     coverage: np.ndarray  # bool, shape (n, k): node has token?
     complete: bool
-    f: int
-    broadcast_rounds: int
     phase1_rounds: int
-    token_order: list[int]
 
 
 def k_gossip_rw(
@@ -125,10 +122,7 @@ def k_gossip_rw(
         rounds=engine.round - start_round,
         coverage=coverage,
         complete=bool(coverage.all()),
-        f=params.f,
-        broadcast_rounds=params.broadcast_rounds,
         phase1_rounds=phase1_rounds,
-        token_order=tokens,
     )
 
 
@@ -154,10 +148,7 @@ def k_gossip_trivial(
         rounds=engine.round - start_round,
         coverage=coverage,
         complete=True,
-        f=1,
-        broadcast_rounds=0,
         phase1_rounds=0,
-        token_order=tokens,
     )
 
 

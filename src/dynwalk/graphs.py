@@ -330,10 +330,6 @@ class PeriodicSchedule(GraphSchedule):
     def _build(self, t: int) -> GraphSnapshot:
         return self._graphs[(t - 1) % len(self._graphs)].with_round(t)
 
-    @property
-    def period(self) -> int:
-        return len(self._graphs)
-
 
 class RandomRegularSchedule(GraphSchedule):
     """A fresh random d-regular connected non-bipartite graph each round."""
@@ -379,8 +375,9 @@ def flood_rounds(
     on each of its edges.  Each round yields (messages sent, nodes newly
     informed).  A round that leaves nodes uninformed but informs none raises
     ScheduleError; per-round connectivity rules that out, so every node is
-    informed within n - 1 rounds.  After that each round sends 2|E_t|
-    messages and informs nobody.
+    informed within n - 1 rounds, and the generator stops there.  A flood
+    that runs on after that sends 2|E_t| messages per round and informs
+    nobody, so a caller charges those rounds without this generator.
     """
     n = schedule.n
     informed = set(sources)
@@ -395,21 +392,12 @@ def flood_rounds(
         informed |= new
         yield len(sent), new
         t += 1
-    while True:
-        yield 2 * len(schedule.snapshot_at(t).edges), ()
-        t += 1
 
 
 def flooding_time(schedule: GraphSchedule, source: int, start_round: int = 1) -> int:
     """Rounds of temporal BFS (`flood_rounds`) needed to inform all n nodes
     from `source`, starting on snapshot `start_round`."""
-    missing = schedule.n - 1
-    rounds = flood_rounds(schedule, (source,), start_round)
-    used = 0
-    while missing:
-        missing -= len(next(rounds)[1])
-        used += 1
-    return used
+    return sum(1 for _ in flood_rounds(schedule, (source,), start_round))
 
 
 def dynamic_diameter(schedule: GraphSchedule, horizon: int) -> int:

@@ -196,6 +196,12 @@ class TestFlood:
         with pytest.raises(CongestionError):
             eng.flood(8, [0], budget=1)
 
+    def test_negative_budget_rejected(self, c9):
+        eng = make_engine(c9, seed=0)
+        with pytest.raises(ValueError, match="flood budget -1 is negative"):
+            eng.flood(4, [0], -1, require_complete=False)
+        assert eng.round == 0 and eng.log.rounds == 0
+
     @pytest.mark.parametrize(
         "run, bad",
         [
@@ -230,6 +236,7 @@ class TestDisconnectedSnapshot:
         eng.idle(1)
         with pytest.raises(ScheduleError, match="flood stalled at round 3: snapshot disconnected"):
             run(eng)
+        assert eng.log.rounds == eng.round  # the rounds before the stall stay charged
 
     def test_stall_detected_under_optimize(self):
         # The stall check is no `assert`: `python -O` must not turn a
@@ -276,7 +283,15 @@ def reference_flood(schedule, sources, start, budget):
 def flood_cases(draw):
     n, d = draw(st.sampled_from([(5, 4), (6, 3), (7, 4), (8, 3), (9, 4), (10, 3)]))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    sched = PeriodicSchedule([random_regular_graph(n, d, rng) for _ in range(draw(st.integers(1, 3)))])
+    # Mixing cycles and cliques with random d-regular graphs gives schedules
+    # with no declared degree (d is None), such as C5 then K5.
+    build = {
+        "rr": lambda: random_regular_graph(n, d, rng),
+        "C": lambda: named_graph(f"C{n}"),
+        "K": lambda: named_graph(f"K{n}"),
+    }
+    kinds = draw(st.lists(st.sampled_from(sorted(build)), min_size=1, max_size=3))
+    sched = PeriodicSchedule([build[kind]() for kind in kinds])
     sources = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
     start = draw(st.integers(1, 6))
     # Up to twice n: budgets past the flooding time cover the rounds in
@@ -291,17 +306,48 @@ class TestFloodProperty:
     def test_flood_matches_per_node_reference(self, case, require_complete):
         sched, sources, start, budget = case
         expected, msgs = reference_flood(sched, sources, start, budget)
-        eng = CongestEngine(sched, SimConfig(bandwidth_bits=AMPLE, record_rounds=True))
-        eng.idle(start - 1)
-        if require_complete and len(expected) < sched.n:
-            with pytest.raises(FloodIncompleteError):
-                eng.flood(8, sources, budget, require_complete)
-        else:
-            assert eng.flood(8, sources, budget, require_complete) == expected
-        flood_records = [(r.t, r.msgs, r.max_edge_bits) for r in eng.log.records[start - 1:]]
-        rounds = range(start, start + budget)
-        assert flood_records == [(t, m, 8 if m else 0) for t, m in zip(rounds, msgs)]
-        assert eng.round == start - 1 + budget
+        summaries = []
+        for keep in (True, False):
+            eng = CongestEngine(sched, SimConfig(bandwidth_bits=AMPLE, record_rounds=keep))
+            eng.idle(start - 1)
+            if require_complete and len(expected) < sched.n:
+                with pytest.raises(FloodIncompleteError):
+                    eng.flood(8, sources, budget, require_complete)
+            else:
+                assert eng.flood(8, sources, budget, require_complete) == expected
+            assert eng.round == start - 1 + budget
+            summaries.append(eng.log.summary())
+            if keep:
+                flood_records = [(r.t, r.msgs, r.max_edge_bits) for r in eng.log.records[start - 1:]]
+                rounds = range(start, start + budget)
+                assert flood_records == [(t, m, 8 if m else 0) for t, m in zip(rounds, msgs)]
+        assert summaries[0] == summaries[1] == {
+            "rounds": start - 1 + budget,
+            "total_msgs": sum(msgs),
+            "max_edge_bits": 8 if any(msgs) else 0,
+            "congestion_events": 0,
+        }
+
+    @settings(max_examples=100, deadline=None)
+    @given(flood_cases(), st.data())
+    def test_round_limit_inside_flood(self, case, data):
+        # A limit anywhere before the flood's last round, inside the BFS
+        # rounds or inside the rounds after coverage, stops the flood where
+        # round-by-round execution would.
+        sched, sources, start, budget = case
+        budget += 1  # at least one flood round, so some limit falls inside it
+        limit = data.draw(st.integers(start - 1, start + budget - 2), label="max_rounds")
+        _, msgs = reference_flood(sched, sources, start, limit - (start - 1))
+        for keep in (True, False):
+            eng = CongestEngine(
+                sched, SimConfig(bandwidth_bits=AMPLE, max_rounds=limit, record_rounds=keep)
+            )
+            eng.idle(start - 1)
+            with pytest.raises(RoundLimitError, match=f"exceeded max_rounds={limit}"):
+                eng.flood(8, sources, budget, require_complete=False)
+            assert eng.round == eng.log.rounds == limit
+            assert eng.log.total_msgs == sum(msgs)
+            assert len(eng.log.records) == (limit if keep else 0)
 
     @settings(max_examples=100, deadline=None)
     @given(flood_cases())
@@ -316,6 +362,22 @@ class TestFloodProperty:
         eng = CongestEngine(sched, SimConfig(bandwidth_bits=AMPLE))
         eng.idle(start - 1)
         assert eng.flood_until_complete(8, sources[:1])[0] == flooding_time(sched, sources[0], start)
+
+    def test_rounds_after_coverage_build_no_snapshot(self):
+        # A declared-regular schedule charges n*d messages per round once
+        # every node is informed, without asking for those rounds' snapshots.
+        covered = flooding_time(RandomRegularSchedule(16, 3, seed=8), 0)
+        sched = RandomRegularSchedule(16, 3, seed=8)
+        asked = []
+        snapshot_at = sched.snapshot_at
+        sched.snapshot_at = lambda t: asked.append(t) or snapshot_at(t)
+        eng = CongestEngine(sched, SimConfig(bandwidth_bits=AMPLE))
+        informed = eng.flood(8, [0], 40)
+        assert len(informed) == 16 and eng.round == 40
+        assert asked == list(range(1, covered + 1))
+        _, msgs = reference_flood(RandomRegularSchedule(16, 3, seed=8), [0], 1, 40)
+        assert msgs[covered:] == [16 * 3] * (40 - covered)
+        assert eng.log.total_msgs == sum(msgs)
 
 
 class TestEncodings:

@@ -1,9 +1,13 @@
 import json
 import random
 import re
+import tempfile
 from collections import deque
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynwalk.graphs import (
     GraphSnapshot,
@@ -181,6 +185,35 @@ class TestFilesAndSpecs:
         assert all(graphs[t - 1].edges == sched.snapshot_at(t).edges for t in range(1, 6))
         header = json.loads(path.read_text().splitlines()[0])
         assert header == {"n": 8, "d": 3, "T": 5}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["rr", "perm", "periodic"]),
+        st.sampled_from([(6, 3), (8, 3), (9, 4), (10, 3)]),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 12),
+    )
+    def test_schedule_file_roundtrip_property(self, kind, nd, seed, rounds):
+        n, d = nd
+        if kind == "rr":
+            sched = parse_schedule_spec(f"rr:n={n},d={d}", seed=seed)
+        elif kind == "perm":
+            sched = parse_schedule_spec(f"perm:base=C{n}", seed=seed)
+        else:
+            # Cycles mixed with d-regular graphs leave the degree undeclared.
+            rng = random.Random(seed)
+            graphs = [
+                random_regular_graph(n, d, rng) if rng.random() < 0.5 else named_graph(f"C{n}")
+                for _ in range(rng.randint(1, 3))
+            ]
+            sched = PeriodicSchedule(graphs)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "sched.jsonl"
+            write_schedule_file(sched, rounds, path)
+            got_n, got_d, graphs = read_schedule_file(path)
+        assert (got_n, got_d) == (sched.n, sched.d)
+        assert [g.round for g in graphs] == list(range(1, rounds + 1))
+        assert [g.edges for g in graphs] == [sched.snapshot_at(t).edges for t in range(1, rounds + 1)]
 
     @pytest.mark.parametrize("rounds", [0, -2])
     def test_write_rejects_nonpositive_rounds(self, tmp_path, rounds):
