@@ -30,7 +30,6 @@ from .oracle import (
     dynamic_mixing_bound,
     evolve,
     l2_to_uniform,
-    lazy_transition_matrix,
     mixing_time_oracle,
     segment_matrix,
     spectral_summary,
@@ -40,7 +39,6 @@ from .oracle import (
 from .walks import (
     Coupon,
     CouponTable,
-    LazyStepper,
     WalkBatch,
     WalkParams,
     WalkResult,

@@ -209,7 +209,7 @@ class CongestEngine:
                 keys = np.ravel_multi_index((src, dst), (n, n))
             except ValueError:  # an id outside [0, n)
                 keys = None
-            nbr = self.schedule.snapshot_at(t).arrays.nbr
+            nbr = self.schedule.snapshot_at(t).nbr
             if keys is None or np.count_nonzero(nbr.take(src, axis=0) == dst[:, None]) != msgs:
                 self._reject(t, src, dst)
             counts = np.bincount(keys)

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .engine import CongestEngine, SimConfig
+from .engine import CongestEngine, ProtocolError, SimConfig
 from .graphs import GraphSchedule
 from .walks import many_random_walks
 
@@ -91,8 +91,11 @@ def k_gossip_rw(
     """Walk-seeded dissemination: f copies of each token ride tau-length
     walks to random holders, then tokens broadcast one at a time for a fixed
     budget.  Incomplete coverage is reported, not fatal: the guarantee is
-    probabilistic.
+    probabilistic.  The walks' stitch floods run for the engine's phi, so
+    `phi` must equal it.
     """
+    if phi != engine.config.phi:
+        raise ProtocolError(f"phi={phi} differs from the engine's phi={engine.config.phi}")
     holders = _normalize_assignment(assignment, engine.n)
     tokens = list(holders)
     k = len(tokens)
@@ -107,17 +110,16 @@ def k_gossip_rw(
             token_of_walk.append(token)
     results = many_random_walks(engine, sources, tau, record_path=False)
     phase1_rounds = engine.round - start_round
-    token_index = {token: idx for idx, token in enumerate(tokens)}
     coverage = np.zeros((engine.n, k), dtype=bool)
     holder_sets: dict[int, set[int]] = {t: set(holders[t]) for t in tokens}
     for dest, token in zip(results.destinations.tolist(), token_of_walk):
         holder_sets[token].add(dest)
     bits = engine.enc.gossip_bits(k)
-    for token in tokens:
+    for idx, token in enumerate(tokens):
         informed = engine.flood(
             bits, sorted(holder_sets[token]), params.broadcast_rounds, require_complete=False
         )
-        coverage[sorted(informed), token_index[token]] = True
+        coverage[list(informed), idx] = True
     return GossipOutcome(
         rounds=engine.round - start_round,
         coverage=coverage,
@@ -159,8 +161,6 @@ class RaceReport:
     race_rounds: int
     winner: str  # "rw" | "trivial"; ties go to trivial
     coverage_rw_complete: bool
-    f: int
-    broadcast_rounds: int
 
 
 def race_winner(rounds_rw: int, rounds_trivial: int) -> str:
@@ -190,6 +190,4 @@ def k_gossip_race(
         race_rounds=min(rw.rounds, triv.rounds),
         winner=winner,
         coverage_rw_complete=rw.complete,
-        f=params.f,
-        broadcast_rounds=params.broadcast_rounds,
     )

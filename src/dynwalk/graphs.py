@@ -12,13 +12,12 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
     "GraphSnapshot",
-    "SnapshotArrays",
     "GraphSchedule",
     "StaticSchedule",
     "PeriodicSchedule",
@@ -68,18 +67,10 @@ def derive_seed(*parts: int) -> int:
     return acc
 
 
-class SnapshotArrays(NamedTuple):
-    """Array view of a snapshot: row v of `nbr` lists adj[v], padded up to
-    the maximum degree with -1 (no node id); `deg` holds the degrees."""
-
-    nbr: np.ndarray
-    deg: np.ndarray
-
-
 class GraphSnapshot:
     """One round's topology: a simple undirected graph on nodes [0, n)."""
 
-    __slots__ = ("n", "round", "edges", "adj", "adj_sets", "_view")
+    __slots__ = ("n", "round", "edges", "adj", "adj_sets", "_nbr")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], round: int = 1):
         norm = set()
@@ -98,19 +89,19 @@ class GraphSnapshot:
             adj[v].append(u)
         self.adj = tuple(tuple(a) for a in adj)
         self.adj_sets = tuple(frozenset(a) for a in adj)
-        self._view: list[SnapshotArrays | None] = [None]  # shared with with_round clones
+        self._nbr: list[np.ndarray | None] = [None]  # shared with with_round clones
 
     @property
-    def arrays(self) -> SnapshotArrays:
-        """Neighbor table and degree vector, built on first use."""
-        view = self._view[0]
-        if view is None:
-            deg = np.array([len(a) for a in self.adj], dtype=np.int64)
-            nbr = np.full((self.n, int(deg.max(initial=0))), -1, dtype=np.int64)
+    def nbr(self) -> np.ndarray:
+        """Neighbor table, built on first use: row v lists adj[v], padded up to
+        the maximum degree with -1 (no node id)."""
+        nbr = self._nbr[0]
+        if nbr is None:
+            nbr = np.full((self.n, max(map(len, self.adj), default=0)), -1, dtype=np.int64)
             for v, a in enumerate(self.adj):
                 nbr[v, : len(a)] = a
-            view = self._view[0] = SnapshotArrays(nbr, deg)
-        return view
+            self._nbr[0] = nbr
+        return nbr
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -127,7 +118,7 @@ class GraphSnapshot:
         clone.edges = self.edges
         clone.adj = self.adj
         clone.adj_sets = self.adj_sets
-        clone._view = self._view
+        clone._nbr = self._nbr
         return clone
 
     def __eq__(self, other) -> bool:

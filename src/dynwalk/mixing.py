@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import CongestEngine
+from .engine import CongestEngine, ProtocolError
 from .graphs import DynwalkError
 from .oracle import mixing_cap
 from .walks import many_random_walks
@@ -194,7 +194,10 @@ def estimate_mixing_time(
     K: int | None = None,
 ) -> MixingEstimate:
     """Double the probe length until the uniformity test passes, then binary
-    search the bracketed interval for the first passing length."""
+    search the bracketed interval for the first passing length.  The probe
+    walks' stitch floods run for the engine's phi, so `phi` must equal it."""
+    if phi != engine.config.phi:
+        raise ProtocolError(f"phi={phi} differs from the engine's phi={engine.config.phi}")
     n = engine.n
     if K is None:
         K = sample_count(n, epsilon)

@@ -17,7 +17,6 @@ from .graphs import DynwalkError, GraphSchedule, GraphSnapshot, StaticSchedule
 __all__ = [
     "MIX_EPS",
     "transition_matrix",
-    "lazy_transition_matrix",
     "uniform",
     "point_mass",
     "evolve",
@@ -58,24 +57,6 @@ def transition_matrix(g: GraphSnapshot) -> np.ndarray:
             raise ValueError(f"node {u} is isolated")
         for v in g.adj[u]:
             P[u, v] = 1.0 / deg
-    return P
-
-
-def lazy_transition_matrix(g: GraphSnapshot, d_max: int) -> np.ndarray:
-    """Lazy walk for non-regular graphs: stay with prob 1 - deg(u)/(d_max+1).
-
-    Every edge is crossed with probability 1/(d_max+1), which makes the
-    matrix doubly stochastic and the stationary distribution uniform.
-    """
-    _check_size(g.n)
-    if any(g.degree(u) > d_max for u in range(g.n)):
-        raise ValueError(f"d_max={d_max} below an observed degree")
-    P = np.zeros((g.n, g.n))
-    p_edge = 1.0 / (d_max + 1)
-    for u in range(g.n):
-        for v in g.adj[u]:
-            P[u, v] = p_edge
-        P[u, u] = 1.0 - g.degree(u) * p_edge
     return P
 
 
@@ -135,22 +116,12 @@ class SpectralSummary:
     gap: float
 
 
-def spectral_summary(g: GraphSnapshot | np.ndarray) -> SpectralSummary:
-    """Second eigenvalue (signed and in absolute value) of a symmetric walk matrix.
-
-    Accepts a regular snapshot or an explicit symmetric matrix (the lazy
-    adapter's, for non-regular graphs).
-    """
-    if isinstance(g, GraphSnapshot):
-        degs = {g.degree(v) for v in range(g.n)}
-        if len(degs) != 1:
-            raise ValueError("snapshot is not regular; pass the lazy matrix instead")
-        P = transition_matrix(g)
-    else:
-        P = np.asarray(g, dtype=float)
-        if not np.allclose(P, P.T, atol=1e-12):
-            raise ValueError("matrix must be symmetric")
-    eigs = np.linalg.eigvalsh(P)  # ascending
+def spectral_summary(g: GraphSnapshot) -> SpectralSummary:
+    """Second eigenvalue (signed and in absolute value) of a regular
+    snapshot's walk matrix, which is symmetric."""
+    if len({g.degree(v) for v in range(g.n)}) != 1:
+        raise ValueError("snapshot is not regular")
+    eigs = np.linalg.eigvalsh(transition_matrix(g))  # ascending
     lambda2_signed = float(eigs[-2])
     lambda2_abs = float(max(eigs[-2], -eigs[0]))
     return SpectralSummary(lambda2_signed, lambda2_abs, 1.0 - lambda2_abs)

@@ -1,6 +1,6 @@
-"""Random-walk protocols: naive token walks, coupon-stitched fast walks,
-the shared-phase extension to k walks, and the lazy stepper for non-regular
-graphs.
+"""Random-walk protocols: naive token walks, coupon-stitched fast walks and
+the shared-phase extension to k walks, all simple random walks on a schedule
+with a declared degree d.
 
 The fast single walk runs in two phases.  Phase 1 distributes, from every
 node, d coupons that walk for lambda + r rounds (r uniform in [0, lambda-1])
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import CongestEngine, ProtocolError
-from .graphs import DynwalkError, GraphSnapshot
+from .graphs import DynwalkError
 
 __all__ = [
     "WalkParams",
@@ -35,8 +35,6 @@ __all__ = [
     "CouponsExhausted",
     "WalkResult",
     "WalkBatch",
-    "SimpleStepper",
-    "LazyStepper",
     "naive_walk",
     "concurrent_naive_walks",
     "phase1_distribute",
@@ -117,9 +115,6 @@ class CouponTable:
         self.unused: list[list[int]] = [list(range(v * d, (v + 1) * d)) for v in range(n)]
         self.trail: np.ndarray | None = None
 
-    def remaining(self, origin: int) -> int:
-        return len(self.unused[origin])
-
     def sample(self, origin: int, rng: np.random.Generator) -> int:
         """Pop a uniformly chosen unused coupon of `origin`; returns its index."""
         pool = self.unused[origin]
@@ -195,81 +190,40 @@ class WalkBatch(Sequence[WalkResult]):
         return iter(self._walks())
 
 
-class SimpleStepper:
-    """Uniform-neighbor step of the simple random walk on a d-regular schedule.
-
-    A token at v with draw j in [0, d) moves to v's j-th current neighbor.
-    """
-
-    can_stay = False
-
-    def __init__(self, d: int):
-        self.high = d
-
-    def step(self, g: GraphSnapshot, v: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return g.arrays.nbr.take(v * self.high + j)
-
-
-class LazyStepper:
-    """Stay with probability 1 - deg(u)/(d_max+1), else uniform neighbor.
-
-    One draw j over d_max+1 equally likely outcomes: j < deg(u) moves along
-    edge j (probability 1/(d_max+1) each), anything else stays.  The induced
-    chain is doubly stochastic with uniform stationary distribution.
-    """
-
-    can_stay = True
-
-    def __init__(self, d_max: int):
-        if d_max < 1:
-            raise ValueError("d_max must be >= 1")
-        self.d_max = d_max
-        self.high = d_max + 1
-
-    def step(self, g: GraphSnapshot, v: np.ndarray, j: np.ndarray) -> np.ndarray:
-        nbr, deg = g.arrays
-        dv = deg[v]
-        if (dv > self.d_max).any():
-            raise ProtocolError(f"observed degree {dv.max()} exceeds d_max={self.d_max}")
-        move = j < dv
-        return np.where(move, nbr[v, np.where(move, j, 0)], v)
-
-
-def _simple_stepper(engine: CongestEngine) -> SimpleStepper:
+def _degree(engine: CongestEngine) -> int:
+    """The schedule's declared degree d, which every walk step needs."""
     if engine.schedule.d is None:
-        raise ProtocolError("non-regular schedule: walk it with a LazyStepper")
-    return SimpleStepper(engine.schedule.d)
+        raise ProtocolError("non-regular schedule: walks need a declared degree d")
+    return engine.schedule.d
 
 
-def _walk_tokens(engine, sources, steps, token_bits, stepper, record_path):
+def _walk_tokens(engine, sources, steps, token_bits, record_path):
     """Move one token per source for `steps` rounds, all tokens each round.
 
+    A token at v with draw j in [0, d) moves to v's j-th current neighbor.
     Each step is an independent draw from the TAG_NAIVE stream, all taken
     in one call.  Returns the final positions and, with `record_path`, the
     (steps + 1, k) array of positions after each round.
     """
+    d = _degree(engine)
     pos = np.array(sources, dtype=np.int64)
-    draws = engine.stream(TAG_NAIVE).integers(stepper.high, size=(steps, len(pos)))
+    draws = engine.stream(TAG_NAIVE).integers(d, size=(steps, len(pos)))
     trail = np.empty((steps + 1, len(pos)), dtype=np.int64) if record_path else None
     if record_path:
         trail[0] = pos
     for i in range(steps):
-        nxt = stepper.step(engine.next_snapshot(), pos, draws[i])
-        if stepper.can_stay:  # a token that stays sends nothing
-            moved = nxt != pos
-            engine.exchange(pos[moved], nxt[moved], token_bits)
-        else:
-            engine.exchange(pos, nxt, token_bits)
+        nxt = engine.next_snapshot().nbr.take(pos * d + draws[i])
+        engine.exchange(pos, nxt, token_bits)
         pos = nxt
         if record_path:
             trail[i + 1] = pos
     return pos, trail
 
 
-def _naive_batch(engine, sources, length, token_bits, stepper, record_path, walk_ids) -> WalkBatch:
+def _naive_batch(engine, sources, length, token_bits, record_path, walk_ids) -> WalkBatch:
     sources = np.array(sources, dtype=np.int64)
     start_round = engine.round
-    pos, trail = _walk_tokens(engine, sources, length, token_bits, stepper, record_path)
+    pos, trail = _walk_tokens(engine, sources, length, token_bits, record_path)
     end_round = engine.round
 
     def build() -> list[WalkResult]:
@@ -287,21 +241,18 @@ def naive_walk(
     engine: CongestEngine,
     source: int,
     length: int,
-    stepper=None,
     walk_id: int = 0,
     record_path: bool = True,
 ) -> WalkResult:
     """Forward one token for `length` rounds, one uniform step per snapshot."""
-    stepper = stepper or _simple_stepper(engine)
     bits = engine.enc.token_bits(max(1, length))
-    return _naive_batch(engine, [source], length, bits, stepper, record_path, [walk_id])[0]
+    return _naive_batch(engine, [source], length, bits, record_path, [walk_id])[0]
 
 
 def concurrent_naive_walks(
     engine: CongestEngine,
     sources: Sequence[int],
     length: int,
-    stepper=None,
     record_path: bool = True,
     token_bits: int | None = None,
 ) -> WalkBatch:
@@ -310,10 +261,9 @@ def concurrent_naive_walks(
     Returns a `WalkBatch`: walk j starts at sources[j], and its endpoint is
     `destinations[j]`.
     """
-    stepper = stepper or _simple_stepper(engine)
     k = len(sources)
     bits = token_bits if token_bits is not None else engine.enc.token_bits(max(1, length), k)
-    return _naive_batch(engine, sources, length, bits, stepper, record_path, range(k))
+    return _naive_batch(engine, sources, length, bits, record_path, range(k))
 
 
 def phase1_distribute(
@@ -331,9 +281,7 @@ def phase1_distribute(
     """
     if engine.round != 0:
         raise ProtocolError("phase 1 must start at round 0 (coupons walk G_1 onwards)")
-    d = engine.schedule.d
-    if d is None:
-        raise ProtocolError("phase 1 requires a declared-regular schedule")
+    d = _degree(engine)
     n = engine.n
     lam = params.lambda_walk
     rng = engine.stream(TAG_PHASE1)
@@ -351,7 +299,7 @@ def phase1_distribute(
     for i in range(1, 2 * lam + 1):
         m = moving[i - 1]
         src = pos[:m]
-        dst = engine.next_snapshot().arrays.nbr.take(src * d + choices[i - 1, :m])
+        dst = engine.next_snapshot().nbr.take(src * d + choices[i - 1, :m])
         engine.exchange(src, dst, coupon_bits)
         pos[:m] = dst
         if record_paths:
@@ -405,9 +353,8 @@ def single_random_walk(
     """
     tau, lam = params.tau, params.lambda_walk
     token_bits = engine.enc.token_bits(tau, k_context)
-    stepper = _simple_stepper(engine)
     if coupons is None and tau <= 2 * lam:
-        return _naive_batch(engine, [source], tau, token_bits, stepper, record_path, [walk_id])[0]
+        return _naive_batch(engine, [source], tau, token_bits, record_path, [walk_id])[0]
     phi = engine.config.phi
     if phi is None:
         raise ProtocolError("stitched walks need phi in SimConfig")
@@ -423,7 +370,7 @@ def single_random_walk(
 
     def walk_naively(steps: int) -> int:
         first = engine.round + 1
-        pos, trail = _walk_tokens(engine, [v], steps, token_bits, stepper, record_path)
+        pos, trail = _walk_tokens(engine, [v], steps, token_bits, record_path)
         prov.extend(range(first, engine.round + 1))
         if record_path:
             path.extend(trail[1:, 0].tolist())

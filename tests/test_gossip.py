@@ -3,7 +3,7 @@ import math
 import pytest
 
 from conftest import make_engine
-from dynwalk.engine import CongestEngine, SimConfig, default_bandwidth
+from dynwalk.engine import CongestEngine, ProtocolError, SimConfig, default_bandwidth
 from dynwalk.gossip import (
     GossipParams,
     k_gossip_race,
@@ -87,6 +87,13 @@ class TestWalkBased:
         out = k_gossip_rw(eng, {1: [5], 2: [9]}, params, tau=6, phi=4)
         assert out.coverage.shape == (16, 2)
         assert out.coverage[5, 0] and out.coverage[9, 1]
+
+    def test_phi_must_match_engine(self, rr16):
+        # The stitch floods run for the engine's phi, never for the argument.
+        eng = make_engine(rr16, seed=3, phi=4)
+        with pytest.raises(ProtocolError, match="phi=3"):
+            k_gossip_rw(eng, {1: [5]}, resolve_gossip_params(16, 1, 6, 3), tau=6, phi=3)
+        assert eng.round == 0
 
     def test_full_coverage_expander(self):
         sched = parse_schedule_spec("srr:n=64,d=3", seed=7)

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import statistics
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from dynwalk.harness import (
     PropertyResult,
     _property,
     config_from_values,
-    save_config_file,
     ADVERSARY_TAG,
     ExperimentConfig,
     check_connector_bound,
@@ -22,13 +22,21 @@ from dynwalk.harness import (
     check_monotonicity,
     check_stationarity,
     check_supnorm,
+    check_visits_bound,
     load_config_file,
     resolve_phi,
     resolve_tau,
     run_experiment,
 )
 from dynwalk import DynwalkError
-from dynwalk.engine import CongestionError, FloodIncompleteError, ProtocolError, RoundLimitError
+from dynwalk.engine import (
+    CongestEngine,
+    CongestionError,
+    FloodIncompleteError,
+    ProtocolError,
+    RoundLimitError,
+    SimConfig,
+)
 from dynwalk.graphs import (
     RandomRegularSchedule,
     ScheduleError,
@@ -40,7 +48,13 @@ from dynwalk.graphs import (
 )
 from dynwalk.mixing import EstimationError
 from dynwalk.oracle import MixingCapError
-from dynwalk.walks import CouponsExhausted
+from dynwalk.walks import (
+    CouponsExhausted,
+    WalkParams,
+    concurrent_naive_walks,
+    single_random_walk,
+    visit_stats,
+)
 
 
 class TestConfig:
@@ -60,17 +74,29 @@ class TestConfig:
         cfg = ExperimentConfig("static:K4", "naive", seed_base=123)
         assert cfg.adversary_seed() == 123 ^ ADVERSARY_TAG
 
+    @staticmethod
+    def _load(path, text):
+        # Every test file sets every ExperimentConfig field.
+        path.write_text(text)
+        values = load_config_file(path)
+        assert set(values) == {f.name for f in fields(ExperimentConfig)}
+        return config_from_values(values)
+
     def test_roundtrip_through_file(self, tmp_path):
-        cfg = ExperimentConfig(
+        path = tmp_path / "cfg"
+        cfg = self._load(path, (
+            "schedule=rr:n=8,d=3\nalgo=gossip\ntau=16\nlambda_c=0.5\nk=3\nseeds=7\n"
+            "seed_base=11\nbandwidth=4096\nphi=2\nout=somewhere\noracle=true\n"
+        ))
+        assert cfg == ExperimentConfig(
             "rr:n=8,d=3", "gossip", tau="16", lambda_c=0.5, k=3, seeds=7,
             seed_base=11, bandwidth=4096, phi="2", out="somewhere", oracle=True,
         )
-        path = tmp_path / "cfg"
-        save_config_file(cfg, path)
-        assert config_from_values(load_config_file(path)) == cfg
-        plain = ExperimentConfig("static:K4", "naive")
-        save_config_file(plain, path)
-        assert config_from_values(load_config_file(path)) == plain
+        plain = self._load(path, (
+            "schedule=static:K4\nalgo=naive\ntau=oracle\nlambda_c=1.0\nk=4\nseeds=100\n"
+            "seed_base=0\nbandwidth=none\nphi=oracle\nout=out\noracle=\n"
+        ))
+        assert plain == ExperimentConfig("static:K4", "naive")
 
     @pytest.mark.parametrize(
         "text, value",
@@ -85,16 +111,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="oracle"):
             config_from_values({"schedule": "static:K4", "algo": "naive", "oracle": "maybe"})
 
-    def test_oracle_false_roundtrip_through_file(self, tmp_path):
-        path = tmp_path / "cfg"
-        path.write_text("schedule=static:K4\nalgo=naive\noracle=false\n")
-        cfg = config_from_values(load_config_file(path))
-        assert cfg.oracle is False
-        save_config_file(cfg, path)
-        assert config_from_values(load_config_file(path)) == cfg
-        on = ExperimentConfig("static:K4", "naive", oracle=True)
-        save_config_file(on, path)
-        assert config_from_values(load_config_file(path)).oracle is True
+    @pytest.mark.parametrize("text, value", [("false", False), ("true", True)])
+    def test_oracle_flag_through_file(self, tmp_path, text, value):
+        cfg = self._load(tmp_path / "cfg", (
+            "schedule=static:K4\nalgo=naive\ntau=oracle\nlambda_c=1.0\nk=4\nseeds=100\n"
+            f"seed_base=0\nbandwidth=none\nphi=oracle\nout=out\noracle={text}\n"
+        ))
+        assert cfg == ExperimentConfig("static:K4", "naive", oracle=value)
+        assert cfg.oracle is value
 
     def test_unknown_algo(self):
         with pytest.raises(ValueError):
@@ -350,6 +374,67 @@ def _ref_mixing_bound(instances, seed, c=3.0):
     return PropertyResult("mixing_time_bound", instances, violations, worst, violations == 0)
 
 
+def _ref_visits_bound(schedule, k, length, trials, seed, phi=None):
+    n = schedule.n
+    bound = 32.0 * schedule.d * math.sqrt(k * length + 1.0) * math.log2(n) + k
+    violations = 0
+    worst = -math.inf
+    for i in range(trials):
+        engine = CongestEngine(schedule, SimConfig(seed=seed + i, bandwidth_bits=1 << 30, phi=phi))
+        sources = [j % n for j in range(k)]
+        results = concurrent_naive_walks(engine, sources, length)
+        stats = visit_stats(results, n)
+        peak = float(stats.visits.max())
+        worst = max(worst, peak - bound)
+        if peak >= bound:
+            violations += 1
+    allowed = (1.0 / n + 0.02) * trials
+    return PropertyResult(
+        f"visits_bound_k{k}_l{length}", trials, violations, worst, violations <= allowed,
+        note=f"bound={bound:.1f}, allowed_violations={allowed:.1f}",
+    )
+
+
+def _ref_connector_bound(schedule, tau, trials, seed, phi, lambda_c=1.0):
+    n = schedule.n
+    params = WalkParams.for_single(tau, phi, lambda_c)
+    factor = (math.log2(n) ** 2) / params.lambda_walk
+    violations = 0
+    pairs = 0
+    worst = -math.inf
+    for i in range(trials):
+        engine = CongestEngine(schedule, SimConfig(seed=seed + i, bandwidth_bits=1 << 30, phi=phi))
+        res = single_random_walk(engine, i % n, params)
+        stats = visit_stats([res], n)
+        for y in range(n):
+            t_visits = int(stats.visits[y])
+            if t_visits == 0:
+                continue
+            pairs += 1
+            margin = stats.connector_counts[y] - t_visits * factor
+            worst = max(worst, margin)
+            if margin > 0:
+                violations += 1
+    allowed = (1.0 / n**2 + 0.02) * pairs
+    return PropertyResult(
+        f"connector_bound_tau{tau}", pairs, violations, worst, violations <= allowed,
+        note=f"lambda={params.lambda_walk}, allowed_violations={allowed:.1f}",
+    )
+
+
+class TestCensusChecksMatchLoops:
+    @pytest.mark.parametrize("spec", ["static:C9", "srr:n=16,d=3"])
+    def test_equal_results(self, spec):
+        schedule = parse_schedule_spec(spec, seed=ADVERSARY_TAG)
+        phi = dynamic_diameter(schedule, 1)
+        for seed in range(3):
+            for k, length in ((1, 40), (4, 40)):
+                args = (schedule, k, length, 4, seed)
+                assert check_visits_bound(*args, phi=phi) == _ref_visits_bound(*args, phi=phi)
+            args = (schedule, 40, 4, seed, phi)
+            assert check_connector_bound(*args) == _ref_connector_bound(*args)
+
+
 class TestLemmaChecksMatchLoops:
     # Three instances per seed. tol=-1 makes every instance violate and
     # tol=-1e-3 some of them, so the violation rule is pinned as well as the
@@ -434,9 +519,9 @@ class TestCli:
         ])
         assert "snapshot disconnected" in self._one_line_error(capsys, code)
 
-    # tau=3 <= 2*lambda: `single` walks naively too, and like `naive` it
+    # tau=3 <= 2*lambda: every walk algorithm walks naively, and each one
     # refuses a non-regular schedule rather than walk a non-uniform chain.
-    @pytest.mark.parametrize("algo", ["naive", "single"])
+    @pytest.mark.parametrize("algo", ["naive", "single", "many", "gossip"])
     def test_protocol_error_exit_2(self, tmp_path, capsys, algo):
         code = main([
             "run", "--schedule", "static:star4", "--algo", algo, "--tau", "3",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import empirical_tv, make_engine
+from dynwalk.engine import ProtocolError
 from dynwalk.graphs import StaticSchedule, named_graph, parse_schedule_spec
 from dynwalk.mixing import (
     DEFAULT_EPSILON,
@@ -185,6 +186,13 @@ class TestEstimator:
             "source", "K", "epsilon", "epsilon_prime", "probes",
             "tau_tilde", "bracket", "total_rounds", "oracle_bracket",
         }
+
+    def test_phi_must_match_engine(self, c9):
+        # The probe walks' stitch floods run for the engine's phi, never for the argument.
+        eng = make_engine(c9, seed=9, phi=4)
+        with pytest.raises(ProtocolError, match="phi=2"):
+            estimate_mixing_time(eng, 0, 2)
+        assert eng.round == 0
 
     def test_bipartite_hits_cap(self):
         # C4 never mixes; every probe fails whatever the epsilon, so the

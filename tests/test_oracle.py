@@ -23,7 +23,6 @@ from dynwalk.oracle import (
     dynamic_mixing_bound,
     evolve,
     l2_to_uniform,
-    lazy_transition_matrix,
     mixing_time_oracle,
     point_mass,
     segment_matrix,
@@ -229,31 +228,6 @@ class TestSpectral:
     def test_non_regular_rejected(self):
         with pytest.raises(ValueError):
             spectral_summary(named_graph("star4"))
-
-    def test_lazy_matrix_accepted(self):
-        s = spectral_summary(lazy_transition_matrix(named_graph("star4"), 4))
-        assert 0 <= s.lambda2_abs < 1
-
-
-class TestLazyMatrix:
-    def test_star_entries(self):
-        L = lazy_transition_matrix(named_graph("star4"), 4)
-        assert L[1, 1] == pytest.approx(4 / 5)  # leaf stays
-        assert L[0, 0] == pytest.approx(1 / 5)  # center stays
-        assert L[0, 1] == pytest.approx(1 / 5)
-
-    def test_uniform_stationary(self):
-        L = lazy_transition_matrix(named_graph("star4"), 4)
-        assert np.allclose(uniform(5) @ L, uniform(5), atol=1e-12)
-        # eigenvector route: stationary of the lazy chain is uniform
-        vals, vecs = np.linalg.eig(L.T)
-        top = vecs[:, np.argmax(vals.real)].real
-        top /= top.sum()
-        assert np.allclose(top, uniform(5), atol=1e-9)
-
-    def test_d_max_too_small(self):
-        with pytest.raises(ValueError):
-            lazy_transition_matrix(named_graph("star4"), 3)
 
 
 class TestMixingTimes:

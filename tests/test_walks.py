@@ -8,12 +8,12 @@ from scipy import stats
 
 from conftest import empirical_tv, make_engine
 from dynwalk.graphs import StaticSchedule, named_graph, parse_schedule_spec
-from dynwalk.oracle import lazy_transition_matrix, segment_matrix, transition_matrix
+from dynwalk.engine import ProtocolError
+from dynwalk.oracle import segment_matrix, transition_matrix
 from dynwalk.walks import (
     TAG_NAIVE,
     CouponTable,
     CouponsExhausted,
-    LazyStepper,
     WalkParams,
     WalkResult,
     concurrent_naive_walks,
@@ -69,10 +69,14 @@ class TestNaiveWalk:
             dests.append(naive_walk(make_engine(k4, seed=i, phi=1), 0, 2, record_path=False).destination)
         assert empirical_tv(dests, [1 / 3, 2 / 9, 2 / 9, 2 / 9]) <= 0.02
 
-    def test_non_regular_needs_stepper(self):
+    def test_non_regular_raises_protocol_error(self):
         star = StaticSchedule(named_graph("star4"))
-        with pytest.raises(Exception):
-            naive_walk(make_engine(star, seed=0), 0, 3)
+        eng = make_engine(star, seed=0)
+        with pytest.raises(ProtocolError, match="non-regular"):
+            naive_walk(eng, 0, 3)
+        with pytest.raises(ProtocolError, match="non-regular"):
+            phase1_distribute(eng, WalkParams(tau=8, lambda_walk=2))
+        assert eng.round == 0
 
 
 class TestPhase1:
@@ -92,7 +96,7 @@ class TestPhase1:
         table = phase1_distribute(eng, WalkParams(tau=40, lambda_walk=lam))
         assert len(table.origins) == 16 * 3
         for v in range(16):
-            assert table.remaining(v) == 3
+            assert len(table.unused[v]) == 3
             assert sorted(table.serials[ci] for ci in table.unused[v]) == [1, 2, 3]
         assert all(lam <= length <= 2 * lam - 1 for length in table.lengths)
         assert eng.round == 2 * lam
@@ -360,46 +364,6 @@ class TestWalkBatch:
             )
         assert eng.round == rounds
         assert_batch_matches(batch, expected)
-
-
-class TestLazyWalks:
-    def test_regular_graph_stay_probability(self, c5):
-        stepper = LazyStepper(2)
-        g = c5.snapshot_at(1)
-        rng = np.random.default_rng(17)
-        at = np.zeros(30000, dtype=np.int64)
-        stays = np.count_nonzero(stepper.step(g, at, rng.integers(stepper.high, size=30000)) == 0)
-        assert abs(stays / 30000 - 1 / 3) < 0.01  # 1 - 2/3 = 1/(d+1)
-
-    def test_star_stay_probabilities(self):
-        g = named_graph("star4")
-        stepper = LazyStepper(4)
-        rng = np.random.default_rng(23)
-        leaf, center = np.ones(30000, dtype=np.int64), np.zeros(30000, dtype=np.int64)
-        leaf_stays = np.count_nonzero(stepper.step(g, leaf, rng.integers(stepper.high, size=30000)) == 1)
-        center_stays = np.count_nonzero(stepper.step(g, center, rng.integers(stepper.high, size=30000)) == 0)
-        assert abs(leaf_stays / 30000 - 0.8) < 0.01
-        assert abs(center_stays / 30000 - 0.2) < 0.01
-
-    def test_degree_over_dmax_errors(self):
-        g = named_graph("star4")
-        with pytest.raises(Exception):
-            LazyStepper(3).step(g, np.array([0]), np.array([0]))
-
-    def test_star_endpoint_distribution(self):
-        # Lazy walk endpoint law equals the lazy matrix power (close to
-        # uniform at this length).
-        star = StaticSchedule(named_graph("star4"))
-        L = lazy_transition_matrix(named_graph("star4"), 4)
-        steps = 120
-        target = np.linalg.matrix_power(L, steps)[1]
-        stepper = LazyStepper(4)
-        dests = []
-        for i in range(6000):
-            eng = make_engine(star, seed=i)
-            dests.append(naive_walk(eng, 1, steps, stepper=stepper, record_path=False).destination)
-        assert empirical_tv(dests, target) <= 0.03
-        assert empirical_tv(dests, np.full(5, 0.2)) <= 0.03
 
 
 class TestVisitStats:
