@@ -131,6 +131,12 @@ class TestRace:
         assert race_winner(9, 10) == "rw"
         assert race_winner(11, 10) == "trivial"
 
+    def test_phi_must_match_engine(self, rr16):
+        # The race inherits k_gossip_rw's check: a mismatched phi raises.
+        eng = make_engine(rr16, seed=5, phi=4)
+        with pytest.raises(ProtocolError, match="phi=3"):
+            k_gossip_race(eng, {1: [0]}, resolve_gossip_params(16, 1, 6, 3), 6, 3)
+
     def test_race_engines_independent(self, rr16):
         eng = make_engine(rr16, seed=5, phi=4)
         before = eng.round

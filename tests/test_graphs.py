@@ -83,6 +83,22 @@ class TestValidation:
             GraphSnapshot(3, [(0, 0)])
 
 
+class TestNeighborTable:
+    def test_rows_padded_to_max_degree(self):
+        g = named_graph("star4")
+        assert g.nbr.shape == (5, 4)
+        assert sorted(g.nbr[0].tolist()) == [1, 2, 3, 4]
+        for leaf in range(1, 5):
+            assert g.nbr[leaf].tolist() == [0, -1, -1, -1]
+
+    def test_built_once_and_shared_with_round_clones(self, c5):
+        g = c5.snapshot_at(1)
+        clone = g.with_round(9)
+        assert clone is not g and clone.nbr is g.nbr
+        for v in range(5):
+            assert g.nbr[v].tolist() == list(g.adj[v])
+
+
 class TestSchedules:
     def test_static_constant(self, c5):
         assert c5.snapshot_at(7).edges == c5.snapshot_at(1).edges

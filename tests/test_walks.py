@@ -343,6 +343,12 @@ class TestWalkBatch:
         batch = concurrent_naive_walks(make_engine(rr16, seed=7), sources, 7, record_path=record_path)
         assert_batch_matches(batch, reference_naive(rr16, 7, sources, 7, record_path))
 
+    def test_non_regular_raises_before_any_round(self):
+        eng = make_engine(StaticSchedule(named_graph("star4")), seed=0)
+        with pytest.raises(ProtocolError, match="non-regular"):
+            concurrent_naive_walks(eng, [0, 1, 2], 4)
+        assert eng.round == 0
+
     def test_read_only_and_built_once(self, k4):
         batch = concurrent_naive_walks(make_engine(k4, seed=0), [0, 1, 2], 4)
         with pytest.raises(ValueError):
