@@ -192,9 +192,11 @@ class CongestEngine:
 
         `src` and `dst` are equal-length int arrays; every message of a round
         has the same size.  Every pair must be an edge of this round's
-        snapshot, and per directed edge the bits sum to at most B.  Callers
-        know where each message goes, so nothing is returned; an empty round
-        is logged like an idle one.
+        snapshot (checked by one gather from its flat n*n `edge_mask`, built
+        on first use, n^2 bytes, shared with its round clones), and per
+        directed edge the bits sum to at most B.  Callers know where each
+        message goes, so nothing is returned; an empty round is logged like
+        an idle one.
         """
         t = self._begin_round()
         src = np.asarray(src, dtype=np.int64)
@@ -209,8 +211,8 @@ class CongestEngine:
                 keys = np.ravel_multi_index((src, dst), (n, n))
             except ValueError:  # an id outside [0, n)
                 keys = None
-            nbr = self.schedule.snapshot_at(t).nbr
-            if keys is None or np.count_nonzero(nbr.take(src, axis=0) == dst[:, None]) != msgs:
+            mask = self.schedule.snapshot_at(t).edge_mask
+            if keys is None or np.count_nonzero(mask.take(keys)) != msgs:
                 self._reject(t, src, dst)
             counts = np.bincount(keys)
             e = int(counts.argmax())
@@ -228,7 +230,7 @@ class CongestEngine:
         g = self.schedule.snapshot_at(t)
         u, v = next(
             (u, v) for u, v in zip(src.tolist(), dst.tolist())
-            if not (0 <= u < self.n and 0 <= v < self.n and g.has_edge(u, v))
+            if not g.has_edge(u, v)
         )
         raise ProtocolError(f"round {t}: ({u},{v}) is not an edge of G_{t}")
 

@@ -70,7 +70,7 @@ def derive_seed(*parts: int) -> int:
 class GraphSnapshot:
     """One round's topology: a simple undirected graph on nodes [0, n)."""
 
-    __slots__ = ("n", "round", "edges", "adj", "adj_sets", "_nbr")
+    __slots__ = ("n", "round", "edges", "adj", "_nbr", "_mask")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], round: int = 1):
         norm = set()
@@ -88,8 +88,8 @@ class GraphSnapshot:
             adj[u].append(v)
             adj[v].append(u)
         self.adj = tuple(tuple(a) for a in adj)
-        self.adj_sets = tuple(frozenset(a) for a in adj)
         self._nbr: list[np.ndarray | None] = [None]  # shared with with_round clones
+        self._mask: list[np.ndarray | None] = [None]  # likewise
 
     @property
     def nbr(self) -> np.ndarray:
@@ -103,11 +103,25 @@ class GraphSnapshot:
             self._nbr[0] = nbr
         return nbr
 
+    @property
+    def edge_mask(self) -> np.ndarray:
+        """Flat n*n boolean edge lookup, built on first use: mask[u*n + v] is
+        True iff (u, v) is an edge."""
+        mask = self._mask[0]
+        if mask is None:
+            nbr = self.nbr
+            rows, cols = np.nonzero(nbr >= 0)
+            mask = np.zeros(self.n * self.n, dtype=bool)
+            mask[rows * self.n + nbr[rows, cols]] = True
+            self._mask[0] = mask
+        return mask
+
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj_sets[u]
+        """Whether (u, v) is an edge; False when either id is outside [0, n)."""
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.edge_mask[u * self.n + v])
 
     def with_round(self, t: int) -> "GraphSnapshot":
         if t == self.round:
@@ -117,8 +131,8 @@ class GraphSnapshot:
         clone.round = t
         clone.edges = self.edges
         clone.adj = self.adj
-        clone.adj_sets = self.adj_sets
         clone._nbr = self._nbr
+        clone._mask = self._mask
         return clone
 
     def __eq__(self, other) -> bool:

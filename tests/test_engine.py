@@ -95,9 +95,12 @@ class TestExchange:
 
 
 def reference_exchange(g, B, t, sends, bits):
-    """Per-message dict model of one round: (error type, text) or (msgs, max edge bits)."""
+    """Per-message dict model of one round: (error type, text) or (msgs, max edge bits).
+
+    Edges are looked up in `g.edges`, not through `has_edge`, which reads the
+    same edge mask as `exchange`."""
     for u, v in sends:
-        if not (0 <= u < g.n and 0 <= v < g.n and g.has_edge(u, v)):
+        if (min(u, v), max(u, v)) not in g.edges:
             return ProtocolError, f"round {t}: ({u},{v}) is not an edge of G_{t}"
     load = {}
     for u, v in sends:
@@ -133,28 +136,60 @@ def exchange_rounds(draw):
     return sched, B, rounds
 
 
+@st.composite
+def nonregular_exchange_rounds(draw):
+    # A periodic schedule mixing star<n-1> with C_n and K_n: d is None, star
+    # rows are padded with -1, and leaf-to-leaf pairs are off-edge.
+    n = draw(st.integers(4, 8))
+    names = [f"star{n - 1}"] + draw(st.lists(st.sampled_from([f"star{n - 1}", f"C{n}", f"K{n}"]), max_size=2))
+    sched = PeriodicSchedule([named_graph(name) for name in draw(st.permutations(names))])
+    B = draw(st.integers(4, 40))
+    rounds = []
+    for _ in range(draw(st.integers(1, 4))):
+        g = sched.snapshot_at(len(rounds) + 1)
+        sends = []
+        for _ in range(draw(st.integers(0, 12))):
+            u = draw(st.integers(-1, n))
+            if 0 <= u < n and draw(st.integers(0, 3)) > 0:
+                v = g.adj[u][draw(st.integers(0, g.degree(u) - 1))]
+            else:
+                v = draw(st.one_of(st.integers(-1, n), st.sampled_from([-(10**9), 10**9])))
+            sends.append((u, v))
+        rounds.append((sends, draw(st.integers(1, 12))))
+    return sched, B, rounds
+
+
+def assert_matches_reference(sched, B, rounds):
+    eng = CongestEngine(sched, SimConfig(bandwidth_bits=B, record_rounds=True))
+    for sends, bits in rounds:
+        t = eng.round + 1
+        expected = reference_exchange(sched.snapshot_at(t), B, t, sends, bits)
+        src = np.array([u for u, _ in sends], dtype=np.int64)
+        dst = np.array([v for _, v in sends], dtype=np.int64)
+        if isinstance(expected[0], type):
+            with pytest.raises(expected[0]) as err:
+                eng.exchange(src, dst, bits)
+            assert str(err.value) == expected[1]
+            assert eng.round == t - 1
+        else:
+            eng.exchange(src, dst, bits)
+            rec = eng.log.records[-1]
+            assert (rec.t, rec.msgs, rec.max_edge_bits) == (t, *expected)
+            assert rec.max_edge_bits <= B
+    assert eng.log.rounds == len(eng.log.records) == eng.round
+
+
 class TestExchangeProperty:
     @settings(max_examples=200, deadline=None)
     @given(exchange_rounds())
     def test_matches_per_message_reference(self, case):
-        sched, B, rounds = case
-        eng = CongestEngine(sched, SimConfig(bandwidth_bits=B, record_rounds=True))
-        for sends, bits in rounds:
-            t = eng.round + 1
-            expected = reference_exchange(sched.snapshot_at(t), B, t, sends, bits)
-            src = np.array([u for u, _ in sends], dtype=np.int64)
-            dst = np.array([v for _, v in sends], dtype=np.int64)
-            if isinstance(expected[0], type):
-                with pytest.raises(expected[0]) as err:
-                    eng.exchange(src, dst, bits)
-                assert str(err.value) == expected[1]
-                assert eng.round == t - 1
-            else:
-                eng.exchange(src, dst, bits)
-                rec = eng.log.records[-1]
-                assert (rec.t, rec.msgs, rec.max_edge_bits) == (t, *expected)
-                assert rec.max_edge_bits <= B
-        assert eng.log.rounds == len(eng.log.records) == eng.round
+        assert_matches_reference(*case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(nonregular_exchange_rounds())
+    def test_matches_per_message_reference_non_regular(self, case):
+        assert case[0].d is None
+        assert_matches_reference(*case)
 
 
 class TestFlood:

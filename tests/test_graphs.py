@@ -5,10 +5,13 @@ import tempfile
 from collections import deque
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_engine
+from dynwalk import oracle
 from dynwalk.graphs import (
     GraphSnapshot,
     PeriodicSchedule,
@@ -97,6 +100,67 @@ class TestNeighborTable:
         assert clone is not g and clone.nbr is g.nbr
         for v in range(5):
             assert g.nbr[v].tolist() == list(g.adj[v])
+
+
+def mask_pairs(g):
+    return {divmod(int(k), g.n) for k in np.flatnonzero(g.edge_mask)}
+
+
+def edge_pairs(g):
+    return set(g.edges) | {(v, u) for u, v in g.edges}
+
+
+@pytest.fixture
+def mask_reads(monkeypatch):
+    """Snapshots whose edge_mask was read: no read, no build."""
+    reads = []
+    build = GraphSnapshot.edge_mask.fget
+    monkeypatch.setattr(GraphSnapshot, "edge_mask", property(lambda g: reads.append(g) or build(g)))
+    return reads
+
+
+class TestEdgeMask:
+    @pytest.mark.parametrize("name", ["star4", "C5", "K5", "petersen"])
+    def test_matches_edges(self, name):
+        g = named_graph(name)
+        assert g.edge_mask.shape == (g.n * g.n,) and g.edge_mask.dtype == bool
+        assert mask_pairs(g) == edge_pairs(g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 6), st.integers(8, 24), st.integers(0, 2**32 - 1))
+    def test_matches_edges_of_random_regular(self, d, n, seed):
+        g = random_regular_graph(n + n * d % 2, d, random.Random(seed))
+        assert mask_pairs(g) == edge_pairs(g)
+
+    def test_built_once_and_shared_with_round_clones(self):
+        g = named_graph("petersen")
+        clone = g.with_round(9)
+        mask = clone.edge_mask
+        assert g.edge_mask is mask and clone.edge_mask is mask
+        assert g.with_round(4).edge_mask is mask
+
+    def test_lazy(self, mask_reads):
+        base = random_regular_graph(16, 3, random.Random(5))
+        assert mask_reads == []
+        sched = PermutedSchedule(base, seed=9)
+        dynamic_diameter(sched, 4)
+        eng = make_engine(sched, seed=1)
+        eng.flood(4, [0], 12)
+        eng.flood_until_complete(4, [3])
+        oracle.transition_matrix(base)
+        assert mask_reads == []
+        g = eng.next_snapshot()
+        eng.exchange([0], [g.adj[0][0]], 4)
+        assert mask_reads == [g]
+
+    @pytest.mark.parametrize("name", ["C5", "star4"])
+    def test_has_edge_false_off_range(self, name):
+        g = named_graph(name)
+        for bad in (-1, g.n, 10**9, -(10**9)):
+            for v in range(g.n):
+                assert not g.has_edge(bad, v) and not g.has_edge(v, bad)
+            assert not g.has_edge(bad, bad)
+        assert {(u, v) for u in range(g.n) for v in range(g.n) if g.has_edge(u, v)} == edge_pairs(g)
 
 
 class TestSchedules:
