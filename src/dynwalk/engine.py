@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import DynwalkError, GraphSchedule, GraphSnapshot, derive_seed, flood_rounds
+from .graphs import DynwalkError, GraphSchedule, GraphSnapshot, derive_seed
 
 __all__ = [
     "SimConfig",
@@ -252,14 +252,19 @@ class CongestEngine:
 
         Every informed node retransmits on all its current edges each round,
         so per directed edge the payload travels at most once per round and
-        the accounting is closed-form.  Rounds are simulated only until every
-        node is informed; the rest of the budget, 2|E_t| messages a round
-        (n*d on a declared-regular schedule, building no snapshot), is
-        charged in one step.  Returns node -> round informed.  A negative
-        budget raises ValueError before any round is charged.  A round that
-        informs nobody while nodes are uninformed raises ScheduleError (a
-        disconnected snapshot); a complete flood inside the budget is
-        required unless `require_complete` is False (probabilistic callers).
+        the accounting is closed-form.  Floods use no randomness, so the
+        rounds until every node is informed come from the schedule's memo of
+        flood traces (`GraphSchedule.flood_trace`), keyed by start round and
+        source set: a repeated flood runs no BFS and is charged exactly as a
+        fresh one.  A miss runs the BFS to completion, at most n - 1 rounds,
+        or to its stall, even when the budget is shorter.  The rest of the
+        budget, 2|E_t| messages a round (n*d on a declared-regular schedule,
+        building no snapshot), is charged in one step.  Returns a fresh dict
+        node -> round informed.  A negative budget raises ValueError before
+        any round is charged.  A round that informs nobody while nodes are
+        uninformed raises ScheduleError (a disconnected snapshot); a
+        complete flood inside the budget is required unless
+        `require_complete` is False (probabilistic callers).
         """
         if budget < 0:
             raise ValueError(f"flood budget {budget} is negative")
@@ -292,28 +297,30 @@ class CongestEngine:
         bad = next((s for s in informed_round if not 0 <= s < self.n), None)
         if bad is not None:
             raise ValueError(f"flood source {bad} is outside [0, {self.n})")
-        first, msgs = self._round + 1, []
-        rounds = flood_rounds(self.schedule, tuple(informed_round), first)
-        end = None if budget is None else self._round + budget
+        start, msgs = self._round, []
+        sent, informed, error = (), {}, None
+        if len(informed_round) < self.n and budget != 0:
+            sent, informed, error = self.schedule.flood_trace(informed_round, start + 1)
+        run = len(sent) if budget is None else min(budget, len(sent))
+        stalls = error is not None and run != budget  # the budget reaches the failing round
+        tail = 0 if budget is None or stalls else budget - run  # rounds after coverage
+        fit = min(run + tail, self.config.max_rounds - start)
         try:
-            while len(informed_round) < self.n and self._round != end:
-                t = self._begin_round()
-                sent, new = next(rounds)
-                msgs.append(sent)
-                for u in new:
-                    informed_round[u] = t
-                self._round = t
-            t = self._round
-            left = 0 if end is None else end - t
-            if left:  # every node is informed, so each round left sends 2|E_t| messages
-                fit = min(left, self.config.max_rounds - t)
+            bfs = min(fit, run)
+            msgs += sent[:bfs]
+            if bfs < len(sent):  # the budget or the round limit cuts the flood short
+                informed = {u: t for u, t in informed.items() if t <= start + bfs}
+            informed_round.update(informed)
+            self._round = start + bfs
+            if fit > bfs:  # every node is informed, so each round left sends 2|E_t| messages
                 if self.schedule.d is None:
-                    msgs += [2 * len(self.schedule.snapshot_at(u).edges) for u in range(t + 1, t + fit + 1)]
+                    msgs += [2 * len(self.schedule.snapshot_at(t).edges) for t in range(start + bfs + 1, start + fit + 1)]
                 else:
-                    msgs += [self.n * self.schedule.d] * fit
-                self._round += fit
-                if fit < left:
-                    self._begin_round()  # raises RoundLimitError, as round t + fit + 1 would
+                    msgs += [self.n * self.schedule.d] * (fit - bfs)
+                self._round = start + fit
         finally:  # the rounds run before an error stay charged
-            self.log.observe(first, msgs, payload_bits)
+            self.log.observe(start + 1, msgs, payload_bits)
+        if fit < run + tail or stalls:
+            self._begin_round()  # raises RoundLimitError, as round start + fit + 1 would
+            raise type(error)(*error.args) from error.__cause__  # as the trace's round did
         return informed_round

@@ -12,7 +12,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "validate_snapshot",
     "named_graph",
     "random_regular_graph",
+    "FloodTrace",
     "flood_rounds",
     "flooding_time",
     "dynamic_diameter",
@@ -271,8 +272,19 @@ def random_regular_graph(
     raise ScheduleError(f"no valid {d}-regular graph on {n} nodes after {max_tries} tries")
 
 
+class FloodTrace(NamedTuple):
+    """The course of one flood (see `GraphSchedule.flood_trace`): its round
+    i runs on snapshot start_round + i."""
+
+    sent: tuple[int, ...]  # messages sent in each round
+    informed: dict[int, int]  # node -> round informed, for each node the flood informs; read-only
+    error: ScheduleError | None  # raised by the round after the last one, if any
+
+
 class GraphSchedule:
     """Base class: deterministic map from round number to snapshot."""
+
+    FLOOD_MEMO_CAP = 256  # flood traces kept (about 2.5 kB each at n = 64); cleared when full
 
     def __init__(self, n: int, d: int | None, seed: int, spec: str):
         self.n = n
@@ -281,6 +293,7 @@ class GraphSchedule:
         self.spec = spec
         self._cache: dict[int, GraphSnapshot] = {}
         self._cache_cap = 512
+        self._floods: dict[tuple[int, tuple[int, ...]], FloodTrace] = {}
 
     def snapshot_at(self, t: int) -> GraphSnapshot:
         if t < 1:
@@ -295,6 +308,32 @@ class GraphSchedule:
 
     def _build(self, t: int) -> GraphSnapshot:
         raise NotImplementedError
+
+    def flood_trace(self, sources: Collection[int], start_round: int) -> FloodTrace:
+        """The `flood_rounds` BFS from `sources` starting on snapshot
+        `start_round`, memoized by (start_round, sorted sources).
+
+        Floods use no randomness, so the trace depends on nothing else.  A
+        miss runs the BFS to completion, at most n - 1 rounds, or to the
+        ScheduleError of a stalled flood or a failed snapshot build, which the
+        trace keeps; it does so whatever budget the caller has in mind.
+        """
+        key = (start_round, tuple(sorted(set(sources))))  # smaller than a frozenset
+        trace = self._floods.get(key)
+        if trace is None:
+            sent, informed, error = [], {}, None
+            try:
+                for t, (msgs, new) in enumerate(flood_rounds(self, sources, start_round), start_round):
+                    sent.append(msgs)
+                    for u in new:
+                        informed[u] = t
+            except ScheduleError as exc:
+                error = exc.with_traceback(None)
+            trace = FloodTrace(tuple(sent), informed, error)
+            if len(self._floods) >= self.FLOOD_MEMO_CAP:
+                self._floods.clear()
+            self._floods[key] = trace
+        return trace
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(spec={self.spec!r}, n={self.n}, d={self.d}, seed={self.seed})"

@@ -257,6 +257,12 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunReport, int]:
     rows: list[dict] = []
     csv_rows: list[dict] = []
     failures: list[str] = []
+    oracle_bracket = None  # estimate-mix: the oracle's (lo, hi), the same for every seed
+    if config.algo == "estimate-mix" and config.oracle and schedule.n <= oracle_mod.N_CAP:
+        oracle_bracket = (
+            oracle_mod.mixing_time_oracle(schedule, 0, oracle_mod.MIX_EPS),
+            oracle_mod.mixing_time_oracle(schedule, 0, mixing_mod.epsilon_prime(schedule.n)),
+        )
     for i in range(config.seeds):
         seed = config.seed_base + i
         engine = CongestEngine(schedule, replace(sim, seed=seed))
@@ -294,15 +300,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunReport, int]:
             )
         elif config.algo == "estimate-mix":
             est = mixing_mod.estimate_mixing_time(engine, 0, phi)
-            oracle_bracket = None
-            if config.oracle and schedule.n <= oracle_mod.N_CAP:
-                lo = oracle_mod.mixing_time_oracle(schedule, 0, oracle_mod.MIX_EPS)
-                hi = oracle_mod.mixing_time_oracle(
-                    schedule, 0, mixing_mod.epsilon_prime(schedule.n)
-                )
-                oracle_bracket = (lo, hi)
-                if not lo <= est.tau_tilde <= hi:
-                    failures.append(f"seed {seed}: tau_tilde {est.tau_tilde} outside {oracle_bracket}")
+            if oracle_bracket is not None and not oracle_bracket[0] <= est.tau_tilde <= oracle_bracket[1]:
+                failures.append(f"seed {seed}: tau_tilde {est.tau_tilde} outside {oracle_bracket}")
             row = est.to_report(0, oracle_bracket)
             row["seed"] = seed
             rows.append(row)

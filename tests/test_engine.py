@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,10 @@ from dynwalk.engine import (
     SimConfig,
     default_bandwidth,
 )
+from dynwalk import graphs
 from dynwalk.graphs import (
+    DynwalkError,
+    GraphSnapshot,
     PeriodicSchedule,
     PermutedSchedule,
     RandomRegularSchedule,
@@ -273,6 +277,17 @@ class TestDisconnectedSnapshot:
             run(eng)
         assert eng.log.rounds == eng.round  # the rounds before the stall stay charged
 
+    def test_budget_ending_before_the_stall_returns(self):
+        # The first flood stalls in round 3 and leaves that in the memo; the
+        # later ones, whose budgets end first, hit it and must not raise.
+        sched = PeriodicSchedule([two_cycles(10)])
+        with pytest.raises(ScheduleError, match="flood stalled at round 3"):
+            make_engine(sched, seed=0).flood(8, [0], 3, require_complete=False)
+        assert make_engine(sched, seed=0).flood(8, [0], 1, require_complete=False) == {0: 0, 1: 1, 4: 1}
+        eng = make_engine(sched, seed=0)
+        assert eng.flood(8, [0], 2, require_complete=False) == {0: 0, 1: 1, 4: 1, 2: 2, 3: 2}
+        assert eng.round == eng.log.rounds == 2 and eng.log.total_msgs == 2 + 6
+
     def test_stall_detected_under_optimize(self):
         # The stall check is no `assert`: `python -O` must not turn a
         # disconnected snapshot into a silently partial flood.
@@ -314,8 +329,16 @@ def reference_flood(schedule, sources, start, budget):
     return informed, msgs
 
 
+def two_cycles(n):
+    """A disconnected snapshot: cycles on [0, n//2) and [n//2, n), n >= 6."""
+    h = n // 2
+    first = [(i, (i + 1) % h) for i in range(h)]
+    second = [(h + i, h + (i + 1) % (n - h)) for i in range(n - h)]
+    return GraphSnapshot(n, first + second)
+
+
 @st.composite
-def flood_cases(draw):
+def flood_cases(draw, disconnected=False):
     n, d = draw(st.sampled_from([(5, 4), (6, 3), (7, 4), (8, 3), (9, 4), (10, 3)]))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     # Mixing cycles and cliques with random d-regular graphs gives schedules
@@ -325,6 +348,8 @@ def flood_cases(draw):
         "C": lambda: named_graph(f"C{n}"),
         "K": lambda: named_graph(f"K{n}"),
     }
+    if disconnected and n >= 6:
+        build["split"] = lambda: two_cycles(n)
     kinds = draw(st.lists(st.sampled_from(sorted(build)), min_size=1, max_size=3))
     sched = PeriodicSchedule([build[kind]() for kind in kinds])
     sources = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
@@ -413,6 +438,65 @@ class TestFloodProperty:
         _, msgs = reference_flood(RandomRegularSchedule(16, 3, seed=8), [0], 1, 40)
         assert msgs[covered:] == [16 * 3] * (40 - covered)
         assert eng.log.total_msgs == sum(msgs)
+
+
+def reference_outcome(sched, sources, start, budget, limit, require_complete):
+    """What `flood` does by `reference_flood`: (return value, or the type and
+    text of the error it raises; messages of the rounds it charges)."""
+    informed, msgs = reference_flood(sched, sources, start, budget)
+    for i, t in enumerate(range(start, start + budget)):
+        if t > limit:
+            return (RoundLimitError, f"exceeded max_rounds={limit}"), msgs[:i]
+        if sum(r < t for r in informed.values()) < sched.n and t not in informed.values():
+            return (ScheduleError, f"flood stalled at round {t}: snapshot disconnected"), msgs[:i]
+    if require_complete and len(informed) < sched.n:
+        text = f"flood informed {len(informed)}/{sched.n} nodes in {budget} rounds"
+        return (FloodIncompleteError, text), msgs
+    return informed, msgs
+
+
+class TestFloodMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(flood_cases(disconnected=True), st.booleans(), st.data())
+    def test_cold_and_warm_memo_agree(self, case, require_complete, data):
+        # The same flood on two fresh engines over one schedule: the first
+        # runs the BFS and fills the memo, the second charges the memo's
+        # trace.  Both do what the per-node reference does.
+        sched, sources, start, budget = case
+        limit = data.draw(
+            st.one_of(st.just(SimConfig.max_rounds), st.integers(start - 1, start + 2 * sched.n)),
+            label="max_rounds",
+        )
+        expected, msgs = reference_outcome(sched, sources, start, budget, limit, require_complete)
+        traced = len(set(sources)) < sched.n and budget > 0
+        runs = []
+        for bfs_calls in (int(traced), 0):
+            eng = CongestEngine(
+                sched, SimConfig(bandwidth_bits=AMPLE, max_rounds=limit, record_rounds=True)
+            )
+            eng.idle(start - 1)
+            with mock.patch.object(graphs, "flood_rounds", wraps=graphs.flood_rounds) as bfs:
+                try:
+                    got = eng.flood(8, sources, budget, require_complete)
+                except DynwalkError as exc:
+                    got = (type(exc), str(exc))
+            assert bfs.call_count == bfs_calls
+            assert len(sched._floods) == int(traced)
+            records = [(r.t, r.msgs, r.max_edge_bits) for r in eng.log.records]
+            runs.append((got, eng.round, eng.log.summary(), records))
+            assert got == expected
+            assert records[start - 1:] == [(t, m, 8 if m else 0) for t, m in enumerate(msgs, start)]
+            assert eng.round == eng.log.rounds == start - 1 + len(msgs)
+            if isinstance(got, dict):
+                got.clear()  # must not reach the memo
+        assert runs[0][1:] == runs[1][1:]
+
+    def test_returned_dicts_are_fresh(self):
+        c5 = parse_schedule_spec("static:C5")
+        first = make_engine(c5, seed=0).flood(8, [0], 2)
+        first[0] = 99
+        first.pop(1)
+        assert make_engine(c5, seed=0).flood(8, [0], 2) == {0: 0, 1: 1, 4: 1, 2: 2, 3: 2}
 
 
 class TestEncodings:

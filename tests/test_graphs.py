@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import make_engine
 from dynwalk import oracle
+from dynwalk.harness import ExperimentConfig, resolve_phi
 from dynwalk.graphs import (
     GraphSnapshot,
     PeriodicSchedule,
@@ -252,6 +253,49 @@ class TestFlooding:
         sched = parse_schedule_spec("perm:base=C9", seed=3)
         for start in range(1, 6):
             assert flooding_time(sched, 0, start) <= 8
+
+
+class TestFloodMemo:
+    def test_memo_never_grows_past_its_cap(self):
+        sched = parse_schedule_spec("rr:n=8,d=3", seed=5)
+        cap = sched.FLOOD_MEMO_CAP
+        keys = [(start, (src,)) for start in range(1, cap // 8 + 10) for src in range(8)]
+        assert len(keys) > cap
+        for start, sources in keys:
+            trace = sched.flood_trace(sources, start)
+            assert len(sched._floods) <= cap
+            assert sched._floods[(start, sources)] is trace
+            rounds = flooding_time(sched, sources[0], start)
+            assert len(trace.sent) == rounds and max(trace.informed.values()) == start + rounds - 1
+
+    def test_hit_returns_the_stored_trace(self):
+        sched = parse_schedule_spec("perm:base=petersen", seed=2)
+        trace = sched.flood_trace([3, 1], 4)
+        assert sched.flood_trace((1, 3, 3), 4) is trace
+        assert sched.flood_trace([1, 3], 5) is not trace
+        assert sorted(trace.informed) == [0, 2] + list(range(4, 10))
+        assert min(trace.informed.values()) == 4 and trace.error is None
+
+    def test_stall_is_kept_in_the_trace(self, triangles):
+        trace = triangles.flood_trace([0], 2)
+        assert trace.sent == (2,) and trace.informed == {1: 2, 2: 2}
+        assert isinstance(trace.error, ScheduleError)
+        assert str(trace.error) == "flood stalled at round 3: snapshot disconnected"
+
+    @pytest.mark.parametrize(
+        "setup",
+        [
+            lambda s: flooding_time(s, 0, 3),
+            lambda s: dynamic_diameter(s, 4),
+            lambda s: resolve_phi(ExperimentConfig(s.spec, "single"), s),
+        ],
+        ids=["flooding_time", "dynamic_diameter", "resolve_phi"],
+    )
+    def test_set_up_paths_leave_the_memo_empty(self, setup):
+        sched = parse_schedule_spec("rr:n=8,d=3", seed=5)
+        assert not sched._floods
+        setup(sched)
+        assert not sched._floods
 
 
 class TestFilesAndSpecs:

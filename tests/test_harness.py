@@ -46,6 +46,7 @@ from dynwalk.graphs import (
     random_regular_graph,
     write_schedule_file,
 )
+from dynwalk.gossip import k_gossip_race, resolve_gossip_params
 from dynwalk.mixing import EstimationError
 from dynwalk.oracle import MixingCapError
 from dynwalk.walks import (
@@ -202,6 +203,73 @@ class TestRunExperiment:
         row = json.loads((tmp_path / "o" / "estimate-mix_per_seed.jsonl").read_text().splitlines()[0])
         lo, hi = row["oracle_bracket"]
         assert lo <= row["tau_tilde"] <= hi
+
+    def test_estimate_mix_oracle_bracket_computed_once(self, tmp_path, monkeypatch):
+        calls = []
+        mixing_time_oracle = oracle.mixing_time_oracle
+        monkeypatch.setattr(
+            oracle, "mixing_time_oracle", lambda *a: calls.append(a[1:]) or mixing_time_oracle(*a)
+        )
+        cfg = ExperimentConfig(
+            "srr:n=24,d=8", "estimate-mix", seeds=3, bandwidth=1 << 20,
+            out=str(tmp_path / "o"), oracle=True,
+        )
+        report, code = run_experiment(cfg)
+        assert code == EXIT_OK and len(calls) == 2
+        rows = (tmp_path / "o" / "estimate-mix_per_seed.jsonl").read_text().splitlines()
+        assert len({json.dumps(json.loads(r)["oracle_bracket"]) for r in rows}) == 1
+
+
+class TestFloodMemoIndependence:
+    """A sweep's floods hit the schedule's memo from its second seed on; the
+    last seed's row equals that seed's row on a freshly parsed schedule."""
+
+    @staticmethod
+    def _cold(cfg, run):
+        schedule = parse_schedule_spec(cfg.schedule, seed=cfg.adversary_seed())
+        phi, tau = resolve_phi(cfg, schedule), resolve_tau(cfg, schedule)
+        seed = cfg.seed_base + cfg.seeds - 1
+        engine = CongestEngine(schedule, SimConfig(seed=seed, bandwidth_bits=cfg.bandwidth, phi=phi))
+        assert not schedule._floods
+        return seed, run(engine, schedule.n, phi, tau)
+
+    def test_gossip(self, tmp_path):
+        cfg = ExperimentConfig(
+            "rr:n=16,d=4", "gossip", tau="8", k=4, seeds=25,
+            bandwidth=100000, out=str(tmp_path / "o"),
+        )
+        run_experiment(cfg)
+        last = (tmp_path / "o" / "gossip.csv").read_text().splitlines()[-1].split(",")
+
+        def race(engine, n, phi, tau):
+            assignment = {t: [(t - 1) % n] for t in range(1, cfg.k + 1)}
+            params = resolve_gossip_params(n, cfg.k, tau, phi)
+            return k_gossip_race(engine, assignment, params, tau, phi)
+
+        seed, cold = self._cold(cfg, race)
+        assert last[6:] == [
+            str(cold.rounds_rw), str(cold.rounds_trivial), cold.winner,
+            str(int(cold.coverage_rw_complete)), str(seed),
+        ]
+
+    def test_single(self, tmp_path):
+        cfg = ExperimentConfig(
+            "rr:n=16,d=3", "single", tau="40", seeds=50,
+            bandwidth=100000, out=str(tmp_path / "o"),
+        )
+        run_experiment(cfg)
+        rows = [
+            json.loads(line)
+            for line in (tmp_path / "o" / "single_per_seed.jsonl").read_text().splitlines()
+        ]
+        assert sum(len(r["segment_lengths"]) for r in rows) == 58  # stitches, two floods each
+
+        def walk(engine, n, phi, tau):
+            params = WalkParams.for_single(tau, phi, cfg.lambda_c)
+            return single_random_walk(engine, 0, params, record_path=False)
+
+        seed, cold = self._cold(cfg, walk)
+        assert rows[-1] == harness._walk_row(seed, cold)
 
 
 class TestLemmaChecks:
