@@ -37,7 +37,6 @@ from .oracle import (
     tv_distance,
 )
 from .walks import (
-    Coupon,
     CouponTable,
     WalkBatch,
     WalkParams,

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .graphs import DynwalkError, parse_schedule_spec, write_schedule_file
 from .harness import ALGORITHMS, ExperimentConfig, config_from_values, load_config_file, run_experiment
@@ -45,19 +46,7 @@ def _config_from_args(args) -> ExperimentConfig:
     values: dict = {}
     if args.config:
         values.update(load_config_file(args.config))
-    overrides = {
-        "schedule": args.schedule,
-        "algo": args.algo,
-        "tau": args.tau,
-        "lambda_c": args.lambda_c,
-        "k": args.k,
-        "seeds": args.seeds,
-        "seed_base": args.seed_base,
-        "bandwidth": args.bandwidth,
-        "phi": args.phi,
-        "out": args.out,
-        "oracle": args.oracle,
-    }
+    overrides = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
     values.update({k: v for k, v in overrides.items() if v is not None})
     return config_from_values(values)
 

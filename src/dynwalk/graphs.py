@@ -71,9 +71,9 @@ def derive_seed(*parts: int) -> int:
 class GraphSnapshot:
     """One round's topology: a simple undirected graph on nodes [0, n)."""
 
-    __slots__ = ("n", "round", "edges", "adj", "_nbr", "_mask")
+    __slots__ = ("n", "edges", "adj", "_nbr", "_mask")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]], round: int = 1):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         norm = set()
         for u, v in edges:
             if u == v:
@@ -82,40 +82,37 @@ class GraphSnapshot:
                 raise ValueError(f"edge ({u},{v}) outside [0,{n})")
             norm.add((u, v) if u < v else (v, u))
         self.n = n
-        self.round = round
         self.edges = frozenset(norm)
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in sorted(norm):
             adj[u].append(v)
             adj[v].append(u)
         self.adj = tuple(tuple(a) for a in adj)
-        self._nbr: list[np.ndarray | None] = [None]  # shared with with_round clones
-        self._mask: list[np.ndarray | None] = [None]  # likewise
+        self._nbr: np.ndarray | None = None
+        self._mask: np.ndarray | None = None
 
     @property
     def nbr(self) -> np.ndarray:
         """Neighbor table, built on first use: row v lists adj[v], padded up to
         the maximum degree with -1 (no node id)."""
-        nbr = self._nbr[0]
-        if nbr is None:
+        if self._nbr is None:
             nbr = np.full((self.n, max(map(len, self.adj), default=0)), -1, dtype=np.int64)
             for v, a in enumerate(self.adj):
                 nbr[v, : len(a)] = a
-            self._nbr[0] = nbr
-        return nbr
+            self._nbr = nbr
+        return self._nbr
 
     @property
     def edge_mask(self) -> np.ndarray:
         """Flat n*n boolean edge lookup, built on first use: mask[u*n + v] is
         True iff (u, v) is an edge."""
-        mask = self._mask[0]
-        if mask is None:
+        if self._mask is None:
             nbr = self.nbr
             rows, cols = np.nonzero(nbr >= 0)
             mask = np.zeros(self.n * self.n, dtype=bool)
             mask[rows * self.n + nbr[rows, cols]] = True
-            self._mask[0] = mask
-        return mask
+            self._mask = mask
+        return self._mask
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -123,18 +120,6 @@ class GraphSnapshot:
     def has_edge(self, u: int, v: int) -> bool:
         """Whether (u, v) is an edge; False when either id is outside [0, n)."""
         return 0 <= u < self.n and 0 <= v < self.n and bool(self.edge_mask[u * self.n + v])
-
-    def with_round(self, t: int) -> "GraphSnapshot":
-        if t == self.round:
-            return self
-        clone = object.__new__(GraphSnapshot)
-        clone.n = self.n
-        clone.round = t
-        clone.edges = self.edges
-        clone.adj = self.adj
-        clone._nbr = self._nbr
-        clone._mask = self._mask
-        return clone
 
     def __eq__(self, other) -> bool:
         return (
@@ -147,7 +132,7 @@ class GraphSnapshot:
         return hash((self.n, self.edges))
 
     def __repr__(self) -> str:
-        return f"GraphSnapshot(n={self.n}, m={len(self.edges)}, round={self.round})"
+        return f"GraphSnapshot(n={self.n}, m={len(self.edges)})"
 
 
 @dataclass(frozen=True)
@@ -156,14 +141,8 @@ class ValidationReport:
     regular_degree: int | None
     bipartite: bool
 
-    def satisfies(self, d: int | None = None) -> bool:
-        ok = self.connected and not self.bipartite
-        if d is not None:
-            ok = ok and self.regular_degree == d
-        return ok
 
-
-def validate_snapshot(g: GraphSnapshot, d: int | None = None) -> ValidationReport:
+def validate_snapshot(g: GraphSnapshot) -> ValidationReport:
     """Exact connectivity, degree, and 2-coloring bipartiteness checks."""
     degrees = [g.degree(v) for v in range(g.n)]
     uniform = degrees[0] if g.n > 0 and all(x == degrees[0] for x in degrees) else None
@@ -266,7 +245,7 @@ def random_regular_graph(
         if edges is None:
             continue
         g = GraphSnapshot(n, edges)
-        report = validate_snapshot(g, d)
+        report = validate_snapshot(g)
         if report.connected and not report.bipartite:
             return g
     raise ScheduleError(f"no valid {d}-regular graph on {n} nodes after {max_tries} tries")
@@ -352,10 +331,6 @@ class StaticSchedule(GraphSchedule):
             raise ValueError(f"rounds are 1-indexed, got t={t}")
         return self._graph
 
-    @property
-    def graph(self) -> GraphSnapshot:
-        return self._graph
-
 
 class PeriodicSchedule(GraphSchedule):
     """Cycles through a finite list of snapshots."""
@@ -372,7 +347,7 @@ class PeriodicSchedule(GraphSchedule):
         self._graphs = list(graphs)
 
     def _build(self, t: int) -> GraphSnapshot:
-        return self._graphs[(t - 1) % len(self._graphs)].with_round(t)
+        return self._graphs[(t - 1) % len(self._graphs)]
 
 
 class RandomRegularSchedule(GraphSchedule):
@@ -384,10 +359,9 @@ class RandomRegularSchedule(GraphSchedule):
     def _build(self, t: int) -> GraphSnapshot:
         rng = random.Random(derive_seed(self.seed, t, 1))
         try:
-            g = random_regular_graph(self.n, self.d, rng)
+            return random_regular_graph(self.n, self.d, rng)
         except ScheduleError as exc:
             raise ScheduleError(f"round {t}: {exc}") from exc
-        return g.with_round(t)
 
 
 class PermutedSchedule(GraphSchedule):
@@ -407,7 +381,7 @@ class PermutedSchedule(GraphSchedule):
         perm = list(range(self.n))
         rng.shuffle(perm)
         edges = [(perm[u], perm[v]) for u, v in self._base.edges]
-        return GraphSnapshot(self.n, edges, round=t)
+        return GraphSnapshot(self.n, edges)
 
 
 def flood_rounds(
@@ -474,20 +448,31 @@ def write_schedule_file(schedule: GraphSchedule, rounds: int, path: str | Path) 
 
 
 def read_schedule_file(path: str | Path) -> tuple[int, int | None, list[GraphSnapshot]]:
-    """Read a schedule file; returns (n, d, snapshots ordered by t)."""
+    """Read a schedule file; returns (n, d, snapshots ordered by t).
+
+    A missing key, a value of the wrong shape, or rows whose t are not
+    exactly 1..T raise ScheduleError naming the file.
+    """
     path = Path(path)
     with path.open() as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
+        lines = [line for line in fh if line.strip()]
     if not lines:
         raise ScheduleError(f"empty schedule file: {path}")
-    header = lines[0]
-    n, d = header["n"], header.get("d")
-    rows = sorted(lines[1:], key=lambda row: row["t"])
-    graphs = [GraphSnapshot(n, [tuple(e) for e in row["edges"]], round=row["t"]) for row in rows]
+    try:
+        header, *rows = map(json.loads, lines)
+        n, d, T = header["n"], header.get("d"), header.get("T", len(rows))
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"n={n!r} is not a positive integer")
+        rows.sort(key=lambda row: row["t"])
+        ts = [row["t"] for row in rows]
+        graphs = [GraphSnapshot(n, [tuple(e) for e in row["edges"]]) for row in rows]
+        in_order = ts == list(range(1, T + 1))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ScheduleError(f"malformed schedule file {path}: {type(exc).__name__}: {exc}") from None
     if not graphs:
         raise ScheduleError(f"schedule file {path} holds no snapshots")
-    if len(graphs) != header.get("T", len(graphs)):
-        raise ScheduleError(f"schedule file {path} declares T={header.get('T')} but has {len(graphs)} rows")
+    if not in_order:
+        raise ScheduleError(f"schedule file {path} declares T={T} but its rows have t={ts}")
     return n, d, graphs
 
 

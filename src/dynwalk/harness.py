@@ -13,7 +13,7 @@ import json
 import math
 import random
 import statistics
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import islice, pairwise
 from pathlib import Path
 
@@ -103,24 +103,24 @@ def load_config_file(path: str | Path) -> dict:
 
 
 def config_from_values(values: dict) -> ExperimentConfig:
-    """Build a config from file/flag string values, applying defaults."""
+    """Build a config from file/flag string values; an absent key takes its
+    field's default, and a key that names no field raises ValueError."""
+    known = {f.name: f.type for f in fields(ExperimentConfig)}
+    unknown = sorted(set(values) - set(known))
+    if unknown:
+        raise ValueError(f"unknown config key(s) {', '.join(unknown)}; known keys: {', '.join(known)}")
     if "schedule" not in values or "algo" not in values:
         raise ValueError("config needs at least schedule= and algo=")
-    return ExperimentConfig(
-        schedule=str(values["schedule"]),
-        algo=str(values["algo"]),
-        tau=str(values.get("tau", "oracle")),
-        lambda_c=float(values.get("lambda_c", 1.0)),
-        k=int(values.get("k", 4)),
-        seeds=int(values.get("seeds", 100)),
-        seed_base=int(values.get("seed_base", 0)),
-        bandwidth=None
-        if values.get("bandwidth") in (None, "", "none")
-        else int(values["bandwidth"]),
-        phi=str(values.get("phi", "oracle")),
-        out=str(values.get("out", "out")),
-        oracle=_parse_bool("oracle", values.get("oracle", False)),
-    )
+    return ExperimentConfig(**{key: _parse_value(key, known[key], v) for key, v in values.items()})
+
+
+def _parse_value(key: str, kind: str, value):
+    """One config value, converted to its field's annotated type."""
+    if kind == "bool":
+        return _parse_bool(key, value)
+    if kind == "int | None":
+        return None if value in (None, "", "none") else int(value)
+    return {"str": str, "int": int, "float": float}[kind](value)
 
 
 def _parse_bool(key: str, value) -> bool:

@@ -153,21 +153,15 @@ def mixing_time_oracle(
 def static_mixing_time(g: GraphSnapshot, eps: float = MIX_EPS) -> int:
     """Worst-source mixing time of one static graph at threshold eps."""
     n = g.n
-    P = transition_matrix(g)
-    M = np.eye(n)  # row x of M is pi_x(t)
     cap = mixing_cap(n)
-    u = 1.0 / n
     pending = set(range(n))
-    t = 0
-    while True:
-        dists = np.linalg.norm(M - u, axis=1)
+    for t, M in enumerate(walk_laws(np.eye(n), StaticSchedule(g))):  # row x of M is pi_x(t)
+        dists = np.linalg.norm(M - 1.0 / n, axis=1)
         pending -= {x for x in pending if dists[x] < eps}
         if not pending:
             return t
         if t >= cap:
             raise MixingCapError(f"static mixing search exceeded cap {cap}")
-        M = M @ P
-        t += 1
 
 
 def dynamic_mixing_bound(schedule: GraphSchedule, horizon: int) -> int:

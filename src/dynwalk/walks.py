@@ -30,7 +30,6 @@ from .graphs import DynwalkError
 
 __all__ = [
     "WalkParams",
-    "Coupon",
     "CouponTable",
     "CouponsExhausted",
     "WalkResult",
@@ -66,7 +65,6 @@ class WalkParams:
 
     tau: int
     lambda_walk: int
-    lambda_c: float = 1.0
 
     def __post_init__(self):
         if self.tau < 0:
@@ -81,26 +79,16 @@ class WalkParams:
     @classmethod
     def for_many(cls, tau: int, phi: int, k: int, lambda_c: float = 1.0) -> "WalkParams":
         lam = max(1, math.ceil(lambda_c * math.sqrt(k * max(1, tau) * phi)))
-        return cls(tau=tau, lambda_walk=lam, lambda_c=lambda_c)
-
-
-@dataclass(frozen=True)
-class Coupon:
-    origin: int
-    serial: int
-    desired_length: int
-    holder: int
-    used: bool
-    path: tuple[int, ...] | None
+        return cls(tau=tau, lambda_walk=lam)
 
 
 class CouponTable:
     """Phase-1 output as arrays indexed by coupon ci = origin*d + serial - 1.
 
-    `origins`, `serials`, `lengths`, `holders` and `used` hold one entry per
-    coupon; `unused[v]` lists the coupon indices origin v has not sampled
-    yet.  With recorded paths, `trail[i]` holds every coupon's position
-    after round i (a coupon stays put once its desired length is walked).
+    `lengths` and `holders` hold one entry per coupon; `unused[v]` lists the
+    coupon indices origin v has not sampled yet.  With recorded paths,
+    `trail[i]` holds every coupon's position after round i (a coupon stays
+    put once its desired length is walked).
     """
 
     def __init__(self, n: int, d: int, lambda_walk: int, lengths):
@@ -108,10 +96,7 @@ class CouponTable:
         self.d = d
         self.lambda_walk = lambda_walk
         self.lengths = np.asarray(lengths, dtype=np.int64)
-        self.origins = np.repeat(np.arange(n, dtype=np.int64), d)
-        self.serials = np.tile(np.arange(1, d + 1, dtype=np.int64), n)
-        self.holders = self.origins.copy()
-        self.used = np.zeros(n * d, dtype=bool)
+        self.holders = np.repeat(np.arange(n, dtype=np.int64), d)
         self.unused: list[list[int]] = [list(range(v * d, (v + 1) * d)) for v in range(n)]
         self.trail: np.ndarray | None = None
 
@@ -120,20 +105,7 @@ class CouponTable:
         pool = self.unused[origin]
         if not pool:
             raise CouponsExhausted(f"node {origin} has no unused coupons")
-        ci = pool.pop(int(rng.integers(len(pool))))
-        self.used[ci] = True
-        return ci
-
-    def as_coupon(self, ci: int) -> Coupon:
-        length = int(self.lengths[ci])
-        return Coupon(
-            origin=int(self.origins[ci]),
-            serial=int(self.serials[ci]),
-            desired_length=length,
-            holder=int(self.holders[ci]),
-            used=bool(self.used[ci]),
-            path=tuple(self.trail[: length + 1, ci].tolist()) if self.trail is not None else None,
-        )
+        return pool.pop(int(rng.integers(len(pool))))
 
 
 @dataclass
@@ -317,8 +289,9 @@ def sample_coupon(
     connector: int,
     phi: int,
     token_bits: int | None = None,
-) -> tuple[Coupon, int]:
-    """Stitch step: the connector samples one of its unused coupons uniformly.
+) -> int:
+    """Stitch step: the connector samples one of its unused coupons uniformly
+    and returns its index; the token moves to `table.holders[ci]`.
 
     Costs exactly 2*phi rounds: a flood of (origin, serial) lets the unique
     holder self-identify, then a second flood carries the token to it.  The
@@ -329,8 +302,7 @@ def sample_coupon(
         token_bits = engine.enc.token_bits(2 * table.lambda_walk)
     engine.flood(engine.enc.request_bits(table.d), (connector,), phi)
     engine.flood(token_bits, (connector,), phi)
-    coupon = table.as_coupon(ci)
-    return coupon, coupon.holder
+    return ci
 
 
 def single_random_walk(
@@ -380,7 +352,7 @@ def single_random_walk(
     stitches = 0
     while completed <= tau - 2 * lam:
         try:
-            coupon, dest = sample_coupon(engine, coupons, v, phi, token_bits)
+            ci = sample_coupon(engine, coupons, v, phi, token_bits)
         except CouponsExhausted:
             fallbacks += 1
             v = walk_naively(lam)
@@ -389,12 +361,13 @@ def single_random_walk(
         stitches += 1
         if stitches > 1:
             connectors.append(v)
-        completed += coupon.desired_length
-        segments.append(coupon.desired_length)
-        prov.extend(range(1, coupon.desired_length + 1))
-        if record_path and coupon.path is not None:
-            path.extend(coupon.path[1:])
-        v = dest
+        length = int(coupons.lengths[ci])
+        completed += length
+        segments.append(length)
+        prov.extend(range(1, length + 1))
+        if record_path and coupons.trail is not None:
+            path.extend(coupons.trail[1 : length + 1, ci].tolist())
+        v = int(coupons.holders[ci])
     if tau > completed:
         v = walk_naively(tau - completed)
     return WalkResult(
@@ -429,7 +402,7 @@ def many_random_walks(
     if k == 0:
         return WalkBatch(np.empty(0, dtype=np.int64), list)
     if lambda_walk is not None:
-        params = WalkParams(tau=tau, lambda_walk=lambda_walk, lambda_c=lambda_c)
+        params = WalkParams(tau=tau, lambda_walk=lambda_walk)
     elif engine.config.phi is None:
         raise ProtocolError("many_random_walks needs phi to size lambda")
     else:

@@ -58,9 +58,15 @@ def temporal_bfs_rounds(schedule, source, start):
     return r
 
 
+def valid(g, d):
+    """Connected, not bipartite and d-regular: what every schedule promises."""
+    report = validate_snapshot(g)
+    return report.connected and not report.bipartite and report.regular_degree == d
+
+
 class TestValidation:
     def test_c5_report(self):
-        report = validate_snapshot(named_graph("C5"), 2)
+        report = validate_snapshot(named_graph("C5"))
         assert report.connected and report.regular_degree == 2 and not report.bipartite
 
     def test_c4_bipartite(self):
@@ -79,7 +85,7 @@ class TestValidation:
 
     def test_petersen(self):
         g = named_graph("petersen")
-        assert validate_snapshot(g, 3).satisfies(3)
+        assert valid(g, 3)
         assert bfs_diameter(g) == 2
 
     def test_rejects_self_loop(self):
@@ -95,10 +101,13 @@ class TestNeighborTable:
         for leaf in range(1, 5):
             assert g.nbr[leaf].tolist() == [0, -1, -1, -1]
 
-    def test_built_once_and_shared_with_round_clones(self, c5):
-        g = c5.snapshot_at(1)
-        clone = g.with_round(9)
-        assert clone is not g and clone.nbr is g.nbr
+    def test_built_once_and_shared_with_round_clones(self):
+        # Every round of a periodic schedule returns its period's snapshot
+        # itself, so the table is built once for all of them.
+        g = named_graph("C5")
+        sched = PeriodicSchedule([g, named_graph("K5")])
+        nbr = sched.snapshot_at(9).nbr
+        assert sched.snapshot_at(9) is g and g.nbr is nbr and sched.snapshot_at(3).nbr is nbr
         for v in range(5):
             assert g.nbr[v].tolist() == list(g.adj[v])
 
@@ -135,10 +144,10 @@ class TestEdgeMask:
 
     def test_built_once_and_shared_with_round_clones(self):
         g = named_graph("petersen")
-        clone = g.with_round(9)
-        mask = clone.edge_mask
-        assert g.edge_mask is mask and clone.edge_mask is mask
-        assert g.with_round(4).edge_mask is mask
+        sched = PeriodicSchedule([g])
+        mask = sched.snapshot_at(9).edge_mask
+        assert g.edge_mask is mask and sched.snapshot_at(9).edge_mask is mask
+        assert sched.snapshot_at(4).edge_mask is mask
 
     def test_lazy(self, mask_reads):
         base = random_regular_graph(16, 3, random.Random(5))
@@ -196,7 +205,7 @@ class TestSchedules:
         base = random_regular_graph(12, 3, random.Random(5))
         sched = PermutedSchedule(base, seed=9)
         snaps = [sched.snapshot_at(t) for t in range(1, 9)]
-        assert all(validate_snapshot(g, 3).satisfies(3) for g in snaps)
+        assert all(valid(g, 3) for g in snaps)
         assert any(snaps[0].edges != g.edges for g in snaps[1:])
         again = PermutedSchedule(base, seed=9)
         assert all(again.snapshot_at(t).edges == snaps[t - 1].edges for t in range(1, 9))
@@ -216,7 +225,7 @@ class TestSchedules:
             sched = maker(rng.randrange(2**32))
             t = rng.randrange(1, 50)
             g = sched.snapshot_at(t)
-            assert validate_snapshot(g, sched.d).satisfies(sched.d)
+            assert valid(g, sched.d)
 
 
 class TestFlooding:
@@ -335,8 +344,9 @@ class TestFilesAndSpecs:
             path = Path(tmp) / "sched.jsonl"
             write_schedule_file(sched, rounds, path)
             got_n, got_d, graphs = read_schedule_file(path)
+            ts = [json.loads(line)["t"] for line in path.read_text().splitlines()[1:]]
         assert (got_n, got_d) == (sched.n, sched.d)
-        assert [g.round for g in graphs] == list(range(1, rounds + 1))
+        assert ts == list(range(1, rounds + 1))
         assert [g.edges for g in graphs] == [sched.snapshot_at(t).edges for t in range(1, rounds + 1)]
 
     @pytest.mark.parametrize("rounds", [0, -2])

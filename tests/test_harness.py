@@ -1,13 +1,14 @@
 import json
 import math
 import random
+import re
 import statistics
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from dynwalk.cli import EXIT_CONFIG_ERROR, EXIT_OK, main
+from dynwalk.cli import EXIT_CONFIG_ERROR, EXIT_OK, _build_parser, _config_from_args, main
 from dynwalk import harness, oracle
 from dynwalk.harness import (
     PropertyResult,
@@ -44,6 +45,7 @@ from dynwalk.graphs import (
     dynamic_diameter,
     parse_schedule_spec,
     random_regular_graph,
+    read_schedule_file,
     write_schedule_file,
 )
 from dynwalk.gossip import k_gossip_race, resolve_gossip_params
@@ -124,6 +126,38 @@ class TestConfig:
     def test_unknown_algo(self):
         with pytest.raises(ValueError):
             ExperimentConfig("static:K4", "frobnicate")
+
+    def test_unknown_key_names_itself_and_the_known_ones(self):
+        with pytest.raises(ValueError, match="unknown config key") as info:
+            config_from_values({"schedule": "static:K4", "algo": "naive", "seed": "5"})
+        message = str(info.value)
+        assert "seed," not in message.split(";")[0] and "seed" in message
+        assert all(f.name in message.split(";")[1] for f in fields(ExperimentConfig))
+
+    # The README examples' report configs, written out by hand so that a
+    # changed default or a changed conversion shows.
+    @pytest.mark.parametrize("argv, expect", [
+        ("--schedule static:petersen --algo single --tau oracle --seeds 100 --bandwidth 100000 "
+         "--oracle --out out/",
+         dict(algo="single", bandwidth=100000, k=4, lambda_c=1.0, oracle=True, out="out/",
+              phi="oracle", schedule="static:petersen", seed_base=0, seeds=100, tau="oracle")),
+        ("--schedule rr:n=16,d=4 --algo gossip --k 4 --tau 8 --bandwidth 100000 --seeds 25 "
+         "--out out-gossip/",
+         dict(algo="gossip", bandwidth=100000, k=4, lambda_c=1.0, oracle=False, out="out-gossip/",
+              phi="oracle", schedule="rr:n=16,d=4", seed_base=0, seeds=25, tau="8")),
+        ("--schedule srr:n=32,d=8 --algo estimate-mix --seeds 5 --bandwidth 100000 --oracle "
+         "--out out-mix/",
+         dict(algo="estimate-mix", bandwidth=100000, k=4, lambda_c=1.0, oracle=True, out="out-mix/",
+              phi="oracle", schedule="srr:n=32,d=8", seed_base=0, seeds=5, tau="oracle")),
+        ("--schedule static:K4 --algo lemma-suite --seeds 200 --out out-lemmas/",
+         dict(algo="lemma-suite", bandwidth=None, k=4, lambda_c=1.0, oracle=False, out="out-lemmas/",
+              phi="oracle", schedule="static:K4", seed_base=0, seeds=200, tau="oracle")),
+    ], ids=["single", "gossip", "estimate-mix", "lemma-suite"])
+    def test_readme_report_configs(self, argv, expect):
+        args = _build_parser().parse_args(["run", *argv.split()])
+        got = _config_from_args(args).to_dict()
+        assert got == expect
+        assert [type(got[k]) for k in expect] == [type(v) for v in expect.values()]
 
     def test_resolvers(self):
         cfg = ExperimentConfig("static:K4", "naive", tau="worstcase")
@@ -604,6 +638,50 @@ class TestCli:
             "--out", str(tmp_path / "o"),
         ])
         assert "cap" in self._one_line_error(capsys, code)
+
+    @pytest.mark.parametrize("via_flags", [False, True], ids=["file-only", "file-and-flags"])
+    def test_unknown_config_key_exit_2(self, tmp_path, capsys, via_flags):
+        # seed= is a typo for seed_base=; it used to run seed 0 and exit 0.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("schedule=static:C5\nalgo=naive\ntau=4\nseed=5\n")
+        flags = ["--seeds", "1", "--bandwidth", "100000"] if via_flags else []
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(cfg), *flags, "--out", str(out)])
+        err = self._one_line_error(capsys, code)
+        assert "unknown config key(s) seed;" in err and "seed_base" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lines", [
+        ['{"d": 2, "T": 1}', '{"t": 1, "edges": [[0, 1], [1, 2], [0, 2]]}'],  # no "n"
+        ['{"n": 3, "d": 2, "T": 1}', '{"edges": [[0, 1], [1, 2], [0, 2]]}'],  # no "t"
+        ['{"n": 3, "d": 2, "T": 1}', '{"t": 1}'],  # no "edges"
+        ['{"n": 3, "d": 2, "T": 1}', '{"t": 1, "edges": 5}'],
+        ['{"n": 3, "d": 2, "T": 1}', '{"t": 1, "edges": [[0, 1, 2]]}'],
+        ['{"n": 3, "d": 2, "T": 1}', '[1, [[0, 1], [1, 2], [0, 2]]]'],  # a row that is no object
+        ['5', '{"t": 1, "edges": [[0, 1], [1, 2], [0, 2]]}'],  # a header that is no object
+        ['{"n": 0, "d": 2, "T": 1}', '{"t": 1, "edges": []}'],
+        ['{"n": "3", "d": 2, "T": 1}', '{"t": 1, "edges": [[0, 1], [1, 2], [0, 2]]}'],
+        ['{"n": 3, "d": 2, "T": "1"}', '{"t": 1, "edges": [[0, 1], [1, 2], [0, 2]]}'],
+        ['{"n": 3, "d": 2, "T": 1}', '{"t": "1", "edges": [[0, 1], [1, 2], [0, 2]]}'],
+        ['{"n": 3, "d": 2, "T": 1}', '{"t": 1, "edges": [[0, 1], [1, 2], [0, 2]]'],  # bad JSON
+        ['{"n": 3, "d": 2, "T": 2}', '{"t": 1, "edges": [[0, 1], [1, 2], [0, 2]]}',
+         '{"t": 7, "edges": [[0, 1], [1, 2], [0, 2]]}'],
+        ['{"n": 3, "d": 2, "T": 2}', '{"t": 2, "edges": [[0, 1], [1, 2], [0, 2]]}',
+         '{"t": 2, "edges": [[0, 1], [1, 2], [0, 2]]}'],
+        ['{"n": 3, "d": 2, "T": 2}', '{"t": 1, "edges": [[0, 1], [1, 2], [0, 2]]}'],
+        ['{"n": 3, "d": 2}', '{"t": 0, "edges": [[0, 1], [1, 2], [0, 2]]}'],
+    ], ids=["no-n", "no-t", "no-edges", "edges-int", "edge-triple", "row-list", "header-int",
+            "n-zero", "n-text", "T-text", "t-text", "bad-json", "t-1-7", "t-2-2", "T-short", "t-0"])
+    def test_malformed_schedule_file_exit_2(self, tmp_path, capsys, lines):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        code = main([
+            "run", "--schedule", f"periodic:{path}", "--algo", "naive", "--tau", "3",
+            "--seeds", "1", "--bandwidth", "100000", "--out", str(tmp_path / "o"),
+        ])
+        assert str(path) in self._one_line_error(capsys, code)
+        with pytest.raises(ScheduleError, match=re.escape(str(path))):
+            read_schedule_file(path)
 
     def test_bad_oracle_value_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

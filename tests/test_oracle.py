@@ -131,8 +131,8 @@ class TestWalkLaws:
         assert len(built) == 2
 
 
-# The product loops mixing_time_oracle and segment_matrix ran before they
-# read their laws from walk_laws; kept as references.
+# The product loops mixing_time_oracle, segment_matrix and static_mixing_time
+# ran before they read their laws from walk_laws; kept as references.
 
 def _loop_mixing_time(schedule, source, eps, cap):
     p = point_mass(schedule.n, source)
@@ -156,6 +156,23 @@ def _loop_segment_matrix(schedule, lambda_walk):
     return total / lambda_walk
 
 
+def _loop_static_mixing_time(g, eps):
+    P = transition_matrix(g)
+    M = np.eye(g.n)
+    cap = oracle.mixing_cap(g.n)
+    pending = set(range(g.n))
+    t = 0
+    while True:
+        dists = np.linalg.norm(M - 1.0 / g.n, axis=1)
+        pending -= {x for x in pending if dists[x] < eps}
+        if not pending:
+            return t
+        if t >= cap:
+            raise MixingCapError("cap")
+        M = M @ P
+        t += 1
+
+
 _INSTANCES = [
     "static:K4", "static:C5", "static:C9", "static:petersen", "srr:n=16,d=3",
     "rr:n=8,d=3", "rr:n=16,d=4", "perm:base=C9",
@@ -163,7 +180,8 @@ _INSTANCES = [
 
 
 class TestOnWalkLaws:
-    """mixing_time_oracle and segment_matrix equal their own product loops bit for bit."""
+    """mixing_time_oracle, segment_matrix and static_mixing_time equal their own
+    product loops bit for bit."""
 
     @pytest.mark.parametrize("spec", _INSTANCES)
     def test_mixing_time_equals_loop(self, spec):
@@ -178,6 +196,26 @@ class TestOnWalkLaws:
         schedule = parse_schedule_spec(spec, seed=5)
         for lam in range(1, 7):
             assert np.array_equal(segment_matrix(schedule, lam), _loop_segment_matrix(schedule, lam))
+
+    @pytest.mark.parametrize("name", ["K4", "C9", "petersen"])
+    def test_static_mixing_time_equals_loop(self, name):
+        g = named_graph(name)
+        for eps in (MIX_EPS, 1.0 / g.n):
+            assert static_mixing_time(g, eps) == _loop_static_mixing_time(g, eps)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(6, 32), st.integers(3, 5), st.integers(0, 2**32 - 1))
+    def test_static_mixing_time_equals_loop_random_regular(self, n, d, seed):
+        g = random_regular_graph(n - n * d % 2, d, random.Random(seed))
+        for eps in (MIX_EPS, 1.0 / g.n):
+            assert static_mixing_time(g, eps) == _loop_static_mixing_time(g, eps)
+
+    def test_static_mixing_time_bipartite_hits_the_same_cap(self):
+        c6 = named_graph("C6")
+        with pytest.raises(MixingCapError):
+            _loop_static_mixing_time(c6, MIX_EPS)
+        with pytest.raises(MixingCapError, match=f"cap {oracle.mixing_cap(6)}$"):
+            static_mixing_time(c6)
 
     @pytest.mark.parametrize("spec", ["static:C9", "rr:n=8,d=3", "perm:base=C9"])
     def test_mixing_cap_boundary(self, spec):

@@ -86,7 +86,7 @@ class TestPhase1:
         assert all(length == 1 for length in table.lengths)
         assert eng.round == 2  # 2*lambda rounds consumed
         for ci in range(len(table.lengths)):
-            path = table.as_coupon(ci).path
+            path = table.trail[: table.lengths[ci] + 1, ci].tolist()
             assert len(path) == 2
             assert k4.snapshot_at(1).has_edge(path[0], path[1])
 
@@ -94,15 +94,16 @@ class TestPhase1:
         eng = make_engine(rr16, seed=7, phi=4)
         lam = 4
         table = phase1_distribute(eng, WalkParams(tau=40, lambda_walk=lam))
-        assert len(table.origins) == 16 * 3
+        assert len(table.lengths) == len(table.holders) == 16 * 3
         for v in range(16):
             assert len(table.unused[v]) == 3
-            assert sorted(table.serials[ci] for ci in table.unused[v]) == [1, 2, 3]
+            assert [ci // 3 for ci in table.unused[v]] == [v] * 3  # origin
+            assert sorted(ci % 3 + 1 for ci in table.unused[v]) == [1, 2, 3]  # serials
         assert all(lam <= length <= 2 * lam - 1 for length in table.lengths)
         assert eng.round == 2 * lam
         # coupon rests at the endpoint of a walk of its desired length
         for ci, length in enumerate(table.lengths):
-            path = table.as_coupon(ci).path
+            path = table.trail[: length + 1, ci].tolist()
             assert len(path) == length + 1
             assert path[-1] == table.holders[ci]
             for step in range(length):
@@ -142,11 +143,12 @@ class TestSampleCoupon:
     def test_single_unused_serial(self, c5):
         eng = make_engine(c5, seed=1, phi=2)
         table = phase1_distribute(eng, WalkParams(tau=6, lambda_walk=1))
-        only = table.unused[3][:1]
-        table.unused[3] = only
-        coupon, dest = sample_coupon(eng, table, 3, phi=2)
-        assert coupon.origin == 3 and coupon.used
-        assert dest == coupon.holder
+        only = table.unused[3][0]
+        table.unused[3] = [only]
+        ci = sample_coupon(eng, table, 3, phi=2)
+        assert ci == only and ci // table.d == 3 and table.unused[3] == []  # origin 3, used
+        # the token's destination, holders[ci], is where the coupon's walk ended
+        assert table.holders[ci] == table.trail[table.lengths[ci], ci]
 
     def test_costs_two_floods(self, c5):
         eng = make_engine(c5, seed=2, phi=2)
@@ -158,13 +160,13 @@ class TestSampleCoupon:
     def test_serial_choice_uniform(self):
         # Fresh unused set {2,5,7} each trial; chi-square over 30000 draws.
         table = CouponTable(1, 7, 2, np.full(7, 2))
-        keep = [ci for ci in range(7) if table.serials[ci] in (2, 5, 7)]
+        keep = [ci for ci in range(7) if ci % 7 + 1 in (2, 5, 7)]
         rng = np.random.default_rng(99)
         counts = {2: 0, 5: 0, 7: 0}
         for _ in range(30000):
             table.unused[0] = keep[:]
             ci = table.sample(0, rng)
-            counts[table.serials[ci]] += 1
+            counts[ci % 7 + 1] += 1
         _, p = stats.chisquare(list(counts.values()))
         assert p > 0.01
 
@@ -173,8 +175,8 @@ class TestSampleCoupon:
         table = phase1_distribute(eng, WalkParams(tau=6, lambda_walk=1))
         seen = set()
         for _ in range(2):  # d = 2 on C5
-            coupon, _ = sample_coupon(eng, table, 1, phi=2)
-            key = (coupon.origin, coupon.serial)
+            ci = sample_coupon(eng, table, 1, phi=2)
+            key = (ci // table.d, ci % table.d + 1)  # (origin, serial)
             assert key not in seen
             seen.add(key)
         with pytest.raises(CouponsExhausted):
@@ -216,7 +218,8 @@ class TestSingleRandomWalk:
         params = WalkParams.for_single(tau=60, phi=4)
         table = phase1_distribute(eng, params)
         res = single_random_walk(eng, 0, params, coupons=table)
-        assert sum(table.used) == len(res.segment_lengths)
+        consumed = table.n * table.d - sum(map(len, table.unused))
+        assert consumed == len(res.segment_lengths)
 
     def test_stitched_destination_distribution(self, k4):
         P = transition_matrix(k4.snapshot_at(1))
