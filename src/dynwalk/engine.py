@@ -76,7 +76,6 @@ class Encodings:
     """
 
     def __init__(self, n: int):
-        self.n = n
         self.id_bits = max(1, math.ceil(math.log2(max(2, n))))
 
     @staticmethod

@@ -264,6 +264,7 @@ class GraphSchedule:
     """Base class: deterministic map from round number to snapshot."""
 
     FLOOD_MEMO_CAP = 256  # flood traces kept (about 2.5 kB each at n = 64); cleared when full
+    period: int | None = None  # snapshot_at(t + period) == snapshot_at(t), when known
 
     def __init__(self, n: int, d: int | None, seed: int, spec: str):
         self.n = n
@@ -321,6 +322,8 @@ class GraphSchedule:
 class StaticSchedule(GraphSchedule):
     """The same snapshot every round."""
 
+    period = 1
+
     def __init__(self, graph: GraphSnapshot, seed: int = 0, spec: str = "static"):
         report = validate_snapshot(graph)
         super().__init__(graph.n, report.regular_degree, seed, spec)
@@ -345,6 +348,7 @@ class PeriodicSchedule(GraphSchedule):
         d = degs.pop() if len(degs) == 1 else None
         super().__init__(n, d, seed, spec)
         self._graphs = list(graphs)
+        self.period = len(graphs)
 
     def _build(self, t: int) -> GraphSnapshot:
         return self._graphs[(t - 1) % len(self._graphs)]
@@ -454,8 +458,11 @@ def read_schedule_file(path: str | Path) -> tuple[int, int | None, list[GraphSna
     exactly 1..T raise ScheduleError naming the file.
     """
     path = Path(path)
-    with path.open() as fh:
-        lines = [line for line in fh if line.strip()]
+    try:
+        with path.open() as fh:
+            lines = [line for line in fh if line.strip()]
+    except OSError as exc:
+        raise ScheduleError(f"cannot read schedule file {path}: {exc.strerror}") from None
     if not lines:
         raise ScheduleError(f"empty schedule file: {path}")
     try:
@@ -485,14 +492,19 @@ def _static_source(arg: str) -> GraphSnapshot:
 
 
 def _spec_fields(spec: str, kind: str, arg: str, names: tuple[str, ...], convert) -> list:
-    """The `names` fields of a ``key=value,...`` spec argument, converted."""
+    """The `names` fields of a ``key=value,...`` spec argument, converted;
+    each name must appear exactly once, and no other key may."""
     try:
-        kv = dict(part.split("=", 1) for part in arg.split(","))
-        values = [kv[name].strip() for name in names]
-        if not all(values):
-            raise ValueError("empty field")
-        return [convert(v) for v in values]
-    except (KeyError, ValueError):
+        pairs = [part.split("=", 1) for part in arg.split(",")]
+        kv = {key: value.strip() for key, value in pairs}  # ValueError on a part without "="
+        keys = [key for key, _ in pairs]
+        bad = [key for i, key in enumerate(keys) if key not in names or key in keys[:i]]
+        if bad:
+            raise ScheduleError(f"malformed schedule spec {spec!r}: unknown or repeated key {bad[0]!r}")
+        if not all(kv.get(name) for name in names):
+            raise ValueError("missing or empty field")
+        return [convert(kv[name]) for name in names]
+    except ValueError:
         expected = ",".join(f"{name}=..." for name in names)
         raise ScheduleError(f"malformed schedule spec {spec!r}: expected {kind}:{expected}") from None
 
@@ -507,6 +519,8 @@ def parse_schedule_spec(spec: str, seed: int = 0) -> GraphSchedule:
     kind, _, arg = spec.partition(":")
     kind = kind.strip()
     arg = arg.strip()
+    if kind in ("static", "periodic") and not arg:
+        raise ScheduleError(f"malformed schedule spec {spec!r}: empty {kind} argument")
     if kind == "static":
         return StaticSchedule(_static_source(arg), seed=seed, spec=spec)
     if kind == "periodic":

@@ -80,6 +80,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithm {self.algo!r}; choose from {ALGORITHMS}")
         if self.seeds < 1 or self.k < 1:
             raise ValueError(f"seeds and k must be at least 1, got seeds={self.seeds}, k={self.k}")
+        if not 0 < self.lambda_c < math.inf:
+            raise ValueError(f"lambda_c must be finite and positive, got lambda_c={self.lambda_c}")
 
     def adversary_seed(self) -> int:
         return self.seed_base ^ ADVERSARY_TAG
@@ -136,7 +138,7 @@ def _parse_bool(key: str, value) -> bool:
 
 
 def _oracle_phi(schedule: GraphSchedule) -> int:
-    return dynamic_diameter(schedule, 1 if isinstance(schedule, StaticSchedule) else PHI_HORIZON)
+    return dynamic_diameter(schedule, schedule.period or PHI_HORIZON)
 
 
 def resolve_phi(config: ExperimentConfig, schedule: GraphSchedule) -> int:
@@ -148,8 +150,7 @@ def resolve_tau(config: ExperimentConfig, schedule: GraphSchedule) -> int:
         return 2 * schedule.n * schedule.n
     if config.tau != "oracle":
         return int(config.tau)
-    horizon = 1 if isinstance(schedule, StaticSchedule) else TAU_HORIZON
-    return oracle_mod.dynamic_mixing_bound(schedule, horizon)
+    return oracle_mod.dynamic_mixing_bound(schedule, schedule.period or TAU_HORIZON)
 
 
 @dataclass
@@ -225,9 +226,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunReport, int]:
     Returns (report, exit_code): 0 pass, 1 property failure, 2 on
     config/schedule errors (raised as exceptions by lower layers).
     """
+    schedule = parse_schedule_spec(config.schedule, seed=config.adversary_seed())
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    schedule = parse_schedule_spec(config.schedule, seed=config.adversary_seed())
 
     if config.algo == "lemma-suite":
         results = lemma_suite(

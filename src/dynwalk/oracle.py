@@ -166,8 +166,6 @@ def static_mixing_time(g: GraphSnapshot, eps: float = MIX_EPS) -> int:
 
 def dynamic_mixing_bound(schedule: GraphSchedule, horizon: int) -> int:
     """Max over distinct snapshots in [1, horizon] of the static mixing time."""
-    if isinstance(schedule, StaticSchedule):
-        horizon = 1
     seen: set[frozenset] = set()
     best = 0
     for t in range(1, horizon + 1):

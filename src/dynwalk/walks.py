@@ -9,12 +9,13 @@ repeatedly samples an unused coupon at the token's current node (one flood
 to locate the holder, one flood to transfer the token, phi rounds each) and
 finishes the remainder below 2*lambda naively on live snapshots.
 
-Every round moves all of its tokens at once: positions, holders and
-neighbor choices are numpy arrays, and one `CongestEngine.exchange` call
-carries the round's messages.  Each step is an independent uniform choice
-drawn from the engine's stream for its purpose (Phase 1, stitching, naive
-steps), taken in one call per phase or per walk; which draw feeds which
-step is a matter of bookkeeping, so the walks' laws are those of the
+Every token step (Phase 1's coupons, naive walks, a stitched walk's
+fallbacks and tail) goes through one round loop, `_walk_tokens`: positions
+and neighbor choices are numpy arrays, and one `CongestEngine.exchange`
+call carries the round's messages.  Each step is an independent uniform
+choice drawn from the engine's stream for its purpose (Phase 1, stitching,
+naive steps), taken in one call per phase or per walk; which draw feeds
+which step is a matter of bookkeeping, so the walks' laws are those of the
 textbook protocol.
 """
 from __future__ import annotations
@@ -91,10 +92,8 @@ class CouponTable:
     put once its desired length is walked).
     """
 
-    def __init__(self, n: int, d: int, lambda_walk: int, lengths):
-        self.n = n
+    def __init__(self, n: int, d: int, lengths):
         self.d = d
-        self.lambda_walk = lambda_walk
         self.lengths = np.asarray(lengths, dtype=np.int64)
         self.holders = np.repeat(np.arange(n, dtype=np.int64), d)
         self.unused: list[list[int]] = [list(range(v * d, (v + 1) * d)) for v in range(n)]
@@ -169,56 +168,36 @@ def _degree(engine: CongestEngine) -> int:
     return engine.schedule.d
 
 
-def _walk_tokens(engine, sources, steps, token_bits, record_path):
-    """Move one token per source for `steps` rounds, all tokens each round.
+def _walk_tokens(engine, rng, sources, steps, token_bits, record_path, moving=None):
+    """Move one token per source for `steps` rounds: in round i the first
+    `moving[i]` tokens take a step (all of them when `moving` is None).
 
     A token at v with draw j in [0, d) moves to v's j-th current neighbor.
-    Each step is an independent draw from the TAG_NAIVE stream, all taken
-    in one call.  Returns the final positions and, with `record_path`, the
-    (steps + 1, k) array of positions after each round.
+    The (steps, k) draws come from `rng` in one call.  Returns the final
+    positions and, with `record_path`, the (steps + 1, k) array of positions
+    after each round.
     """
     d = _degree(engine)
     pos = np.array(sources, dtype=np.int64)
-    draws = engine.stream(TAG_NAIVE).integers(d, size=(steps, len(pos)))
+    choices = rng.integers(d, size=(steps, len(pos)))
     trail = np.empty((steps + 1, len(pos)), dtype=np.int64) if record_path else None
     if record_path:
         trail[0] = pos
-    for i in range(steps):
-        nxt = engine.next_snapshot().nbr.take(pos * d + draws[i])
-        engine.exchange(pos, nxt, token_bits)
-        pos = nxt
+    for i, m in enumerate(moving or [len(pos)] * steps):
+        src = pos[:m]
+        dst = engine.next_snapshot().nbr.take(src * d + choices[i, :m])
+        engine.exchange(src, dst, token_bits)
+        pos[:m] = dst
         if record_path:
             trail[i + 1] = pos
     return pos, trail
 
 
-def _naive_batch(engine, sources, length, token_bits, record_path, walk_ids) -> WalkBatch:
-    sources = np.array(sources, dtype=np.int64)
-    start_round = engine.round
-    pos, trail = _walk_tokens(engine, sources, length, token_bits, record_path)
-    end_round = engine.round
-
-    def build() -> list[WalkResult]:
-        prov = list(range(start_round + 1, end_round + 1))
-        paths = trail.T.tolist() if record_path else [None] * len(pos)
-        return [
-            WalkResult(s, dest, end_round - start_round, [s], prov[:], [], 0, path, walk_id)
-            for s, dest, path, walk_id in zip(sources.tolist(), pos.tolist(), paths, walk_ids)
-        ]
-
-    return WalkBatch(pos, build)
-
-
 def naive_walk(
-    engine: CongestEngine,
-    source: int,
-    length: int,
-    walk_id: int = 0,
-    record_path: bool = True,
+    engine: CongestEngine, source: int, length: int, record_path: bool = True
 ) -> WalkResult:
     """Forward one token for `length` rounds, one uniform step per snapshot."""
-    bits = engine.enc.token_bits(max(1, length))
-    return _naive_batch(engine, [source], length, bits, record_path, [walk_id])[0]
+    return concurrent_naive_walks(engine, [source], length, record_path)[0]
 
 
 def concurrent_naive_walks(
@@ -226,16 +205,27 @@ def concurrent_naive_walks(
     sources: Sequence[int],
     length: int,
     record_path: bool = True,
-    token_bits: int | None = None,
 ) -> WalkBatch:
     """Run len(sources) naive walks simultaneously in `length` rounds.
 
     Returns a `WalkBatch`: walk j starts at sources[j], and its endpoint is
     `destinations[j]`.
     """
-    k = len(sources)
-    bits = token_bits if token_bits is not None else engine.enc.token_bits(max(1, length), k)
-    return _naive_batch(engine, sources, length, bits, record_path, range(k))
+    sources = np.array(sources, dtype=np.int64)
+    bits = engine.enc.token_bits(length, len(sources))
+    start_round = engine.round
+    pos, trail = _walk_tokens(engine, engine.stream(TAG_NAIVE), sources, length, bits, record_path)
+    end_round = engine.round
+
+    def build() -> list[WalkResult]:
+        prov = list(range(start_round + 1, end_round + 1))
+        paths = trail.T.tolist() if record_path else [None] * len(pos)
+        return [
+            WalkResult(s, dest, end_round - start_round, [s], prov[:], [], 0, path, j)
+            for j, (s, dest, path) in enumerate(zip(sources.tolist(), pos.tolist(), paths))
+        ]
+
+    return WalkBatch(pos, build)
 
 
 def phase1_distribute(
@@ -254,32 +244,20 @@ def phase1_distribute(
     if engine.round != 0:
         raise ProtocolError("phase 1 must start at round 0 (coupons walk G_1 onwards)")
     d = _degree(engine)
-    n = engine.n
     lam = params.lambda_walk
     rng = engine.stream(TAG_PHASE1)
-    table = CouponTable(n, d, lam, lam + rng.integers(lam, size=n * d))
-    choices = rng.integers(d, size=(2 * lam, n * d))
+    table = CouponTable(engine.n, d, lam + rng.integers(lam, size=engine.n * d))
     # Longest coupons first: the coupons moving in round i (length >= i)
     # are the first moving[i-1] of them.
     order = np.argsort(-table.lengths, kind="stable")
     moving = np.searchsorted(-table.lengths[order], -np.arange(1, 2 * lam + 1), side="right")
-    pos = table.holders[order]
-    trail = np.empty((2 * lam + 1, n * d), dtype=np.int64) if record_paths else None
-    if record_paths:
-        trail[0] = pos
-    coupon_bits = engine.enc.coupon_bits(lam, d)
-    for i in range(1, 2 * lam + 1):
-        m = moving[i - 1]
-        src = pos[:m]
-        dst = engine.next_snapshot().nbr.take(src * d + choices[i - 1, :m])
-        engine.exchange(src, dst, coupon_bits)
-        pos[:m] = dst
-        if record_paths:
-            trail[i] = pos
+    pos, trail = _walk_tokens(
+        engine, rng, table.holders[order], 2 * lam, engine.enc.coupon_bits(lam, d),
+        record_paths, moving.tolist(),
+    )
     table.holders[order] = pos
     if record_paths:
-        table.trail = np.empty_like(trail)
-        table.trail[:, order] = trail
+        table.trail = trail[:, np.argsort(order)]
     return table
 
 
@@ -288,7 +266,7 @@ def sample_coupon(
     table: CouponTable,
     connector: int,
     phi: int,
-    token_bits: int | None = None,
+    token_bits: int,
 ) -> int:
     """Stitch step: the connector samples one of its unused coupons uniformly
     and returns its index; the token moves to `table.holders[ci]`.
@@ -298,8 +276,6 @@ def sample_coupon(
     coupon is deleted so it can never be sampled again.
     """
     ci = table.sample(connector, engine.stream(TAG_STITCH))  # raises CouponsExhausted
-    if token_bits is None:
-        token_bits = engine.enc.token_bits(2 * table.lambda_walk)
     engine.flood(engine.enc.request_bits(table.d), (connector,), phi)
     engine.flood(token_bits, (connector,), phi)
     return ci
@@ -320,18 +296,19 @@ def single_random_walk(
     samples one of its coupons and jumps to the holder; the rest (always
     below 2*lambda steps) is walked naively on live snapshots.  When a
     connector's coupons are exhausted, the token takes lambda live naive
-    steps and resumes stitching (logged as a fallback).  For tau <= 2*lambda
-    the stitched regime is unreachable and the walk is performed naively.
+    steps and resumes stitching (logged as a fallback).  Without coupons and
+    with tau <= 2*lambda the stitched regime is unreachable: Phase 1 is
+    skipped and all of tau is the naive tail.
     """
     tau, lam = params.tau, params.lambda_walk
+    _degree(engine)  # a non-regular schedule fails before any round, tau = 0 included
     token_bits = engine.enc.token_bits(tau, k_context)
-    if coupons is None and tau <= 2 * lam:
-        return _naive_batch(engine, [source], tau, token_bits, record_path, [walk_id])[0]
+    stitched = coupons is not None or tau > 2 * lam
     phi = engine.config.phi
-    if phi is None:
+    if stitched and phi is None:
         raise ProtocolError("stitched walks need phi in SimConfig")
     start_round = engine.round
-    if coupons is None:
+    if coupons is None and stitched:
         coupons = phase1_distribute(engine, params, record_paths=record_path)
     completed = 0
     v = source
@@ -342,15 +319,15 @@ def single_random_walk(
 
     def walk_naively(steps: int) -> int:
         first = engine.round + 1
-        pos, trail = _walk_tokens(engine, [v], steps, token_bits, record_path)
+        rng = engine.stream(TAG_NAIVE)
+        pos, trail = _walk_tokens(engine, rng, [v], steps, token_bits, record_path)
         prov.extend(range(first, engine.round + 1))
         if record_path:
             path.extend(trail[1:, 0].tolist())
         return int(pos[0])
 
     fallbacks = 0
-    stitches = 0
-    while completed <= tau - 2 * lam:
+    while stitched and completed <= tau - 2 * lam:
         try:
             ci = sample_coupon(engine, coupons, v, phi, token_bits)
         except CouponsExhausted:
@@ -358,8 +335,7 @@ def single_random_walk(
             v = walk_naively(lam)
             completed += lam
             continue
-        stitches += 1
-        if stitches > 1:
+        if segments:
             connectors.append(v)
         length = int(coupons.lengths[ci])
         completed += length
@@ -408,10 +384,7 @@ def many_random_walks(
     else:
         params = WalkParams.for_many(tau, engine.config.phi, k, lambda_c)
     if params.lambda_walk >= tau:
-        return concurrent_naive_walks(
-            engine, sources, tau, record_path=record_path,
-            token_bits=engine.enc.token_bits(max(1, tau), k),
-        )
+        return concurrent_naive_walks(engine, sources, tau, record_path=record_path)
     table = phase1_distribute(engine, params, record_paths=record_path)
     results = [
         single_random_walk(

@@ -178,6 +178,12 @@ class TestSchedules:
         assert c5.snapshot_at(7).edges == c5.snapshot_at(1).edges
         assert c5.snapshot_at(7) == c5.snapshot_at(3)
 
+    def test_period(self, c5):
+        assert c5.period == 1 and parse_schedule_spec("srr:n=8,d=3", seed=0).period == 1
+        assert PeriodicSchedule([named_graph("C5"), named_graph("K5"), named_graph("C5")]).period == 3
+        assert parse_schedule_spec("rr:n=8,d=3", seed=0).period is None
+        assert parse_schedule_spec("perm:base=C9", seed=0).period is None
+
     def test_periodic_indexing(self):
         k5 = named_graph("K5")
         c5 = named_graph("C5")
@@ -377,10 +383,16 @@ class TestFilesAndSpecs:
         assert parse_schedule_spec("rr:n=8,d=3", seed=0).d == 3
         assert parse_schedule_spec("srr:n=16,d=3", seed=0).d == 3
         assert parse_schedule_spec("perm:base=petersen", seed=0).n == 10
+        assert parse_schedule_spec("rr:d=3,n=16", seed=0).n == 16  # keys in any order
+        assert parse_schedule_spec("srr: n=16,d=3 ", seed=2).snapshot_at(1).edges == (
+            parse_schedule_spec("srr:n=16,d=3", seed=2).snapshot_at(1).edges
+        )
         with pytest.raises(ScheduleError):
             parse_schedule_spec("bogus:stuff", seed=0)
 
-    @pytest.mark.parametrize("spec", ["rr:n=16", "rr:n=x,d=3", "perm:", "srr:d=3", "perm:base="])
+    @pytest.mark.parametrize(
+        "spec", ["rr:n=16", "rr:n=x,d=3", "perm:", "srr:d=3", "perm:base=", "static:", "periodic:"]
+    )
     def test_malformed_spec_names_itself(self, spec):
         with pytest.raises(ScheduleError, match=re.escape(repr(spec))):
             parse_schedule_spec(spec, seed=0)

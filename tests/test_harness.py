@@ -167,10 +167,15 @@ class TestConfig:
         cfg2 = ExperimentConfig("static:K4", "naive", tau="7", phi="3")
         assert resolve_tau(cfg2, sched) == 7 and resolve_phi(cfg2, sched) == 3
 
-    @pytest.mark.parametrize("spec, horizon", [("static:K4", 1), ("srr:n=16,d=3", 1), ("rr:n=16,d=3", 16)])
-    def test_oracle_phi_horizon(self, monkeypatch, spec, horizon):
+    @pytest.mark.parametrize("spec, horizon", [
+        ("static:K4", 1), ("srr:n=16,d=3", 1), ("rr:n=16,d=3", 16), ("periodic:{}", 20),
+    ])
+    def test_oracle_phi_horizon(self, monkeypatch, tmp_path, spec, horizon):
         # resolve_phi and the lemma suite's census take phi over one round of a
-        # static schedule and over PHI_HORIZON rounds of a changing one.
+        # static schedule, over the whole period of a periodic one and over
+        # PHI_HORIZON rounds of any other.
+        write_schedule_file(RandomRegularSchedule(8, 3, seed=4), 20, tmp_path / "sched.jsonl")
+        spec = spec.format(tmp_path / "sched.jsonl")
         seen = []
         real = harness.dynamic_diameter
         monkeypatch.setattr(harness, "dynamic_diameter", lambda s, h: seen.append(h) or real(s, h))
@@ -182,6 +187,18 @@ class TestConfig:
             monkeypatch.setattr(harness, name, lambda *a, **kw: None)
         harness.lemma_suite(instances=0)
         assert seen == [horizon]
+
+    @pytest.mark.parametrize("spec, seed, phi, tau", [("rr:n=64,d=3", 0, 6, 14), ("rr:n=32,d=3", 1, 5, 24)])
+    def test_replayed_schedule_measured_over_its_period(self, tmp_path, spec, seed, phi, tau):
+        # The README replay: `dynwalk schedule --rounds 32` written, then run
+        # as periodic:.  A prefix of 16 starts and 8 snapshots read phi 5 and
+        # tau 11 on the first file, and tau 13 on the second.
+        path = tmp_path / "sched.jsonl"
+        write_schedule_file(parse_schedule_spec(spec, seed=seed), 32, path)
+        sched = parse_schedule_spec(f"periodic:{path}", seed=0)
+        cfg = ExperimentConfig(f"periodic:{path}", "single")
+        assert sched.period == 32
+        assert (resolve_phi(cfg, sched), resolve_tau(cfg, sched)) == (phi, tau)
 
 
 class TestRunExperiment:
@@ -703,6 +720,50 @@ class TestCli:
             argv = ["run", "--schedule", "static:K4", "--algo", algo, f"--{field}", str(value)]
         code = main([*argv, "--out", str(out)])
         assert f"{field}={value}" in self._one_line_error(capsys, code)
+        assert not out.exists()
+
+    # A missing static: or perm: source is read as a graph name, so a
+    # missing file reaches the file reader only through periodic:.
+    @pytest.mark.parametrize("spec, named", [
+        ("periodic:{tmp}/missing.jsonl", "{tmp}/missing.jsonl"),
+        ("periodic:{tmp}", "{tmp}"), ("static:{tmp}", "{tmp}"), ("perm:base={tmp}", "{tmp}"),
+        ("static:", "'static:'"), ("periodic:", "'periodic:'"), ("perm:base=", "'perm:base='"),
+    ], ids=["periodic-missing", "periodic-dir", "static-dir", "perm-dir", "static-empty",
+            "periodic-empty", "perm-empty"])
+    def test_unreadable_schedule_exit_2(self, tmp_path, capsys, spec, named):
+        out = tmp_path / "o"
+        code = main([
+            "run", "--schedule", spec.format(tmp=tmp_path), "--algo", "single", "--seeds", "1",
+            "--out", str(out),
+        ])
+        assert named.format(tmp=tmp_path) in self._one_line_error(capsys, code)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algo", ["single", "many"])
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flags", "config"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    def test_bad_lambda_c_exit_2(self, tmp_path, capsys, algo, via_config, value):
+        # inf used to exit 1 with an OverflowError; 0 and -1 silently ran with lambda = 1.
+        out = tmp_path / "o"
+        if via_config:
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text(f"schedule=rr:n=16,d=3\nalgo={algo}\ntau=40\nlambda_c={value}\n")
+            argv = ["run", "--config", str(cfg)]
+        else:
+            argv = ["run", "--schedule", "rr:n=16,d=3", "--algo", algo, "--tau", "40", "--lambda-c", value]
+        code = main([*argv, "--seeds", "1", "--bandwidth", "100000", "--out", str(out)])
+        assert "lambda_c" in self._one_line_error(capsys, code)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec, key", [
+        ("rr:n=16,d=3,x=1", "x"), ("rr:n=16,n=32,d=3", "n"), ("srr:n=16,d=3,x=1", "x"),
+        ("srr:n=16,d=3,d=4", "d"), ("perm:base=C9,x=1", "x"), ("perm:base=C9,base=K4", "base"),
+    ])
+    def test_unknown_or_repeated_spec_key_exit_2(self, tmp_path, capsys, spec, key):
+        # Each used to run: an unknown key was ignored, a repeated one took its last value.
+        out = tmp_path / "o"
+        code = main(["run", "--schedule", spec, "--algo", "naive", "--tau", "4", "--out", str(out)])
+        assert f"{spec!r}: unknown or repeated key {key!r}" in self._one_line_error(capsys, code)
         assert not out.exists()
 
     def test_schedule_rounds_exit_2(self, tmp_path, capsys):

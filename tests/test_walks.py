@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,11 +8,19 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import empirical_tv, make_engine
-from dynwalk.graphs import StaticSchedule, named_graph, parse_schedule_spec
-from dynwalk.engine import ProtocolError
+from dynwalk.graphs import (
+    PeriodicSchedule,
+    StaticSchedule,
+    named_graph,
+    parse_schedule_spec,
+    random_regular_graph,
+)
+from dynwalk.engine import CongestEngine, ProtocolError, SimConfig
 from dynwalk.oracle import segment_matrix, transition_matrix
 from dynwalk.walks import (
     TAG_NAIVE,
+    TAG_PHASE1,
+    _walk_tokens,
     CouponTable,
     CouponsExhausted,
     WalkParams,
@@ -145,7 +154,7 @@ class TestSampleCoupon:
         table = phase1_distribute(eng, WalkParams(tau=6, lambda_walk=1))
         only = table.unused[3][0]
         table.unused[3] = [only]
-        ci = sample_coupon(eng, table, 3, phi=2)
+        ci = sample_coupon(eng, table, 3, phi=2, token_bits=eng.enc.token_bits(2))
         assert ci == only and ci // table.d == 3 and table.unused[3] == []  # origin 3, used
         # the token's destination, holders[ci], is where the coupon's walk ended
         assert table.holders[ci] == table.trail[table.lengths[ci], ci]
@@ -154,12 +163,12 @@ class TestSampleCoupon:
         eng = make_engine(c5, seed=2, phi=2)
         table = phase1_distribute(eng, WalkParams(tau=6, lambda_walk=1))
         before = eng.round
-        sample_coupon(eng, table, 0, phi=2)
+        sample_coupon(eng, table, 0, phi=2, token_bits=eng.enc.token_bits(2))
         assert eng.round - before == 4  # request flood + transfer flood
 
     def test_serial_choice_uniform(self):
         # Fresh unused set {2,5,7} each trial; chi-square over 30000 draws.
-        table = CouponTable(1, 7, 2, np.full(7, 2))
+        table = CouponTable(1, 7, np.full(7, 2))
         keep = [ci for ci in range(7) if ci % 7 + 1 in (2, 5, 7)]
         rng = np.random.default_rng(99)
         counts = {2: 0, 5: 0, 7: 0}
@@ -175,12 +184,12 @@ class TestSampleCoupon:
         table = phase1_distribute(eng, WalkParams(tau=6, lambda_walk=1))
         seen = set()
         for _ in range(2):  # d = 2 on C5
-            ci = sample_coupon(eng, table, 1, phi=2)
+            ci = sample_coupon(eng, table, 1, phi=2, token_bits=eng.enc.token_bits(2))
             key = (ci // table.d, ci % table.d + 1)  # (origin, serial)
             assert key not in seen
             seen.add(key)
         with pytest.raises(CouponsExhausted):
-            sample_coupon(eng, table, 1, phi=2)
+            sample_coupon(eng, table, 1, phi=2, token_bits=eng.enc.token_bits(2))
 
 
 class TestSingleRandomWalk:
@@ -218,7 +227,7 @@ class TestSingleRandomWalk:
         params = WalkParams.for_single(tau=60, phi=4)
         table = phase1_distribute(eng, params)
         res = single_random_walk(eng, 0, params, coupons=table)
-        consumed = table.n * table.d - sum(map(len, table.unused))
+        consumed = eng.n * table.d - sum(map(len, table.unused))
         assert consumed == len(res.segment_lengths)
 
     def test_stitched_destination_distribution(self, k4):
@@ -399,3 +408,120 @@ class TestVisitStats:
         res = naive_walk(make_engine(k4, seed=0, phi=1), 0, 2, record_path=False)
         with pytest.raises(ValueError):
             visit_stats([res], 4)
+
+
+# The two round loops the shared `_walk_tokens` replaced, kept verbatim as
+# references: Phase 1's prefix loop and the naive all-token loop.
+def reference_phase1(engine, params, record_paths):
+    d, n, lam = engine.schedule.d, engine.n, params.lambda_walk
+    rng = engine.stream(TAG_PHASE1)
+    table = CouponTable(n, d, lam + rng.integers(lam, size=n * d))
+    choices = rng.integers(d, size=(2 * lam, n * d))
+    order = np.argsort(-table.lengths, kind="stable")
+    moving = np.searchsorted(-table.lengths[order], -np.arange(1, 2 * lam + 1), side="right")
+    pos = table.holders[order]
+    trail = np.empty((2 * lam + 1, n * d), dtype=np.int64) if record_paths else None
+    if record_paths:
+        trail[0] = pos
+    coupon_bits = engine.enc.coupon_bits(lam, d)
+    for i in range(1, 2 * lam + 1):
+        m = moving[i - 1]
+        src = pos[:m]
+        dst = engine.next_snapshot().nbr.take(src * d + choices[i - 1, :m])
+        engine.exchange(src, dst, coupon_bits)
+        pos[:m] = dst
+        if record_paths:
+            trail[i] = pos
+    table.holders[order] = pos
+    if record_paths:
+        table.trail = np.empty_like(trail)
+        table.trail[:, order] = trail
+    return table
+
+
+def reference_walk_tokens(engine, sources, steps, token_bits, record_path):
+    d = engine.schedule.d
+    pos = np.array(sources, dtype=np.int64)
+    draws = engine.stream(TAG_NAIVE).integers(d, size=(steps, len(pos)))
+    trail = np.empty((steps + 1, len(pos)), dtype=np.int64) if record_path else None
+    if record_path:
+        trail[0] = pos
+    for i in range(steps):
+        nxt = engine.next_snapshot().nbr.take(pos * d + draws[i])
+        engine.exchange(pos, nxt, token_bits)
+        pos = nxt
+        if record_path:
+            trail[i + 1] = pos
+    return pos, trail
+
+
+@st.composite
+def loop_schedules(draw):
+    kind = draw(st.sampled_from(["rr", "srr", "perm", "periodic"]))
+    seed = draw(st.integers(0, 10**6))
+    if kind == "perm":
+        return parse_schedule_spec(f"perm:base={draw(st.sampled_from(['petersen', 'C9', 'K4']))}", seed=seed)
+    n = draw(st.sampled_from([6, 8, 12]))
+    if kind == "periodic":
+        rng = random.Random(seed)
+        return PeriodicSchedule([random_regular_graph(n, 3, rng) for _ in range(draw(st.integers(1, 4)))])
+    return parse_schedule_spec(f"{kind}:n={n},d=3", seed=seed)
+
+
+def recording_engines(schedule, seed):
+    config = SimConfig(seed=seed, bandwidth_bits=1 << 24, record_rounds=True)
+    return CongestEngine(schedule, config), CongestEngine(schedule, config)
+
+
+def assert_same_rounds(eng, ref):
+    assert eng.round == ref.round
+    assert eng.log.summary() == ref.log.summary()
+    assert eng.log.records == ref.log.records
+
+
+class TestSharedTokenLoop:
+    """`_walk_tokens` runs every token step as the parent's two loops did."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(loop_schedules(), st.integers(1, 8), st.integers(0, 10**6), st.booleans())
+    def test_phase1_matches_its_own_loop(self, schedule, lam, seed, record_paths):
+        eng, ref = recording_engines(schedule, seed)
+        params = WalkParams(tau=4 * lam, lambda_walk=lam)
+        got = phase1_distribute(eng, params, record_paths=record_paths)
+        want = reference_phase1(ref, params, record_paths)
+        assert got.lengths.tolist() == want.lengths.tolist()
+        assert got.holders.tolist() == want.holders.tolist()
+        assert got.unused == want.unused
+        if record_paths:
+            assert got.trail.tolist() == want.trail.tolist()
+        else:
+            assert got.trail is want.trail is None
+        assert_same_rounds(eng, ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(loop_schedules(), st.lists(st.integers(0, 5), min_size=1, max_size=50),
+           st.integers(0, 12), st.integers(0, 10**6), st.booleans())
+    def test_naive_batch_matches_the_naive_loop(self, schedule, sources, length, seed, record_path):
+        sources = [s % schedule.n for s in sources]
+        eng, ref = recording_engines(schedule, seed)
+        batch = concurrent_naive_walks(eng, sources, length, record_path=record_path)
+        pos, trail = reference_walk_tokens(
+            ref, sources, length, ref.enc.token_bits(length, len(sources)), record_path
+        )
+        assert batch.destinations.tolist() == pos.tolist()
+        assert [r.path for r in batch] == (trail.T.tolist() if record_path else [None] * len(sources))
+        assert_same_rounds(eng, ref)
+
+    def test_sources_are_copied(self, rr16):
+        sources = np.array([3, 3, 7, 11], dtype=np.int64)
+        eng = make_engine(rr16, seed=5)
+        pos, _ = _walk_tokens(eng, eng.stream(TAG_NAIVE), sources, 6, 8, False)
+        assert sources.tolist() == [3, 3, 7, 11] and pos is not sources
+
+    def test_moving_prefix(self, rr16):
+        # Round i moves only the first moving[i] tokens; the rest stay put.
+        eng = make_engine(rr16, seed=2, phi=4)
+        pos, trail = _walk_tokens(eng, eng.stream(TAG_NAIVE), [0, 1, 2, 3], 3, 8, True, [4, 2, 1])
+        assert eng.round == 3 and eng.log.total_msgs == 7
+        assert trail[1:, 3].tolist() == [trail[1, 3]] * 3 and trail[2:, 2].tolist() == [trail[2, 2]] * 2
+        assert trail[3, 1] == trail[2, 1] and pos.tolist() == trail[-1].tolist()
