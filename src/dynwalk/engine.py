@@ -255,8 +255,9 @@ class CongestEngine:
         rounds until every node is informed come from the schedule's memo of
         flood traces (`GraphSchedule.flood_trace`), keyed by start round and
         source set: a repeated flood runs no BFS and is charged exactly as a
-        fresh one.  A miss runs the BFS to completion, at most n - 1 rounds,
-        or to its stall, even when the budget is shorter.  The rest of the
+        fresh one.  A miss reads its sources' memoized rows of informed
+        rounds, and runs the BFS only for the rows not computed yet, each to
+        completion or n rounds, even when the budget is shorter.  The rest of the
         budget, 2|E_t| messages a round (n*d on a declared-regular schedule,
         building no snapshot), is charged in one step.  Returns a fresh dict
         node -> round informed.  A negative budget raises ValueError before

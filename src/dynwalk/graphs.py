@@ -12,7 +12,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ __all__ = [
     "named_graph",
     "random_regular_graph",
     "FloodTrace",
-    "flood_rounds",
+    "informed_rounds",
     "flooding_time",
     "dynamic_diameter",
     "parse_schedule_spec",
@@ -264,6 +264,7 @@ class GraphSchedule:
     """Base class: deterministic map from round number to snapshot."""
 
     FLOOD_MEMO_CAP = 256  # flood traces kept (about 2.5 kB each at n = 64); cleared when full
+    ROWS_MEMO_CAP = 1 << 18  # int32 cells of informed-round rows kept (1 MiB); cleared when full
     period: int | None = None  # snapshot_at(t + period) == snapshot_at(t), when known
 
     def __init__(self, n: int, d: int | None, seed: int, spec: str):
@@ -274,6 +275,7 @@ class GraphSchedule:
         self._cache: dict[int, GraphSnapshot] = {}
         self._cache_cap = 512
         self._floods: dict[tuple[int, tuple[int, ...]], FloodTrace] = {}
+        self._rows: dict[tuple[int, int], np.ndarray] = {}
 
     def snapshot_at(self, t: int) -> GraphSnapshot:
         if t < 1:
@@ -290,30 +292,84 @@ class GraphSchedule:
         raise NotImplementedError
 
     def flood_trace(self, sources: Collection[int], start_round: int) -> FloodTrace:
-        """The `flood_rounds` BFS from `sources` starting on snapshot
-        `start_round`, memoized by (start_round, sorted sources).
+        """The flood from `sources` starting on snapshot `start_round`,
+        memoized by (start_round, sorted sources).
 
         Floods use no randomness, so the trace depends on nothing else.  A
-        miss runs the BFS to completion, at most n - 1 rounds, or to the
-        ScheduleError of a stalled flood or a failed snapshot build, which the
-        trace keeps; it does so whatever budget the caller has in mind.
+        miss builds it from its sources' `informed_rounds` rows (see
+        `_trace`), whatever budget the caller has in mind.
         """
         key = (start_round, tuple(sorted(set(sources))))  # smaller than a frozenset
         trace = self._floods.get(key)
         if trace is None:
-            sent, informed, error = [], {}, None
-            try:
-                for t, (msgs, new) in enumerate(flood_rounds(self, sources, start_round), start_round):
-                    sent.append(msgs)
-                    for u in new:
-                        informed[u] = t
-            except ScheduleError as exc:
-                error = exc.with_traceback(None)
-            trace = FloodTrace(tuple(sent), informed, error)
+            trace = self._trace(key[1], start_round)
             if len(self._floods) >= self.FLOOD_MEMO_CAP:
                 self._floods.clear()
             self._floods[key] = trace
         return trace
+
+    def _informed_rounds(self, sources: Sequence[int], start_round: int) -> list[np.ndarray]:
+        """The `informed_rounds` rows of the distinct `sources` from snapshot
+        `start_round`, memoized by (start round, source).
+
+        Rows count rounds from the start, so on a schedule with a period the
+        start round is keyed modulo it.  One BFS computes every missing row.
+        """
+        start_key = start_round if self.period is None else (start_round - 1) % self.period
+        rows = [self._rows.get((start_key, s)) for s in sources]
+        missing = [s for s, row in zip(sources, rows) if row is None]
+        if missing:
+            computed = informed_rounds(self, missing, start_round)
+            if (len(self._rows) + len(missing)) * (self.n + 1) > self.ROWS_MEMO_CAP:
+                self._rows.clear()
+            if len(missing) * (self.n + 1) <= self.ROWS_MEMO_CAP:
+                self._rows.update(zip([(start_key, s) for s in missing], computed))
+            fill = iter(computed)
+            rows = [next(fill) if row is None else row for row in rows]
+        return rows
+
+    def _trace(self, sources: Sequence[int], start_round: int) -> FloodTrace:
+        """The flood from the distinct `sources`, read from the elementwise
+        minimum of their rows: a flood from a set informs a node exactly when
+        a flood from one of its members does.
+
+        The trace runs until every node is informed, at most n - 1 rounds,
+        or to its error: a snapshot build that raised ScheduleError while
+        some node was uninformed, or the first round that informs nobody
+        while some node is uninformed (a disconnected snapshot).
+        """
+        n = self.n
+        rows = self._informed_rounds(sources, start_round)
+        union = np.minimum.reduce(rows) if len(rows) > 1 else rows[0]
+        new = np.bincount(union[:n], minlength=n + 2).tolist()  # nodes informed in each round
+        rounds = union.tolist()
+        sent, error = [], None
+        have = new[0]
+        for r in range(1, n + 1):
+            if have == n:
+                break
+            t = start_round + r - 1
+            if r == rounds[n]:  # this round's build raised; building it again gives the error
+                try:
+                    self.snapshot_at(t)
+                except ScheduleError as exc:
+                    error = exc.with_traceback(None)
+                    break
+            if not new[r]:
+                error = ScheduleError(f"flood stalled at round {t}: snapshot disconnected")
+                break
+            if self.d is None:
+                adj = self.snapshot_at(t).adj
+                sent.append(sum(len(adj[v]) for v in range(n) if rounds[v] < r))
+            else:
+                sent.append(self.d * have)
+            have += new[r]
+        informed = dict(zip(range(n), (union[:n] + (start_round - 1)).tolist()))
+        for s in sources:
+            del informed[s]
+        if have < n:  # drop the nodes the rows inform after the flood's last round
+            informed = {v: t for v, t in informed.items() if t < start_round + len(sent)}
+        return FloodTrace(tuple(sent), informed, error)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(spec={self.spec!r}, n={self.n}, d={self.d}, seed={self.seed})"
@@ -388,48 +444,66 @@ class PermutedSchedule(GraphSchedule):
         return GraphSnapshot(self.n, edges)
 
 
-def flood_rounds(
-    schedule: GraphSchedule, sources: Iterable[int], start_round: int = 1
-) -> Iterator[tuple[int, Collection[int]]]:
-    """Temporal BFS from `sources`, one round per next().
+def informed_rounds(schedule: GraphSchedule, sources: Sequence[int], start_round: int = 1) -> np.ndarray:
+    """The one temporal BFS, run for each of the distinct `sources` alone.
 
-    Round r runs on snapshot start_round + r - 1: every informed node sends
-    on each of its edges.  Each round yields (messages sent, nodes newly
-    informed).  A round that leaves nodes uninformed but informs none raises
-    ScheduleError; per-round connectivity rules that out, so every node is
-    informed within n - 1 rounds, and the generator stops there.  A flood
-    that runs on after that sends 2|E_t| messages per round and informs
-    nobody, so a caller charges those rounds without this generator.
+    Row i of the returned (len(sources), n + 1) int32 array holds, for each
+    node, the round in which a flood from sources[i] informs it: 0 at the
+    source, r when round r (on snapshot start_round + r - 1) informs it, and
+    n + 1 when no round within n does.  In round r every informed node sends
+    on each of its current edges, so a node is informed when any of its
+    neighbors was informed before r: one pull gather on the snapshot's
+    neighbor table for all rows at once, whose -1 padding reads column n,
+    which holds n + 1 meanwhile.  Rows run until all are complete or n rounds
+    have passed, rounds that inform nobody included.  If a snapshot build
+    raises ScheduleError, the incomplete rows record that round in column n
+    (n + 1 otherwise), and all rows stop there.
     """
     n = schedule.n
-    informed = set(sources)
-    t = start_round
-    while len(informed) < n:
-        adj = schedule.snapshot_at(t).adj
-        sent = [u for v in informed for u in adj[v]]
-        new = set(sent)
-        new -= informed
-        if not new:
-            raise ScheduleError(f"flood stalled at round {t}: snapshot disconnected")
-        informed |= new
-        yield len(sent), new
-        t += 1
+    out = np.full((len(sources), n + 1), n + 1, dtype=np.int32)
+    out[np.arange(len(sources)), sources] = 0
+    rounds = out[:, :n]
+    for r in range(1, n + 1):
+        if rounds.max() <= n:  # every row is complete
+            break
+        try:
+            nbr = schedule.snapshot_at(start_round + r - 1).nbr
+        except ScheduleError:
+            out[(rounds > n).any(axis=1), n] = r
+            break
+        # One round after the earliest-informed neighbor, and no earlier than
+        # r, since the edge to it exists in round r only.
+        reach = out.take(nbr.T, axis=1).min(axis=1, initial=n + 1)
+        reach += 1
+        np.maximum(reach, r, out=reach)
+        np.minimum(rounds, reach, out=rounds)
+    return out
 
 
 def flooding_time(schedule: GraphSchedule, source: int, start_round: int = 1) -> int:
-    """Rounds of temporal BFS (`flood_rounds`) needed to inform all n nodes
-    from `source`, starting on snapshot `start_round`."""
-    return sum(1 for _ in flood_rounds(schedule, (source,), start_round))
+    """Rounds of temporal BFS (`informed_rounds`) needed to inform all n
+    nodes from `source`, starting on snapshot `start_round`.  A flood that
+    stalls or meets a failed snapshot build raises its ScheduleError."""
+    sent, _, error = schedule._trace((source,), start_round)
+    if error is not None:
+        raise error
+    return len(sent)
 
 
 def dynamic_diameter(schedule: GraphSchedule, horizon: int) -> int:
-    """Max flooding time over all sources and start rounds in [1, horizon]."""
+    """Max flooding time over all sources and start rounds in [1, horizon],
+    from one batch of n rows per start round."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     best = 0
     for start in range(1, horizon + 1):
-        for source in range(schedule.n):
-            best = max(best, flooding_time(schedule, source, start))
+        rows = np.array(schedule._informed_rounds(range(schedule.n), start))[:, : schedule.n]
+        rows.sort(axis=1)
+        # A round missing from a row is one its flood stalls in, or never reaches.
+        failed = (np.diff(rows, axis=1) > 1).any(axis=1)
+        if failed.any():
+            flooding_time(schedule, int(failed.argmax()), start)  # raises that source's error
+        best = max(best, int(rows[:, -1].max()))
     return best
 
 
@@ -484,8 +558,11 @@ def read_schedule_file(path: str | Path) -> tuple[int, int | None, list[GraphSna
 
 
 def _static_source(arg: str) -> GraphSnapshot:
+    """The graph of a ``static:`` or ``perm:base=`` argument: a schedule
+    file's first snapshot, or a named graph.  An argument that exists, has a
+    path separator or ends in .jsonl is read as a file."""
     p = Path(arg)
-    if p.exists():
+    if p.exists() or p.name != arg or p.suffix == ".jsonl":
         _, _, graphs = read_schedule_file(p)
         return graphs[0]
     return named_graph(arg)

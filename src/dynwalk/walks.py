@@ -187,7 +187,10 @@ def _walk_tokens(engine, rng, sources, steps, token_bits, record_path, moving=No
         src = pos[:m]
         dst = engine.next_snapshot().nbr.take(src * d + choices[i, :m])
         engine.exchange(src, dst, token_bits)
-        pos[:m] = dst
+        if moving is None:
+            pos = dst
+        else:
+            pos[:m] = dst
         if record_path:
             trail[i + 1] = pos
     return pos, trail

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import AMPLE, make_engine
@@ -28,6 +28,7 @@ from dynwalk.graphs import (
     PermutedSchedule,
     RandomRegularSchedule,
     ScheduleError,
+    StaticSchedule,
     dynamic_diameter,
     flooding_time,
     named_graph,
@@ -455,7 +456,97 @@ def reference_outcome(sched, sources, start, budget, limit, require_complete):
     return informed, msgs
 
 
+def reference_trace(schedule, sources, start):
+    """(sent, informed, stall text) of the flood from `sources` by
+    `reference_flood`, one round more at a time until it is complete or a
+    round informs nobody."""
+    for budget in range(schedule.n + 1):
+        informed, msgs = reference_flood(schedule, sources, start, budget)
+        news = {u: t for u, t in informed.items() if u not in sources}
+        if budget and start + budget - 1 not in news.values():
+            return msgs[:-1], news, f"flood stalled at round {start + budget - 1}: snapshot disconnected"
+        if len(informed) == schedule.n:
+            return msgs, news, None
+
+
+class CycleUntil(graphs.GraphSchedule):
+    """C8 up to round `last`; building any later snapshot raises ScheduleError."""
+
+    def __init__(self, last):
+        super().__init__(8, 2, 0, "C8-until")
+        self.last = last
+
+    def _build(self, t):
+        if t > self.last:
+            raise ScheduleError(f"round {t}: no snapshot")
+        return named_graph("C8")
+
+
 class TestFloodMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(flood_cases(disconnected=True), st.booleans())
+    # Each member's row stalls in its own cycle; together they cover both.
+    @example((PeriodicSchedule([two_cycles(8)]), [0, 4], 1, 0), True)
+    # Each member's row needs 4 rounds, the union 2.
+    @example((StaticSchedule(named_graph("C8")), [4, 0], 3, 0), False)
+    # Node 0's row informs nobody in round 2, but 2 and 3 in round 3, which
+    # the union needs from it.
+    @example((PeriodicSchedule([
+        GraphSnapshot(8, [(0, 1), (4, 5), (2, 3), (6, 7)]),
+        GraphSnapshot(8, [(0, 1), (4, 6), (5, 7), (2, 3)]),
+        GraphSnapshot(8, [(1, 2), (0, 3), (4, 5), (6, 7)]),
+    ]), [0, 4], 1, 0), True)
+    def test_set_trace_matches_per_node_reference(self, case, members_first):
+        # A set flood is read from the minimum of its members' rows, whether
+        # one BFS computed them together or each flood alone did before.
+        sched, sources, start, _ = case
+        for flood in ([[s] for s in sources] if members_first else []) + [sources]:
+            sent, informed, error = sched.flood_trace(flood, start)
+            expected_sent, expected_informed, stall = reference_trace(sched, flood, start)
+            assert sent == tuple(expected_sent) and informed == expected_informed
+            assert (None if error is None else str(error)) == stall
+
+    def test_build_error_after_the_union_completes_does_not_surface(self):
+        sched = CycleUntil(2)
+        with pytest.raises(ScheduleError, match="round 3: no snapshot"):
+            flooding_time(sched, 0)  # a flood from 0 alone needs 4 rounds
+        with pytest.raises(ScheduleError, match="round 3: no snapshot"):
+            dynamic_diameter(sched, 1)
+        trace = sched.flood_trace([0, 4], 1)  # informs everyone in 2 rounds
+        assert trace.error is None and trace.sent == (4, 12)
+        assert trace.informed == {1: 1, 3: 1, 5: 1, 7: 1, 2: 2, 6: 2}
+        eng = make_engine(sched, seed=0)
+        assert len(eng.flood(8, [4, 0], 6)) == 8 and eng.round == 6
+        # A flood that reaches round 3 incomplete raises its build error.
+        eng = make_engine(sched, seed=0)
+        with pytest.raises(ScheduleError, match="round 3: no snapshot"):
+            eng.flood(8, [0, 1], 6)
+        assert eng.round == eng.log.rounds == 2
+
+    def test_rows_are_shared_by_start_rounds_a_period_apart(self):
+        sched = PeriodicSchedule([named_graph("C8"), named_graph("K8")])
+        first = sched.flood_trace([0], 1)
+        with mock.patch.object(graphs, "informed_rounds", wraps=graphs.informed_rounds) as bfs:
+            later = sched.flood_trace([0], 5)
+        assert bfs.call_count == 0
+        assert later.sent == first.sent == (2, 21)
+        assert later.informed == {v: t + 4 for v, t in first.informed.items()}
+
+    def test_rows_memo_never_grows_past_its_cap(self):
+        sched = parse_schedule_spec("rr:n=8,d=3", seed=5)
+        sched.ROWS_MEMO_CAP = 5 * 9  # five rows of n + 1 cells
+        rng = random.Random(3)
+        for start in range(1, 30):
+            sources = rng.sample(range(8), rng.randint(1, 4))
+            sent, informed, _ = sched.flood_trace(sources, start)
+            assert len(sched._rows) * 9 <= sched.ROWS_MEMO_CAP
+            assert all(row.dtype == np.int32 for row in sched._rows.values())
+            expected_sent, expected_informed, _ = reference_trace(sched, sources, start)
+            assert sent == tuple(expected_sent) and informed == expected_informed
+        # A batch of all 8 rows is larger than the cap: it is used, not kept.
+        assert dynamic_diameter(sched, 3) == max(flooding_time(sched, s, t) for s in range(8) for t in (1, 2, 3))
+        assert len(sched._rows) * 9 <= sched.ROWS_MEMO_CAP
+
     @settings(max_examples=200, deadline=None)
     @given(flood_cases(disconnected=True), st.booleans(), st.data())
     def test_cold_and_warm_memo_agree(self, case, require_complete, data):
@@ -475,7 +566,7 @@ class TestFloodMemo:
                 sched, SimConfig(bandwidth_bits=AMPLE, max_rounds=limit, record_rounds=True)
             )
             eng.idle(start - 1)
-            with mock.patch.object(graphs, "flood_rounds", wraps=graphs.flood_rounds) as bfs:
+            with mock.patch.object(graphs, "informed_rounds", wraps=graphs.informed_rounds) as bfs:
                 try:
                     got = eng.flood(8, sources, budget, require_complete)
                 except DynwalkError as exc:

@@ -722,14 +722,16 @@ class TestCli:
         assert f"{field}={value}" in self._one_line_error(capsys, code)
         assert not out.exists()
 
-    # A missing static: or perm: source is read as a graph name, so a
-    # missing file reaches the file reader only through periodic:.
+    # A static: or perm: source with a path separator or a .jsonl suffix is
+    # read as a file, even when it is missing; anything else is a graph name.
     @pytest.mark.parametrize("spec, named", [
         ("periodic:{tmp}/missing.jsonl", "{tmp}/missing.jsonl"),
+        ("static:{tmp}/missing.jsonl", "{tmp}/missing.jsonl"),
+        ("perm:base={tmp}/missing", "{tmp}/missing"), ("static:missing.jsonl", "missing.jsonl"),
         ("periodic:{tmp}", "{tmp}"), ("static:{tmp}", "{tmp}"), ("perm:base={tmp}", "{tmp}"),
         ("static:", "'static:'"), ("periodic:", "'periodic:'"), ("perm:base=", "'perm:base='"),
-    ], ids=["periodic-missing", "periodic-dir", "static-dir", "perm-dir", "static-empty",
-            "periodic-empty", "perm-empty"])
+    ], ids=["periodic-missing", "static-missing", "perm-missing", "static-missing-relative",
+            "periodic-dir", "static-dir", "perm-dir", "static-empty", "periodic-empty", "perm-empty"])
     def test_unreadable_schedule_exit_2(self, tmp_path, capsys, spec, named):
         out = tmp_path / "o"
         code = main([
