@@ -246,61 +246,56 @@ class CongestEngine:
         sources: Iterable[int],
         budget: int,
         require_complete: bool = True,
-    ) -> dict[int, int]:
+    ) -> np.ndarray:
         """Broadcast for exactly `budget` rounds from `sources`.
 
         Every informed node retransmits on all its current edges each round,
-        so per directed edge the payload travels at most once per round and
-        the accounting is closed-form.  Floods use no randomness, so the
-        rounds until every node is informed come from the schedule's memo of
-        flood traces (`GraphSchedule.flood_trace`), keyed by start round and
-        source set: a repeated flood runs no BFS and is charged exactly as a
-        fresh one.  A miss reads its sources' memoized rows of informed
-        rounds, and runs the BFS only for the rows not computed yet, each to
-        completion or n rounds, even when the budget is shorter.  The rest of the
-        budget, 2|E_t| messages a round (n*d on a declared-regular schedule,
-        building no snapshot), is charged in one step.  Returns a fresh dict
-        node -> round informed.  A negative budget raises ValueError before
-        any round is charged.  A round that informs nobody while nodes are
-        uninformed raises ScheduleError (a disconnected snapshot); a
-        complete flood inside the budget is required unless
-        `require_complete` is False (probabilistic callers).
+        so the rounds until every node is informed come from the schedule's
+        flood memo (`GraphSchedule.flood_trace`) and are charged exactly as
+        round-by-round execution would charge them; each round after that
+        sends 2|E_t| messages (n*d on a declared-regular schedule).  Returns
+        a read-only array holding, for each node, the round it is informed
+        in: the engine's round at the sources, -1 where the budget ends
+        first.  A negative budget raises ValueError before any round is
+        charged.  A round that informs nobody while nodes are uninformed
+        raises ScheduleError (a disconnected snapshot); a complete flood
+        inside the budget is required unless `require_complete` is False
+        (probabilistic callers).
         """
         if budget < 0:
             raise ValueError(f"flood budget {budget} is negative")
-        informed_round = self._flood(payload_bits, sources, budget)
-        if require_complete and len(informed_round) < self.n:
-            raise FloodIncompleteError(
-                f"flood informed {len(informed_round)}/{self.n} nodes in {budget} rounds"
-            )
-        return informed_round
+        return self._flood(payload_bits, sources, budget, require_complete)
 
     def flood_until_complete(
         self, payload_bits: int, sources: Iterable[int]
-    ) -> tuple[int, dict[int, int]]:
-        """Broadcast until everyone is informed; returns (rounds used, map).
+    ) -> tuple[int, np.ndarray]:
+        """Broadcast until everyone is informed; returns (rounds used, the
+        informed rounds as `flood` returns them).
 
         Used by protocols that may stop on completion (trivial gossip).
         Per-round connectivity bounds the rounds used by n - 1.
         """
         start = self._round
-        informed_round = self._flood(payload_bits, sources, None)
-        return self._round - start, informed_round
+        informed = self._flood(payload_bits, sources, None, require_complete=False)
+        return self._round - start, informed
 
-    def _flood(self, payload_bits: int, sources: Iterable[int], budget: int | None) -> dict[int, int]:
+    def _flood(self, payload_bits: int, sources: Iterable[int], budget: int | None, require_complete: bool) -> np.ndarray:
         """Flood for `budget` rounds, or with None until all are informed (see `flood`)."""
         if payload_bits > self.B:
             raise CongestionError(f"flood payload of {payload_bits} bits exceeds B={self.B}")
-        informed_round = dict.fromkeys(sources, self._round)
-        if not informed_round:
+        sources = list(dict.fromkeys(sources))
+        if not sources:
             raise ValueError("flood needs at least one source")
-        bad = next((s for s in informed_round if not 0 <= s < self.n), None)
+        bad = next((s for s in sources if not 0 <= s < self.n), None)
         if bad is not None:
             raise ValueError(f"flood source {bad} is outside [0, {self.n})")
         start, msgs = self._round, []
-        sent, informed, error = (), {}, None
-        if len(informed_round) < self.n and budget != 0:
-            sent, informed, error = self.schedule.flood_trace(informed_round, start + 1)
+        if len(sources) < self.n and budget != 0:
+            sent, informed, error = self.schedule.flood_trace(sources, start + 1)
+        else:  # no round can inform anyone new
+            sent, informed, error = (), np.full(self.n, -1, dtype=np.int64), None
+            informed[sources] = start
+            informed.setflags(write=False)
         run = len(sent) if budget is None else min(budget, len(sent))
         stalls = error is not None and run != budget  # the budget reaches the failing round
         tail = 0 if budget is None or stalls else budget - run  # rounds after coverage
@@ -309,8 +304,8 @@ class CongestEngine:
             bfs = min(fit, run)
             msgs += sent[:bfs]
             if bfs < len(sent):  # the budget or the round limit cuts the flood short
-                informed = {u: t for u, t in informed.items() if t <= start + bfs}
-            informed_round.update(informed)
+                informed = np.where(informed > start + bfs, -1, informed)
+                informed.setflags(write=False)
             self._round = start + bfs
             if fit > bfs:  # every node is informed, so each round left sends 2|E_t| messages
                 if self.schedule.d is None:
@@ -323,4 +318,7 @@ class CongestEngine:
         if fit < run + tail or stalls:
             self._begin_round()  # raises RoundLimitError, as round start + fit + 1 would
             raise type(error)(*error.args) from error.__cause__  # as the trace's round did
-        return informed_round
+        # Only a cut, a stall or a zero budget can leave a node uninformed.
+        if require_complete and (bfs < len(sent) or error is not None or budget == 0) and informed.min() < 0:
+            raise FloodIncompleteError(f"flood informed {np.count_nonzero(informed >= 0)}/{self.n} nodes in {budget} rounds")
+        return informed

@@ -119,7 +119,7 @@ def k_gossip_rw(
         informed = engine.flood(
             bits, sorted(holder_sets[token]), params.broadcast_rounds, require_complete=False
         )
-        coverage[np.fromiter(informed, np.int64, len(informed)), idx] = True
+        coverage[:, idx] = informed >= 0
     return GossipOutcome(
         rounds=engine.round - start_round,
         coverage=coverage,

@@ -193,6 +193,14 @@ def named_graph(name: str) -> GraphSnapshot:
     raise ValueError(f"unknown graph name: {name!r}")
 
 
+def _check_regular_shape(n: int, d: int) -> None:
+    """Raise ScheduleError unless some simple d-regular graph on n nodes exists."""
+    if n * d % 2 != 0:
+        raise ScheduleError(f"n*d must be even, got n={n}, d={d}")
+    if not 0 < d < n:
+        raise ScheduleError(f"need 0 < d < n, got n={n}, d={d}")
+
+
 def random_regular_graph(
     n: int, d: int, rng: random.Random, max_tries: int = 10_000
 ) -> GraphSnapshot:
@@ -203,10 +211,7 @@ def random_regular_graph(
     remains.  Simple graphs that come out disconnected or bipartite are
     rejected as a whole.  Capped at `max_tries` attempts in total.
     """
-    if n * d % 2 != 0:
-        raise ScheduleError(f"n*d must be even, got n={n}, d={d}")
-    if not 0 < d < n:
-        raise ScheduleError(f"need 0 < d < n, got n={n}, d={d}")
+    _check_regular_shape(n, d)
 
     def suitable(edges: set, leftovers: dict) -> bool:
         # Some pair of leftover stubs must still form a fresh edge.
@@ -256,15 +261,14 @@ class FloodTrace(NamedTuple):
     i runs on snapshot start_round + i."""
 
     sent: tuple[int, ...]  # messages sent in each round
-    informed: dict[int, int]  # node -> round informed, for each node the flood informs; read-only
+    informed: np.ndarray  # read-only: node -> absolute round informed, start_round - 1 at sources, -1 if never
     error: ScheduleError | None  # raised by the round after the last one, if any
 
 
 class GraphSchedule:
     """Base class: deterministic map from round number to snapshot."""
 
-    FLOOD_MEMO_CAP = 256  # flood traces kept (about 2.5 kB each at n = 64); cleared when full
-    ROWS_MEMO_CAP = 1 << 18  # int32 cells of informed-round rows kept (1 MiB); cleared when full
+    FLOOD_MEMO_CELLS = 1 << 18  # cells of flood memo entries kept, 2(n + 1) each; cleared when full
     period: int | None = None  # snapshot_at(t + period) == snapshot_at(t), when known
 
     def __init__(self, n: int, d: int | None, seed: int, spec: str):
@@ -274,8 +278,8 @@ class GraphSchedule:
         self.spec = spec
         self._cache: dict[int, GraphSnapshot] = {}
         self._cache_cap = 512
-        self._floods: dict[tuple[int, tuple[int, ...]], FloodTrace] = {}
-        self._rows: dict[tuple[int, int], np.ndarray] = {}
+        # (start round, source) -> [its informed_rounds row, its FloodTrace or None]
+        self._memo: dict[tuple[int, int], list] = {}
 
     def snapshot_at(self, t: int) -> GraphSnapshot:
         if t < 1:
@@ -292,46 +296,42 @@ class GraphSchedule:
         raise NotImplementedError
 
     def flood_trace(self, sources: Collection[int], start_round: int) -> FloodTrace:
-        """The flood from `sources` starting on snapshot `start_round`,
-        memoized by (start_round, sorted sources).
+        """The flood from `sources` starting on snapshot `start_round`.
 
-        Floods use no randomness, so the trace depends on nothing else.  A
-        miss builds it from its sources' `informed_rounds` rows (see
-        `_trace`), whatever budget the caller has in mind.
+        Floods use no randomness, so the trace depends on nothing else.  It
+        is read from the minimum of its sources' memoized rows (see
+        `_trace`), whatever budget the caller has in mind; a one-source
+        trace is memoized beside its row.
         """
-        key = (start_round, tuple(sorted(set(sources))))  # smaller than a frozenset
-        trace = self._floods.get(key)
-        if trace is None:
-            trace = self._trace(key[1], start_round)
-            if len(self._floods) >= self.FLOOD_MEMO_CAP:
-                self._floods.clear()
-            self._floods[key] = trace
-        return trace
+        entries = self._entries(list(set(sources)), start_round)
+        if len(entries) > 1:
+            return self._trace(np.minimum.reduce([row for row, _ in entries]), start_round)
+        entry = entries[0]
+        if entry[1] is None:
+            entry[1] = self._trace(entry[0], start_round)
+        return entry[1]
 
-    def _informed_rounds(self, sources: Sequence[int], start_round: int) -> list[np.ndarray]:
-        """The `informed_rounds` rows of the distinct `sources` from snapshot
-        `start_round`, memoized by (start round, source).
-
-        Rows count rounds from the start, so on a schedule with a period the
-        start round is keyed modulo it.  One BFS computes every missing row.
-        """
-        start_key = start_round if self.period is None else (start_round - 1) % self.period
-        rows = [self._rows.get((start_key, s)) for s in sources]
-        missing = [s for s, row in zip(sources, rows) if row is None]
-        if missing:
-            computed = informed_rounds(self, missing, start_round)
-            if (len(self._rows) + len(missing)) * (self.n + 1) > self.ROWS_MEMO_CAP:
-                self._rows.clear()
-            if len(missing) * (self.n + 1) <= self.ROWS_MEMO_CAP:
-                self._rows.update(zip([(start_key, s) for s in missing], computed))
+    def _entries(self, sources: Sequence[int], start_round: int) -> list[list]:
+        """The memo entries [row, trace or None] of the distinct `sources`
+        from snapshot `start_round`.  One `informed_rounds` BFS computes every
+        missing row.  An entry counts as two rows, room for its trace."""
+        entries = [self._memo.get((start_round, s)) for s in sources]
+        if None in entries:
+            missing = [s for s, entry in zip(sources, entries) if entry is None]
+            computed = [[row, None] for row in informed_rounds(self, missing, start_round)]
+            cells = 2 * (self.n + 1)
+            if (len(self._memo) + len(missing)) * cells > self.FLOOD_MEMO_CELLS:
+                self._memo.clear()
+            if len(missing) * cells <= self.FLOOD_MEMO_CELLS:
+                self._memo.update(zip([(start_round, s) for s in missing], computed))
             fill = iter(computed)
-            rows = [next(fill) if row is None else row for row in rows]
-        return rows
+            entries = [next(fill) if entry is None else entry for entry in entries]
+        return entries
 
-    def _trace(self, sources: Sequence[int], start_round: int) -> FloodTrace:
-        """The flood from the distinct `sources`, read from the elementwise
-        minimum of their rows: a flood from a set informs a node exactly when
-        a flood from one of its members does.
+    def _trace(self, union: np.ndarray, start_round: int) -> FloodTrace:
+        """The flood whose informed rounds are the row `union`: a flood from
+        a set informs a node exactly when a flood from one of its members
+        does, so a set's row is the minimum of its members' rows.
 
         The trace runs until every node is informed, at most n - 1 rounds,
         or to its error: a snapshot build that raised ScheduleError while
@@ -339,8 +339,6 @@ class GraphSchedule:
         while some node is uninformed (a disconnected snapshot).
         """
         n = self.n
-        rows = self._informed_rounds(sources, start_round)
-        union = np.minimum.reduce(rows) if len(rows) > 1 else rows[0]
         new = np.bincount(union[:n], minlength=n + 2).tolist()  # nodes informed in each round
         rounds = union.tolist()
         sent, error = [], None
@@ -364,11 +362,10 @@ class GraphSchedule:
             else:
                 sent.append(self.d * have)
             have += new[r]
-        informed = dict(zip(range(n), (union[:n] + (start_round - 1)).tolist()))
-        for s in sources:
-            del informed[s]
-        if have < n:  # drop the nodes the rows inform after the flood's last round
-            informed = {v: t for v, t in informed.items() if t < start_round + len(sent)}
+        informed = union[:n].astype(np.int64) + (start_round - 1)
+        if have < n:  # the nodes the row informs after the flood's last round
+            informed[union[:n] > len(sent)] = -1
+        informed.setflags(write=False)
         return FloodTrace(tuple(sent), informed, error)
 
     def __repr__(self) -> str:
@@ -414,6 +411,7 @@ class RandomRegularSchedule(GraphSchedule):
     """A fresh random d-regular connected non-bipartite graph each round."""
 
     def __init__(self, n: int, d: int, seed: int, spec: str | None = None):
+        _check_regular_shape(n, d)  # not at the first snapshot build
         super().__init__(n, d, seed, spec or f"rr:n={n},d={d}")
 
     def _build(self, t: int) -> GraphSnapshot:
@@ -484,7 +482,7 @@ def flooding_time(schedule: GraphSchedule, source: int, start_round: int = 1) ->
     """Rounds of temporal BFS (`informed_rounds`) needed to inform all n
     nodes from `source`, starting on snapshot `start_round`.  A flood that
     stalls or meets a failed snapshot build raises its ScheduleError."""
-    sent, _, error = schedule._trace((source,), start_round)
+    sent, _, error = schedule.flood_trace((source,), start_round)
     if error is not None:
         raise error
     return len(sent)
@@ -497,7 +495,7 @@ def dynamic_diameter(schedule: GraphSchedule, horizon: int) -> int:
         raise ValueError("horizon must be >= 1")
     best = 0
     for start in range(1, horizon + 1):
-        rows = np.array(schedule._informed_rounds(range(schedule.n), start))[:, : schedule.n]
+        rows = np.array([row for row, _ in schedule._entries(range(schedule.n), start)])[:, : schedule.n]
         rows.sort(axis=1)
         # A round missing from a row is one its flood stalls in, or never reaches.
         failed = (np.diff(rows, axis=1) > 1).any(axis=1)

@@ -11,6 +11,16 @@ def make_engine(schedule, seed, phi=None, bandwidth=AMPLE):
     return CongestEngine(schedule, SimConfig(seed=seed, bandwidth_bits=bandwidth, phi=phi))
 
 
+def as_dict(informed):
+    """A flood's informed-round array as {node: round} over the nodes it informs."""
+    return {v: t for v, t in enumerate(informed.tolist()) if t >= 0}
+
+
+def memo_traces(schedule):
+    """How many of the schedule's flood memo entries hold a trace."""
+    return sum(trace is not None for _, trace in schedule._memo.values())
+
+
 def empirical_tv(destinations, target):
     counts = np.bincount(np.asarray(destinations), minlength=len(target)) / len(destinations)
     return 0.5 * float(np.abs(counts - np.asarray(target)).sum())

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import AMPLE, make_engine
+from conftest import AMPLE, as_dict, make_engine, memo_traces
 from dynwalk.engine import (
     CongestEngine,
     CongestionError,
@@ -201,12 +201,12 @@ class TestFlood:
     def test_k4_budget_one(self, k4):
         eng = make_engine(k4, seed=0)
         informed = eng.flood(8, [0], budget=1)
-        assert set(informed) == set(range(4)) and eng.round == 1
+        assert set(as_dict(informed)) == set(range(4)) and eng.round == 1
 
     def test_c5_budget_two(self, c5):
         eng = make_engine(c5, seed=0)
         informed = eng.flood(8, [2], budget=2)
-        assert set(informed) == set(range(5)) and eng.round == 2
+        assert set(as_dict(informed)) == set(range(5)) and eng.round == 2
 
     def test_budget_consumed_exactly(self, k4):
         eng = make_engine(k4, seed=0)
@@ -224,12 +224,12 @@ class TestFlood:
         phi = dynamic_diameter(sched, 8)
         eng = make_engine(sched, seed=1)
         informed = eng.flood(8, [0], budget=phi)
-        assert len(informed) == 8
+        assert len(as_dict(informed)) == 8
 
     def test_flood_until_complete_rounds(self, c5):
         eng = make_engine(c5, seed=0)
         used, informed = eng.flood_until_complete(8, [0])
-        assert used == 2 and len(informed) == 5
+        assert used == 2 and len(as_dict(informed)) == 5
 
     def test_payload_exceeding_bandwidth(self, k4):
         eng = make_engine(k4, seed=0, bandwidth=4)
@@ -284,9 +284,9 @@ class TestDisconnectedSnapshot:
         sched = PeriodicSchedule([two_cycles(10)])
         with pytest.raises(ScheduleError, match="flood stalled at round 3"):
             make_engine(sched, seed=0).flood(8, [0], 3, require_complete=False)
-        assert make_engine(sched, seed=0).flood(8, [0], 1, require_complete=False) == {0: 0, 1: 1, 4: 1}
+        assert as_dict(make_engine(sched, seed=0).flood(8, [0], 1, require_complete=False)) == {0: 0, 1: 1, 4: 1}
         eng = make_engine(sched, seed=0)
-        assert eng.flood(8, [0], 2, require_complete=False) == {0: 0, 1: 1, 4: 1, 2: 2, 3: 2}
+        assert as_dict(eng.flood(8, [0], 2, require_complete=False)) == {0: 0, 1: 1, 4: 1, 2: 2, 3: 2}
         assert eng.round == eng.log.rounds == 2 and eng.log.total_msgs == 2 + 6
 
     def test_stall_detected_under_optimize(self):
@@ -375,7 +375,7 @@ class TestFloodProperty:
                 with pytest.raises(FloodIncompleteError):
                     eng.flood(8, sources, budget, require_complete)
             else:
-                assert eng.flood(8, sources, budget, require_complete) == expected
+                assert as_dict(eng.flood(8, sources, budget, require_complete)) == expected
             assert eng.round == start - 1 + budget
             summaries.append(eng.log.summary())
             if keep:
@@ -418,7 +418,7 @@ class TestFloodProperty:
         eng = CongestEngine(sched, SimConfig(bandwidth_bits=AMPLE))
         eng.idle(start - 1)
         used, informed = eng.flood_until_complete(8, sources)
-        assert informed == expected and len(informed) == sched.n
+        assert as_dict(informed) == expected and len(as_dict(informed)) == sched.n
         assert used == max(expected.values()) - (start - 1) == eng.round - (start - 1)
         eng = CongestEngine(sched, SimConfig(bandwidth_bits=AMPLE))
         eng.idle(start - 1)
@@ -434,7 +434,7 @@ class TestFloodProperty:
         sched.snapshot_at = lambda t: asked.append(t) or snapshot_at(t)
         eng = CongestEngine(sched, SimConfig(bandwidth_bits=AMPLE))
         informed = eng.flood(8, [0], 40)
-        assert len(informed) == 16 and eng.round == 40
+        assert len(as_dict(informed)) == 16 and eng.round == 40
         assert asked == list(range(1, covered + 1))
         _, msgs = reference_flood(RandomRegularSchedule(16, 3, seed=8), [0], 1, 40)
         assert msgs[covered:] == [16 * 3] * (40 - covered)
@@ -464,9 +464,9 @@ def reference_trace(schedule, sources, start):
         informed, msgs = reference_flood(schedule, sources, start, budget)
         news = {u: t for u, t in informed.items() if u not in sources}
         if budget and start + budget - 1 not in news.values():
-            return msgs[:-1], news, f"flood stalled at round {start + budget - 1}: snapshot disconnected"
+            return msgs[:-1], informed, f"flood stalled at round {start + budget - 1}: snapshot disconnected"
         if len(informed) == schedule.n:
-            return msgs, news, None
+            return msgs, informed, None
 
 
 class CycleUntil(graphs.GraphSchedule):
@@ -503,7 +503,7 @@ class TestFloodMemo:
         for flood in ([[s] for s in sources] if members_first else []) + [sources]:
             sent, informed, error = sched.flood_trace(flood, start)
             expected_sent, expected_informed, stall = reference_trace(sched, flood, start)
-            assert sent == tuple(expected_sent) and informed == expected_informed
+            assert sent == tuple(expected_sent) and as_dict(informed) == expected_informed
             assert (None if error is None else str(error)) == stall
 
     def test_build_error_after_the_union_completes_does_not_surface(self):
@@ -514,45 +514,60 @@ class TestFloodMemo:
             dynamic_diameter(sched, 1)
         trace = sched.flood_trace([0, 4], 1)  # informs everyone in 2 rounds
         assert trace.error is None and trace.sent == (4, 12)
-        assert trace.informed == {1: 1, 3: 1, 5: 1, 7: 1, 2: 2, 6: 2}
+        assert as_dict(trace.informed) == {0: 0, 4: 0, 1: 1, 3: 1, 5: 1, 7: 1, 2: 2, 6: 2}
         eng = make_engine(sched, seed=0)
-        assert len(eng.flood(8, [4, 0], 6)) == 8 and eng.round == 6
+        assert len(as_dict(eng.flood(8, [4, 0], 6))) == 8 and eng.round == 6
         # A flood that reaches round 3 incomplete raises its build error.
         eng = make_engine(sched, seed=0)
         with pytest.raises(ScheduleError, match="round 3: no snapshot"):
             eng.flood(8, [0, 1], 6)
         assert eng.round == eng.log.rounds == 2
 
-    def test_rows_are_shared_by_start_rounds_a_period_apart(self):
-        sched = PeriodicSchedule([named_graph("C8"), named_graph("K8")])
-        first = sched.flood_trace([0], 1)
-        with mock.patch.object(graphs, "informed_rounds", wraps=graphs.informed_rounds) as bfs:
-            later = sched.flood_trace([0], 5)
-        assert bfs.call_count == 0
-        assert later.sent == first.sent == (2, 21)
-        assert later.informed == {v: t + 4 for v, t in first.informed.items()}
-
     def test_rows_memo_never_grows_past_its_cap(self):
         sched = parse_schedule_spec("rr:n=8,d=3", seed=5)
-        sched.ROWS_MEMO_CAP = 5 * 9  # five rows of n + 1 cells
+        sched.FLOOD_MEMO_CELLS = 5 * 2 * 9  # five entries of two rows of n + 1 cells
         rng = random.Random(3)
         for start in range(1, 30):
             sources = rng.sample(range(8), rng.randint(1, 4))
             sent, informed, _ = sched.flood_trace(sources, start)
-            assert len(sched._rows) * 9 <= sched.ROWS_MEMO_CAP
-            assert all(row.dtype == np.int32 for row in sched._rows.values())
+            assert len(sched._memo) * 2 * 9 <= sched.FLOOD_MEMO_CELLS
+            assert all(row.dtype == np.int32 for row, _ in sched._memo.values())
             expected_sent, expected_informed, _ = reference_trace(sched, sources, start)
-            assert sent == tuple(expected_sent) and informed == expected_informed
+            assert sent == tuple(expected_sent) and as_dict(informed) == expected_informed
         # A batch of all 8 rows is larger than the cap: it is used, not kept.
         assert dynamic_diameter(sched, 3) == max(flooding_time(sched, s, t) for s in range(8) for t in (1, 2, 3))
-        assert len(sched._rows) * 9 <= sched.ROWS_MEMO_CAP
+        assert len(sched._memo) * 2 * 9 <= sched.FLOOD_MEMO_CELLS
+
+    def test_cap_counts_two_rows_per_entry(self):
+        # Room for four rows of n + 1 cells is room for two entries: a row
+        # each, and its trace's informed array.
+        sched = parse_schedule_spec("static:C8")
+        sched.FLOOD_MEMO_CELLS = 4 * 9
+        for source in (0, 1):
+            sched.flood_trace([source], 1)
+        assert sorted(sched._memo) == [(1, 0), (1, 1)] and memo_traces(sched) == 2
+        sched.flood_trace([2], 1)  # a third entry clears the memo first
+        assert sorted(sched._memo) == [(1, 2)] and memo_traces(sched) == 1
+
+    def test_set_flood_stores_no_trace(self):
+        sched = parse_schedule_spec("static:C8")
+        trace = sched.flood_trace([0, 4], 3)
+        assert sorted(sched._memo) == [(3, 0), (3, 4)] and memo_traces(sched) == 0
+        with mock.patch.object(graphs, "informed_rounds", wraps=graphs.informed_rounds) as bfs:
+            again = sched.flood_trace([4, 0], 3)
+        assert bfs.call_count == 0  # read again from the members' rows
+        assert again is not trace and again.sent == trace.sent == (4, 12)
+        assert again.informed.tolist() == trace.informed.tolist() == [2, 3, 4, 3, 2, 3, 4, 3]
+        assert sched.flood_trace([0], 3) is sched.flood_trace([0], 3)
+        assert memo_traces(sched) == 1
 
     @settings(max_examples=200, deadline=None)
     @given(flood_cases(disconnected=True), st.booleans(), st.data())
     def test_cold_and_warm_memo_agree(self, case, require_complete, data):
         # The same flood on two fresh engines over one schedule: the first
         # runs the BFS and fills the memo, the second charges the memo's
-        # trace.  Both do what the per-node reference does.
+        # rows, and a one-source flood its trace.  Both do what the per-node
+        # reference does.
         sched, sources, start, budget = case
         limit = data.draw(
             st.one_of(st.just(SimConfig.max_rounds), st.integers(start - 1, start + 2 * sched.n)),
@@ -568,26 +583,41 @@ class TestFloodMemo:
             eng.idle(start - 1)
             with mock.patch.object(graphs, "informed_rounds", wraps=graphs.informed_rounds) as bfs:
                 try:
-                    got = eng.flood(8, sources, budget, require_complete)
+                    informed = eng.flood(8, sources, budget, require_complete)
+                    assert not informed.flags.writeable  # must not reach the memo
+                    got = as_dict(informed)
                 except DynwalkError as exc:
                     got = (type(exc), str(exc))
             assert bfs.call_count == bfs_calls
-            assert len(sched._floods) == int(traced)
+            assert len(sched._memo) == (len(set(sources)) if traced else 0)
+            assert memo_traces(sched) == int(traced and len(set(sources)) == 1)
             records = [(r.t, r.msgs, r.max_edge_bits) for r in eng.log.records]
             runs.append((got, eng.round, eng.log.summary(), records))
             assert got == expected
             assert records[start - 1:] == [(t, m, 8 if m else 0) for t, m in enumerate(msgs, start)]
             assert eng.round == eng.log.rounds == start - 1 + len(msgs)
-            if isinstance(got, dict):
-                got.clear()  # must not reach the memo
         assert runs[0][1:] == runs[1][1:]
 
-    def test_returned_dicts_are_fresh(self):
+    def test_repeated_flood_returns_the_same_read_only_array(self):
         c5 = parse_schedule_spec("static:C5")
         first = make_engine(c5, seed=0).flood(8, [0], 2)
-        first[0] = 99
-        first.pop(1)
-        assert make_engine(c5, seed=0).flood(8, [0], 2) == {0: 0, 1: 1, 4: 1, 2: 2, 3: 2}
+        with pytest.raises(ValueError):
+            first[0] = 99
+        again = make_engine(c5, seed=0).flood(8, [0], 2)
+        assert again is first
+        assert as_dict(again) == {0: 0, 1: 1, 4: 1, 2: 2, 3: 2}
+
+    def test_budget_cut_reads_minus_one_past_the_cut(self):
+        c9 = parse_schedule_spec("static:C9")
+        eng = make_engine(c9, seed=0)
+        eng.idle(3)
+        informed = eng.flood(8, [0], 2, require_complete=False)
+        assert informed.tolist() == [3, 4, 5, -1, -1, -1, -1, 5, 4]
+        assert not informed.flags.writeable
+        # The memo keeps the whole flood; the cut array is a copy.
+        assert c9.flood_trace([0], 4).informed.tolist() == [3, 4, 5, 6, 7, 7, 6, 5, 4]
+        with pytest.raises(FloodIncompleteError, match="flood informed 5/9 nodes in 2 rounds"):
+            make_engine(c9, seed=0).flood(8, [0], 2)
 
 
 class TestEncodings:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_engine
+from conftest import as_dict, make_engine, memo_traces
 from dynwalk import oracle
 from dynwalk.harness import ExperimentConfig, resolve_phi
 from dynwalk.graphs import (
@@ -207,6 +207,19 @@ class TestSchedules:
         with pytest.raises(ScheduleError):
             random_regular_graph(7, 3, random.Random(1))
 
+    @pytest.mark.parametrize("n, d, text", [
+        (5, 3, "n*d must be even, got n=5, d=3"),
+        (4, 4, "need 0 < d < n, got n=4, d=4"),
+        (6, 0, "need 0 < d < n, got n=6, d=0"),
+    ])
+    def test_rr_shape_rejected_when_built(self, n, d, text):
+        with pytest.raises(ScheduleError, match=re.escape(text)):
+            RandomRegularSchedule(n, d, seed=0)
+        with pytest.raises(ScheduleError, match=re.escape(text)):
+            parse_schedule_spec(f"rr:n={n},d={d}")
+        with pytest.raises(ScheduleError, match=re.escape(text)):
+            random_regular_graph(n, d, random.Random(1))
+
     def test_perm_preserves_invariants(self):
         base = random_regular_graph(12, 3, random.Random(5))
         sched = PermutedSchedule(base, seed=9)
@@ -271,46 +284,38 @@ class TestFlooding:
 
 
 class TestFloodMemo:
-    def test_memo_never_grows_past_its_cap(self):
-        sched = parse_schedule_spec("rr:n=8,d=3", seed=5)
-        cap = sched.FLOOD_MEMO_CAP
-        keys = [(start, (src,)) for start in range(1, cap // 8 + 10) for src in range(8)]
-        assert len(keys) > cap
-        for start, sources in keys:
-            trace = sched.flood_trace(sources, start)
-            assert len(sched._floods) <= cap
-            assert sched._floods[(start, sources)] is trace
-            rounds = flooding_time(sched, sources[0], start)
-            assert len(trace.sent) == rounds and max(trace.informed.values()) == start + rounds - 1
-
     def test_hit_returns_the_stored_trace(self):
         sched = parse_schedule_spec("perm:base=petersen", seed=2)
-        trace = sched.flood_trace([3, 1], 4)
-        assert sched.flood_trace((1, 3, 3), 4) is trace
-        assert sched.flood_trace([1, 3], 5) is not trace
-        assert sorted(trace.informed) == [0, 2] + list(range(4, 10))
-        assert min(trace.informed.values()) == 4 and trace.error is None
+        trace = sched.flood_trace([3], 4)
+        assert sched.flood_trace((3, 3), 4) is trace
+        assert sched.flood_trace([3], 5) is not trace
+        assert sorted(as_dict(trace.informed)) == list(range(10)) and trace.error is None
+        assert trace.informed[3] == 3 and min(np.delete(trace.informed, 3)) == 4
+        pair = sched.flood_trace([3, 1], 4)  # a set trace is read from the rows on every call
+        news = {v: t for v, t in as_dict(pair.informed).items() if v not in (1, 3)}
+        assert sorted(news) == [0, 2] + list(range(4, 10))
+        assert min(news.values()) == 4 and pair.error is None
 
     def test_stall_is_kept_in_the_trace(self, triangles):
         trace = triangles.flood_trace([0], 2)
-        assert trace.sent == (2,) and trace.informed == {1: 2, 2: 2}
+        assert trace.sent == (2,) and as_dict(trace.informed) == {0: 1, 1: 2, 2: 2}
+        assert trace.informed.tolist() == [1, 2, 2, -1, -1, -1]
         assert isinstance(trace.error, ScheduleError)
         assert str(trace.error) == "flood stalled at round 3: snapshot disconnected"
 
     @pytest.mark.parametrize(
         "setup",
         [
-            lambda s: flooding_time(s, 0, 3),
             lambda s: dynamic_diameter(s, 4),
             lambda s: resolve_phi(ExperimentConfig(s.spec, "single"), s),
         ],
-        ids=["flooding_time", "dynamic_diameter", "resolve_phi"],
+        ids=["dynamic_diameter", "resolve_phi"],
     )
-    def test_set_up_paths_leave_the_memo_empty(self, setup):
+    def test_set_up_paths_build_no_trace(self, setup):
         sched = parse_schedule_spec("rr:n=8,d=3", seed=5)
-        assert not sched._floods
+        assert not sched._memo
         setup(sched)
-        assert not sched._floods
+        assert sched._memo and memo_traces(sched) == 0
 
 
 class TestFilesAndSpecs:

@@ -8,6 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from conftest import memo_traces
 from dynwalk.cli import EXIT_CONFIG_ERROR, EXIT_OK, _build_parser, _config_from_args, main
 from dynwalk import harness, oracle
 from dynwalk.harness import (
@@ -281,7 +282,7 @@ class TestFloodMemoIndependence:
         phi, tau = resolve_phi(cfg, schedule), resolve_tau(cfg, schedule)
         seed = cfg.seed_base + cfg.seeds - 1
         engine = CongestEngine(schedule, SimConfig(seed=seed, bandwidth_bits=cfg.bandwidth, phi=phi))
-        assert not schedule._floods
+        assert memo_traces(schedule) == 0
         return seed, run(engine, schedule.n, phi, tau)
 
     def test_gossip(self, tmp_path):
@@ -766,6 +767,30 @@ class TestCli:
         out = tmp_path / "o"
         code = main(["run", "--schedule", spec, "--algo", "naive", "--tau", "4", "--out", str(out)])
         assert f"{spec!r}: unknown or repeated key {key!r}" in self._one_line_error(capsys, code)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec, text", [
+        ("rr:n=5,d=3", "n*d must be even"), ("rr:n=4,d=4", "need 0 < d < n"),
+    ])
+    def test_impossible_rr_shape_run_exit_2(self, tmp_path, capsys, spec, text):
+        # The run used to fail at the first snapshot build, after making its
+        # output directory.
+        out = tmp_path / "o1"
+        code = main([
+            "run", "--schedule", spec, "--algo", "naive", "--tau", "5", "--seeds", "2",
+            "--out", str(out),
+        ])
+        assert text in self._one_line_error(capsys, code)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec, text", [
+        ("rr:n=5,d=3", "n*d must be even"), ("rr:n=4,d=4", "need 0 < d < n"),
+    ])
+    def test_impossible_rr_shape_schedule_exit_2(self, tmp_path, capsys, spec, text):
+        # The file used to be left holding its header only.
+        out = tmp_path / "s.jsonl"
+        code = main(["schedule", "--schedule", spec, "--rounds", "3", "--out", str(out)])
+        assert text in self._one_line_error(capsys, code)
         assert not out.exists()
 
     def test_schedule_rounds_exit_2(self, tmp_path, capsys):
