@@ -61,11 +61,13 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {args.rounds} snapshots to {args.out}")
             return EXIT_OK
         config = _config_from_args(args)
+        # Parsed here, so a bad spec is a config error in both subcommands.
+        schedule = parse_schedule_spec(config.schedule, seed=config.adversary_seed())
     except (DynwalkError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     try:
-        report, code = run_experiment(config)
+        report, code = run_experiment(config, schedule)
     except (DynwalkError, ValueError) as exc:
         print(f"run error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

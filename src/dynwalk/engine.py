@@ -2,8 +2,9 @@
 
 Messages sent at round t travel only edges of E_t and arrive at the end of
 round t.  A round is one `exchange` call carrying all of that round's
-messages as arrays; per directed edge and round, the bits sent are capped
-at B and an overflow aborts the run.  Every round is accounted in a
+messages as one array of ports (a node and the index of one of its current
+edges), so a message can only name an edge that exists; per directed edge
+and round, the bits sent are capped at B and an overflow aborts the run.  Every round is accounted in a
 RoundLog whose totals are the run's cost in the paper's sense (local
 computation is free, rounds are the currency).
 
@@ -19,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import DynwalkError, GraphSchedule, GraphSnapshot, derive_seed
+from .graphs import DynwalkError, GraphSchedule, derive_seed
 
 __all__ = [
     "SimConfig",
@@ -176,62 +177,50 @@ class CongestEngine:
             self._streams[tag] = rng
         return rng
 
-    def next_snapshot(self) -> GraphSnapshot:
-        """Topology of the round about to execute (round round+1)."""
-        return self.schedule.snapshot_at(self._round + 1)
-
     def _begin_round(self) -> int:
         t = self._round + 1
         if t > self.config.max_rounds:
             raise RoundLimitError(f"exceeded max_rounds={self.config.max_rounds}")
         return t
 
-    def exchange(self, src, dst, bits: int) -> None:
-        """Execute one round: message i travels src[i] -> dst[i] carrying `bits`.
+    def exchange(self, slots, bits: int) -> np.ndarray:
+        """Execute one round: message i leaves node slots[i] // w on its port
+        slots[i] % w, carrying `bits`; returns the destinations.
 
-        `src` and `dst` are equal-length int arrays; every message of a round
-        has the same size.  Every pair must be an edge of this round's
-        snapshot (checked by one gather from its flat n*n `edge_mask`, built
-        on first use, n^2 bytes, shared with its round clones), and per
-        directed edge the bits sum to at most B.  Callers know where each
-        message goes, so nothing is returned; an empty round is logged like
-        an idle one.
+        Ports index round t's neighbor table `nbr` (n rows of width w, the
+        maximum degree: w = d on a declared-degree schedule), so a slot names
+        one directed edge and the destinations are one gather from the table.
+        A slot outside [0, n*w), or one on a row's -1 padding (a node with
+        fewer than w neighbors), raises ProtocolError; per directed edge the
+        bits sum to at most B.  Every message of a round has the same size;
+        an empty round is logged like an idle one.
         """
         t = self._begin_round()
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        msgs = len(src)
-        if len(dst) != msgs:
-            raise ValueError(f"round {t}: {msgs} sources but {len(dst)} destinations")
-        top = 0
-        if msgs:
-            n = self.n
-            try:
-                keys = np.ravel_multi_index((src, dst), (n, n))
-            except ValueError:  # an id outside [0, n)
-                keys = None
-            mask = self.schedule.snapshot_at(t).edge_mask
-            if keys is None or np.count_nonzero(mask.take(keys)) != msgs:
-                self._reject(t, src, dst)
-            counts = np.bincount(keys)
+        slots = np.asarray(slots, dtype=np.int64)
+        dst, top = slots, 0
+        if len(slots):
+            g = self.schedule.snapshot_at(t)
+            nbr = g.nbr
+            # A negative slot wraps to a huge unsigned value: one max checks both ends.
+            if slots.view(np.uint64).max() >= nbr.size:
+                s = int(slots[(slots.view(np.uint64) >= nbr.size).argmax()])
+                raise ProtocolError(f"round {t}: slot {s} is outside the {nbr.shape[0]}x{nbr.shape[1]} port table of G_{t}")
+            dst = nbr.take(slots)
+            if g.padded and dst.min() < 0:
+                u, j = divmod(int(slots[dst.argmin()]), nbr.shape[1])
+                raise ProtocolError(f"round {t}: node {u} has no port {j} in G_{t}")
+            # adj rows are sorted, so the smallest busiest slot is the smallest busiest (u, v).
+            counts = np.bincount(slots)
             e = int(counts.argmax())
             top = counts.item(e) * bits
             if top > self.B:
                 self.log.congestion_events += 1
                 raise CongestionError(
-                    f"round {t}: edge ({e // n},{e % n}) would carry {top} bits > B={self.B}"
+                    f"round {t}: edge ({e // nbr.shape[1]},{nbr.item(e)}) would carry {top} bits > B={self.B}"
                 )
-        self.log.observe(t, (msgs,), top)
+        self.log.observe(t, (len(slots),), top)
         self._round = t
-
-    def _reject(self, t: int, src: np.ndarray, dst: np.ndarray) -> None:
-        """Raise ProtocolError naming the first message sent off G_t's edges."""
-        g = self.schedule.snapshot_at(t)
-        u, v = next(
-            (u, v) for u, v in zip(src.tolist(), dst.tolist())
-            if not g.has_edge(u, v)
-        )
-        raise ProtocolError(f"round {t}: ({u},{v}) is not an edge of G_{t}")
+        return dst
 
     def idle(self, rounds: int = 1) -> None:
         """Consume rounds with no traffic (still logged)."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
+from itertools import chain
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Iterable, NamedTuple, Sequence
@@ -71,7 +72,7 @@ def derive_seed(*parts: int) -> int:
 class GraphSnapshot:
     """One round's topology: a simple undirected graph on nodes [0, n)."""
 
-    __slots__ = ("n", "edges", "adj", "_nbr", "_mask")
+    __slots__ = ("n", "edges", "adj", "_nbr", "_padded")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         norm = set()
@@ -89,37 +90,37 @@ class GraphSnapshot:
             adj[v].append(u)
         self.adj = tuple(tuple(a) for a in adj)
         self._nbr: np.ndarray | None = None
-        self._mask: np.ndarray | None = None
+        self._padded = False
 
     @property
     def nbr(self) -> np.ndarray:
         """Neighbor table, built on first use: row v lists adj[v], padded up to
-        the maximum degree with -1 (no node id)."""
+        the maximum degree with -1 (no node id); `padded` tells whether any
+        row is."""
         if self._nbr is None:
-            nbr = np.full((self.n, max(map(len, self.adj), default=0)), -1, dtype=np.int64)
-            for v, a in enumerate(self.adj):
-                nbr[v, : len(a)] = a
+            deg = np.fromiter(map(len, self.adj), dtype=np.int64, count=self.n)
+            nbr = np.full((self.n, deg.max(initial=0)), -1, dtype=np.int64)
+            nbr[np.arange(nbr.shape[1]) < deg[:, None]] = np.fromiter(
+                chain.from_iterable(self.adj), dtype=np.int64, count=2 * len(self.edges)
+            )
+            self._padded = nbr.size > 2 * len(self.edges)
             self._nbr = nbr
         return self._nbr
 
     @property
-    def edge_mask(self) -> np.ndarray:
-        """Flat n*n boolean edge lookup, built on first use: mask[u*n + v] is
-        True iff (u, v) is an edge."""
-        if self._mask is None:
-            nbr = self.nbr
-            rows, cols = np.nonzero(nbr >= 0)
-            mask = np.zeros(self.n * self.n, dtype=bool)
-            mask[rows * self.n + nbr[rows, cols]] = True
-            self._mask = mask
-        return self._mask
+    def padded(self) -> bool:
+        """Whether some row of `nbr` ends in -1 padding (the degrees differ);
+        the flag is set when the table is built."""
+        if self._nbr is None:
+            self.nbr  # builds the table and sets the flag
+        return self._padded
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether (u, v) is an edge; False when either id is outside [0, n)."""
-        return 0 <= u < self.n and 0 <= v < self.n and bool(self.edge_mask[u * self.n + v])
+        return (u, v) in self.edges or (v, u) in self.edges
 
     def __eq__(self, other) -> bool:
         return (

@@ -220,13 +220,15 @@ def _oracle_tv(schedule, source: int, tau: int, destinations: list[int]) -> floa
     return oracle_mod.tv_distance(counts, p)
 
 
-def run_experiment(config: ExperimentConfig) -> tuple[RunReport, int]:
+def run_experiment(config: ExperimentConfig, schedule: GraphSchedule | None = None) -> tuple[RunReport, int]:
     """Execute the configured algorithm over the seed sweep.
 
-    Returns (report, exit_code): 0 pass, 1 property failure, 2 on
+    `schedule` is the one `config.schedule` names, parsed here when not
+    given.  Returns (report, exit_code): 0 pass, 1 property failure, 2 on
     config/schedule errors (raised as exceptions by lower layers).
     """
-    schedule = parse_schedule_spec(config.schedule, seed=config.adversary_seed())
+    if schedule is None:
+        schedule = parse_schedule_spec(config.schedule, seed=config.adversary_seed())
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -12,7 +12,8 @@ finishes the remainder below 2*lambda naively on live snapshots.
 Every token step (Phase 1's coupons, naive walks, a stitched walk's
 fallbacks and tail) goes through one round loop, `_walk_tokens`: positions
 and neighbor choices are numpy arrays, and one `CongestEngine.exchange`
-call carries the round's messages.  Each step is an independent uniform
+call carries the round's messages, each addressed by its sender's port, and
+returns where they land, so walks never read a snapshot.  Each step is an independent uniform
 choice drawn from the engine's stream for its purpose (Phase 1, stitching,
 naive steps), taken in one call per phase or per walk; which draw feeds
 which step is a matter of bookkeeping, so the walks' laws are those of the
@@ -172,8 +173,9 @@ def _walk_tokens(engine, rng, sources, steps, token_bits, record_path, moving=No
     """Move one token per source for `steps` rounds: in round i the first
     `moving[i]` tokens take a step (all of them when `moving` is None).
 
-    A token at v with draw j in [0, d) moves to v's j-th current neighbor.
-    The (steps, k) draws come from `rng` in one call.  Returns the final
+    A token at v with draw j in [0, d) leaves on v's port j, slot v*d + j of
+    the engine's `exchange`, which returns where each token lands.  The
+    (steps, k) draws come from `rng` in one call.  Returns the final
     positions and, with `record_path`, the (steps + 1, k) array of positions
     after each round.
     """
@@ -184,9 +186,7 @@ def _walk_tokens(engine, rng, sources, steps, token_bits, record_path, moving=No
     if record_path:
         trail[0] = pos
     for i, m in enumerate(moving or [len(pos)] * steps):
-        src = pos[:m]
-        dst = engine.next_snapshot().nbr.take(src * d + choices[i, :m])
-        engine.exchange(src, dst, token_bits)
+        dst = engine.exchange(pos[:m] * d + choices[i, :m], token_bits)
         if moving is None:
             pos = dst
         else:

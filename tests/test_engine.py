@@ -40,15 +40,23 @@ SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestExchange:
-    def test_non_edge_rejected(self, c5):
+    @pytest.mark.parametrize("slot", [-1, 10, 10**9, -(10**9)])
+    def test_slot_off_the_table_rejected(self, c5, slot):
         eng = make_engine(c5, seed=0)
-        with pytest.raises(ProtocolError):
-            eng.exchange([0], [2], 4)  # C5: 0-2 not an edge
+        with pytest.raises(ProtocolError, match=f"round 1: slot {slot} is outside the 5x2 port table of G_1"):
+            eng.exchange([0, slot], 4)  # C5: 5 nodes of 2 ports
+        assert eng.round == 0
+
+    def test_port_past_degree_rejected(self):
+        eng = make_engine(StaticSchedule(named_graph("star4")), seed=0)
+        assert eng.exchange([0, 3, 4], 4).tolist() == [1, 4, 0]
+        with pytest.raises(ProtocolError, match="round 2: node 1 has no port 1 in G_2"):
+            eng.exchange([0, 5, 6], 4)  # a leaf's row is padded past port 0
 
     def test_strict_overflow_names_round_and_edge(self, k4):
         eng = make_engine(k4, seed=0, bandwidth=10)
         with pytest.raises(CongestionError) as err:
-            eng.exchange([0, 0], [1, 1], 6)
+            eng.exchange([0, 0], 6)  # node 0, port 0: the edge (0,1)
         assert "round 1" in str(err.value) and "(0,1)" in str(err.value)
 
     def test_delivery_matches_schedule(self):
@@ -58,12 +66,10 @@ class TestExchange:
         eng = CongestEngine(sched, SimConfig(seed=1, bandwidth_bits=AMPLE, record_rounds=True))
         for t in range(1, 30):
             g = sched.snapshot_at(t)
-            u = int(rng.integers(10))
-            v = g.adj[u][int(rng.integers(3))]
-            off = next(w for w in range(10) if w != u and not g.has_edge(u, w))
-            with pytest.raises(ProtocolError, match=f"round {t}: \\({u},{off}\\)"):
-                eng.exchange([u], [off], 4)
-            eng.exchange([u], [v], 4)
+            u, j = int(rng.integers(10)), int(rng.integers(3))
+            with pytest.raises(ProtocolError, match=f"round {t}: slot 30 "):
+                eng.exchange([u * 3 + j, 30], 4)
+            assert eng.exchange([u * 3 + j], 4).tolist() == [g.adj[u][j]]
             rec = eng.log.records[-1]
             assert (rec.t, rec.msgs, rec.max_edge_bits) == (t, 1, 4)
 
@@ -76,13 +82,8 @@ class TestExchange:
     def test_determinism(self, rr16):
         def one_run(seed):
             eng = CongestEngine(rr16, SimConfig(seed=seed, bandwidth_bits=AMPLE, record_rounds=True))
-            receivers = []
-            for t in range(1, 11):
-                g = eng.next_snapshot()
-                rng = eng.stream(7)
-                v = g.adj[0][int(rng.integers(len(g.adj[0])))]
-                eng.exchange([0], [v], 5)
-                receivers.append(v)
+            rng = eng.stream(7)
+            receivers = [int(eng.exchange([int(rng.integers(3))], 5)[0]) for _ in range(10)]
             return eng.log.summary(), eng.log.records, receivers
 
         assert one_run(42) == one_run(42)
@@ -90,31 +91,45 @@ class TestExchange:
 
     def test_roundlog_totals_match_records(self, k4):
         eng = CongestEngine(k4, SimConfig(bandwidth_bits=AMPLE, record_rounds=True))
-        eng.exchange([0, 1], [1, 2], 4)
+        assert eng.exchange([0, 4], 4).tolist() == [1, 2]
         eng.idle(1)
-        eng.exchange([2], [3], 4)
+        assert eng.exchange([8], 4).tolist() == [3]
         assert eng.log.rounds == len(eng.log.records) == 3
         assert eng.log.total_msgs == sum(r.msgs for r in eng.log.records) == 3
         assert eng.log.max_edge_bits == max(r.max_edge_bits for r in eng.log.records)
         assert len(eng.log.jsonl_records()) == 3
 
 
-def reference_exchange(g, B, t, sends, bits):
-    """Per-message dict model of one round: (error type, text) or (msgs, max edge bits).
+def reference_exchange(g, B, t, slots, bits):
+    """Per-message model of one round: (error type, text) or (msgs, max edge
+    bits, destinations).
 
-    Edges are looked up in `g.edges`, not through `has_edge`, which reads the
-    same edge mask as `exchange`."""
-    for u, v in sends:
-        if (min(u, v), max(u, v)) not in g.edges:
-            return ProtocolError, f"round {t}: ({u},{v}) is not an edge of G_{t}"
+    Slot u*w + j is node u's port j, where w is the maximum degree; ports are
+    read from `g.adj`, not from the neighbor table `exchange` gathers from.
+    Loads are summed per (u, v), so the busiest edge is named as before ports."""
+    n, w = g.n, max(map(len, g.adj), default=0)
+    for s in slots:
+        if not 0 <= s < n * w:
+            return ProtocolError, f"round {t}: slot {s} is outside the {n}x{w} port table of G_{t}"
+    sends = [divmod(s, w) for s in slots]
+    for u, j in sends:
+        if j >= len(g.adj[u]):
+            return ProtocolError, f"round {t}: node {u} has no port {j} in G_{t}"
     load = {}
-    for u, v in sends:
-        load[(u, v)] = load.get((u, v), 0) + bits
+    for u, j in sends:
+        e = (u, g.adj[u][j])
+        load[e] = load.get(e, 0) + bits
     top = max(load.values(), default=0)
     if top > B:
         u, v = min(e for e, x in load.items() if x == top)
         return CongestionError, f"round {t}: edge ({u},{v}) would carry {top} bits > B={B}"
-    return len(sends), top
+    return len(slots), top, [g.adj[u][j] for u, j in sends]
+
+
+def off_table_slots(n, w):
+    # Just outside [0, n*w) (-1 is also the neighbor table's padding value)
+    # and far beyond it (which must not size any per-edge array).
+    return st.one_of(st.sampled_from([-1, n * w, -(10**9), 10**9]), st.integers(-n * w, n * w + n))
 
 
 @st.composite
@@ -124,62 +139,57 @@ def exchange_rounds(draw):
     B = draw(st.integers(4, 40))
     rounds = []
     for _ in range(draw(st.integers(1, 4))):
-        t = len(rounds) + 1  # after a round that raises, the engine lags: sends go stale
-        g = sched.snapshot_at(t)
-        # Off-range ids: just outside [0, n) (-1 is also the neighbor table's
-        # padding) and far beyond it (which must not size any per-edge array).
-        off_ids = st.one_of(st.integers(-1, n), st.sampled_from([-n, -(10**9), 10**9]))
-        sends = []
-        for _ in range(draw(st.integers(0, 12))):
-            u = draw(st.integers(-1, n) if draw(st.integers(0, 19)) > 0 else off_ids)
-            if 0 <= u < n and draw(st.integers(0, 9)) > 0:
-                v = g.adj[u][draw(st.integers(0, d - 1))]
-            else:
-                v = draw(off_ids)
-            sends.append((u, v))
+        # Node u's port j, or now and then a slot that may be off the table.
+        sends = [
+            draw(st.integers(0, n - 1)) * d + draw(st.integers(0, d - 1))
+            if draw(st.integers(0, 9)) > 0 else draw(off_table_slots(n, d))
+            for _ in range(draw(st.integers(0, 12)))
+        ]
         rounds.append((sends, draw(st.integers(1, 12))))
     return sched, B, rounds
 
 
 @st.composite
 def nonregular_exchange_rounds(draw):
-    # A periodic schedule mixing star<n-1> with C_n and K_n: d is None, star
-    # rows are padded with -1, and leaf-to-leaf pairs are off-edge.
+    # A periodic schedule mixing star<n-1> with C_n and K_n: d is None, and
+    # star rows are padded with -1 past the leaves' one port.
     n = draw(st.integers(4, 8))
     names = [f"star{n - 1}"] + draw(st.lists(st.sampled_from([f"star{n - 1}", f"C{n}", f"K{n}"]), max_size=2))
     sched = PeriodicSchedule([named_graph(name) for name in draw(st.permutations(names))])
     B = draw(st.integers(4, 40))
     rounds = []
     for _ in range(draw(st.integers(1, 4))):
-        g = sched.snapshot_at(len(rounds) + 1)
+        t = len(rounds) + 1  # after a round that raises, the engine lags: sends go stale
+        g = sched.snapshot_at(t)
+        w = max(map(len, g.adj))
         sends = []
         for _ in range(draw(st.integers(0, 12))):
-            u = draw(st.integers(-1, n))
-            if 0 <= u < n and draw(st.integers(0, 3)) > 0:
-                v = g.adj[u][draw(st.integers(0, g.degree(u) - 1))]
+            u = draw(st.integers(0, n - 1))
+            if draw(st.integers(0, 3)) > 0:
+                sends.append(u * w + draw(st.integers(0, g.degree(u) - 1)))
+            elif draw(st.booleans()):
+                sends.append(u * w + draw(st.integers(0, w - 1)))  # past a leaf's degree on star rows
             else:
-                v = draw(st.one_of(st.integers(-1, n), st.sampled_from([-(10**9), 10**9])))
-            sends.append((u, v))
+                sends.append(draw(off_table_slots(n, w)))
         rounds.append((sends, draw(st.integers(1, 12))))
     return sched, B, rounds
 
 
 def assert_matches_reference(sched, B, rounds):
     eng = CongestEngine(sched, SimConfig(bandwidth_bits=B, record_rounds=True))
-    for sends, bits in rounds:
+    for slots, bits in rounds:
         t = eng.round + 1
-        expected = reference_exchange(sched.snapshot_at(t), B, t, sends, bits)
-        src = np.array([u for u, _ in sends], dtype=np.int64)
-        dst = np.array([v for _, v in sends], dtype=np.int64)
+        expected = reference_exchange(sched.snapshot_at(t), B, t, slots, bits)
         if isinstance(expected[0], type):
             with pytest.raises(expected[0]) as err:
-                eng.exchange(src, dst, bits)
+                eng.exchange(np.array(slots, dtype=np.int64), bits)
             assert str(err.value) == expected[1]
             assert eng.round == t - 1
         else:
-            eng.exchange(src, dst, bits)
+            dst = eng.exchange(np.array(slots, dtype=np.int64), bits)
+            assert dst.tolist() == expected[2]
             rec = eng.log.records[-1]
-            assert (rec.t, rec.msgs, rec.max_edge_bits) == (t, *expected)
+            assert (rec.t, rec.msgs, rec.max_edge_bits) == (t, *expected[:2])
             assert rec.max_edge_bits <= B
     assert eng.log.rounds == len(eng.log.records) == eng.round
 
@@ -187,6 +197,7 @@ def assert_matches_reference(sched, B, rounds):
 class TestExchangeProperty:
     @settings(max_examples=200, deadline=None)
     @given(exchange_rounds())
+    @example((parse_schedule_spec("rr:n=6,d=3", seed=1), 40, [([0, s], 4) for s in (-1, 18, 10**9, -(10**9))]))
     def test_matches_per_message_reference(self, case):
         assert_matches_reference(*case)
 

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_dict, make_engine, memo_traces
-from dynwalk import oracle
+from conftest import as_dict, memo_traces
 from dynwalk.harness import ExperimentConfig, resolve_phi
 from dynwalk.graphs import (
     GraphSnapshot,
@@ -112,56 +111,39 @@ class TestNeighborTable:
             assert g.nbr[v].tolist() == list(g.adj[v])
 
 
-def mask_pairs(g):
-    return {divmod(int(k), g.n) for k in np.flatnonzero(g.edge_mask)}
+def port_pairs(g):
+    return {(u, v) for u, row in enumerate(g.nbr.tolist()) for v in row if v >= 0}
 
 
 def edge_pairs(g):
     return set(g.edges) | {(v, u) for u, v in g.edges}
 
 
-@pytest.fixture
-def mask_reads(monkeypatch):
-    """Snapshots whose edge_mask was read: no read, no build."""
-    reads = []
-    build = GraphSnapshot.edge_mask.fget
-    monkeypatch.setattr(GraphSnapshot, "edge_mask", property(lambda g: reads.append(g) or build(g)))
-    return reads
+def assert_ports_match_edges(g):
+    degrees = [len(a) for a in g.adj]
+    assert g.nbr.shape == (g.n, max(degrees)) and g.nbr.dtype == np.int64
+    for v, a in enumerate(g.adj):  # sorted rows, in adj's order, then padding
+        assert g.nbr[v].tolist() == sorted(a) + [-1] * (g.nbr.shape[1] - len(a))
+    assert port_pairs(g) == edge_pairs(g)
+    assert g.padded == (len(set(degrees)) > 1)
 
 
-class TestEdgeMask:
+class TestPorts:
     @pytest.mark.parametrize("name", ["star4", "C5", "K5", "petersen"])
     def test_matches_edges(self, name):
-        g = named_graph(name)
-        assert g.edge_mask.shape == (g.n * g.n,) and g.edge_mask.dtype == bool
-        assert mask_pairs(g) == edge_pairs(g)
+        assert_ports_match_edges(named_graph(name))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(3, 6), st.integers(8, 24), st.integers(0, 2**32 - 1))
     def test_matches_edges_of_random_regular(self, d, n, seed):
         g = random_regular_graph(n + n * d % 2, d, random.Random(seed))
-        assert mask_pairs(g) == edge_pairs(g)
+        assert_ports_match_edges(g)
+        assert not g.padded
 
-    def test_built_once_and_shared_with_round_clones(self):
-        g = named_graph("petersen")
-        sched = PeriodicSchedule([g])
-        mask = sched.snapshot_at(9).edge_mask
-        assert g.edge_mask is mask and sched.snapshot_at(9).edge_mask is mask
-        assert sched.snapshot_at(4).edge_mask is mask
-
-    def test_lazy(self, mask_reads):
-        base = random_regular_graph(16, 3, random.Random(5))
-        assert mask_reads == []
-        sched = PermutedSchedule(base, seed=9)
-        dynamic_diameter(sched, 4)
-        eng = make_engine(sched, seed=1)
-        eng.flood(4, [0], 12)
-        eng.flood_until_complete(4, [3])
-        oracle.transition_matrix(base)
-        assert mask_reads == []
-        g = eng.next_snapshot()
-        eng.exchange([0], [g.adj[0][0]], 4)
-        assert mask_reads == [g]
+    def test_padded_read_first_builds_the_table(self):
+        g = named_graph("star4")
+        assert g.padded and g.nbr[1].tolist() == [0, -1, -1, -1]
+        assert not named_graph("C5").padded
 
     @pytest.mark.parametrize("name", ["C5", "star4"])
     def test_has_edge_false_off_range(self, name):

@@ -793,6 +793,14 @@ class TestCli:
         assert text in self._one_line_error(capsys, code)
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--algo", "naive", "--tau", "5", "--seeds", "2"], ["schedule", "--rounds", "3"],
+    ], ids=["run", "schedule"])
+    def test_impossible_rr_shape_is_a_config_error(self, tmp_path, capsys, argv):
+        # `run` used to report it as a run error, `schedule` as a config error.
+        code = main([*argv, "--schedule", "rr:n=5,d=3", "--out", str(tmp_path / "o")])
+        assert self._one_line_error(capsys, code).startswith("config error: ")
+
     def test_schedule_rounds_exit_2(self, tmp_path, capsys):
         out = tmp_path / "s.jsonl"
         code = main(["schedule", "--schedule", "rr:n=8,d=3", "--rounds", "0", "--out", str(out)])

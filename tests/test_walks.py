@@ -410,8 +410,8 @@ class TestVisitStats:
             visit_stats([res], 4)
 
 
-# The two round loops the shared `_walk_tokens` replaced, kept verbatim as
-# references: Phase 1's prefix loop and the naive all-token loop.
+# The two round loops the shared `_walk_tokens` replaced, kept as references
+# with their steps sent as ports: Phase 1's prefix loop and the naive loop.
 def reference_phase1(engine, params, record_paths):
     d, n, lam = engine.schedule.d, engine.n, params.lambda_walk
     rng = engine.stream(TAG_PHASE1)
@@ -426,10 +426,7 @@ def reference_phase1(engine, params, record_paths):
     coupon_bits = engine.enc.coupon_bits(lam, d)
     for i in range(1, 2 * lam + 1):
         m = moving[i - 1]
-        src = pos[:m]
-        dst = engine.next_snapshot().nbr.take(src * d + choices[i - 1, :m])
-        engine.exchange(src, dst, coupon_bits)
-        pos[:m] = dst
+        pos[:m] = engine.exchange(pos[:m] * d + choices[i - 1, :m], coupon_bits)
         if record_paths:
             trail[i] = pos
     table.holders[order] = pos
@@ -447,9 +444,7 @@ def reference_walk_tokens(engine, sources, steps, token_bits, record_path):
     if record_path:
         trail[0] = pos
     for i in range(steps):
-        nxt = engine.next_snapshot().nbr.take(pos * d + draws[i])
-        engine.exchange(pos, nxt, token_bits)
-        pos = nxt
+        pos = engine.exchange(pos * d + draws[i], token_bits)
         if record_path:
             trail[i + 1] = pos
     return pos, trail
