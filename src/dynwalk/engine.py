@@ -4,9 +4,9 @@ Messages sent at round t travel only edges of E_t and arrive at the end of
 round t.  A round is one `exchange` call carrying all of that round's
 messages as one array of ports (a node and the index of one of its current
 edges), so a message can only name an edge that exists; per directed edge
-and round, the bits sent are capped at B and an overflow aborts the run.  Every round is accounted in a
-RoundLog whose totals are the run's cost in the paper's sense (local
-computation is free, rounds are the currency).
+and round, the bits sent are capped at B and an overflow aborts the run.
+Every round is accounted in a RoundLog whose totals are the run's cost in
+the paper's sense (local computation is free, rounds are the currency).
 
 Randomness comes from one numpy Generator per (algorithm seed, purpose
 tag); protocols take each phase's draws from it in as few calls as they can.

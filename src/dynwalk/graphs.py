@@ -10,8 +10,8 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
-from itertools import chain
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Collection, Iterable, NamedTuple, Sequence
 

@@ -13,11 +13,11 @@ Every token step (Phase 1's coupons, naive walks, a stitched walk's
 fallbacks and tail) goes through one round loop, `_walk_tokens`: positions
 and neighbor choices are numpy arrays, and one `CongestEngine.exchange`
 call carries the round's messages, each addressed by its sender's port, and
-returns where they land, so walks never read a snapshot.  Each step is an independent uniform
-choice drawn from the engine's stream for its purpose (Phase 1, stitching,
-naive steps), taken in one call per phase or per walk; which draw feeds
-which step is a matter of bookkeeping, so the walks' laws are those of the
-textbook protocol.
+returns where they land, so walks never read a snapshot.  Each step is an
+independent uniform choice drawn from the engine's stream for its purpose
+(Phase 1, stitching, naive steps), taken in one call per phase or per walk;
+which draw feeds which step is a matter of bookkeeping, so the walks' laws
+are those of the textbook protocol.
 """
 from __future__ import annotations
 
