@@ -184,14 +184,12 @@ class CongestEngine:
         return t
 
     def exchange(self, slots, bits: int) -> np.ndarray:
-        """Execute one round: message i leaves node slots[i] // w on its port
-        slots[i] % w, carrying `bits`; returns the destinations.
+        """Execute one round: message i leaves node slots[i] // d on its port
+        slots[i] % d, carrying `bits`; returns the destinations.
 
-        Ports index round t's neighbor table `nbr` (n rows of width w, the
-        maximum degree: w = d on a declared-degree schedule), so a slot names
-        one directed edge and the destinations are one gather from the table.
-        A slot outside [0, n*w), or one on a row's -1 padding (a node with
-        fewer than w neighbors), raises ProtocolError; per directed edge the
+        Ports index round t's n x d neighbor table `nbr`, so a slot names one
+        directed edge and the destinations are one gather from the table.  A
+        slot outside [0, n*d) raises ProtocolError; per directed edge the
         bits sum to at most B.  Every message of a round has the same size;
         an empty round is logged like an idle one.
         """
@@ -199,16 +197,12 @@ class CongestEngine:
         slots = np.asarray(slots, dtype=np.int64)
         dst, top = slots, 0
         if len(slots):
-            g = self.schedule.snapshot_at(t)
-            nbr = g.nbr
+            nbr = self.schedule.snapshot_at(t).nbr
             # A negative slot wraps to a huge unsigned value: one max checks both ends.
             if slots.view(np.uint64).max() >= nbr.size:
                 s = int(slots[(slots.view(np.uint64) >= nbr.size).argmax()])
                 raise ProtocolError(f"round {t}: slot {s} is outside the {nbr.shape[0]}x{nbr.shape[1]} port table of G_{t}")
             dst = nbr.take(slots)
-            if g.padded and dst.min() < 0:
-                u, j = divmod(int(slots[dst.argmin()]), nbr.shape[1])
-                raise ProtocolError(f"round {t}: node {u} has no port {j} in G_{t}")
             # adj rows are sorted, so the smallest busiest slot is the smallest busiest (u, v).
             counts = np.bincount(slots)
             e = int(counts.argmax())
@@ -242,14 +236,13 @@ class CongestEngine:
         so the rounds until every node is informed come from the schedule's
         flood memo (`GraphSchedule.flood_trace`) and are charged exactly as
         round-by-round execution would charge them; each round after that
-        sends 2|E_t| messages (n*d on a declared-regular schedule).  Returns
-        a read-only array holding, for each node, the round it is informed
-        in: the engine's round at the sources, -1 where the budget ends
-        first.  A negative budget raises ValueError before any round is
-        charged.  A round that informs nobody while nodes are uninformed
-        raises ScheduleError (a disconnected snapshot); a complete flood
-        inside the budget is required unless `require_complete` is False
-        (probabilistic callers).
+        sends n*d messages.  Returns a read-only array holding, for each
+        node, the round it is informed in: the engine's round at the sources,
+        -1 where the budget ends first.  A negative budget raises ValueError
+        before any round is charged.  A round that informs nobody while nodes
+        are uninformed raises ScheduleError (a disconnected snapshot); a
+        complete flood inside the budget is required unless
+        `require_complete` is False (probabilistic callers).
         """
         if budget < 0:
             raise ValueError(f"flood budget {budget} is negative")
@@ -296,11 +289,8 @@ class CongestEngine:
                 informed = np.where(informed > start + bfs, -1, informed)
                 informed.setflags(write=False)
             self._round = start + bfs
-            if fit > bfs:  # every node is informed, so each round left sends 2|E_t| messages
-                if self.schedule.d is None:
-                    msgs += [2 * len(self.schedule.snapshot_at(t).edges) for t in range(start + bfs + 1, start + fit + 1)]
-                else:
-                    msgs += [self.n * self.schedule.d] * (fit - bfs)
+            if fit > bfs:  # every node is informed, so each round left sends n*d messages
+                msgs += [self.n * self.schedule.d] * (fit - bfs)
                 self._round = start + fit
         finally:  # the rounds run before an error stay charged
             self.log.observe(start + 1, msgs, payload_bits)

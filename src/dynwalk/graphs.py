@@ -72,7 +72,7 @@ def derive_seed(*parts: int) -> int:
 class GraphSnapshot:
     """One round's topology: a simple undirected graph on nodes [0, n)."""
 
-    __slots__ = ("n", "edges", "adj", "_nbr", "_padded")
+    __slots__ = ("n", "edges", "adj", "_nbr")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         norm = set()
@@ -90,37 +90,21 @@ class GraphSnapshot:
             adj[v].append(u)
         self.adj = tuple(tuple(a) for a in adj)
         self._nbr: np.ndarray | None = None
-        self._padded = False
 
     @property
     def nbr(self) -> np.ndarray:
-        """Neighbor table, built on first use: row v lists adj[v], padded up to
-        the maximum degree with -1 (no node id); `padded` tells whether any
-        row is."""
+        """Neighbor table, built on first use: the n x d array whose row v is
+        adj[v].  Only a d-regular snapshot has one; ValueError otherwise."""
         if self._nbr is None:
-            deg = np.fromiter(map(len, self.adj), dtype=np.int64, count=self.n)
-            nbr = np.full((self.n, deg.max(initial=0)), -1, dtype=np.int64)
-            nbr[np.arange(nbr.shape[1]) < deg[:, None]] = np.fromiter(
-                chain.from_iterable(self.adj), dtype=np.int64, count=2 * len(self.edges)
-            )
-            self._padded = nbr.size > 2 * len(self.edges)
-            self._nbr = nbr
+            degrees = set(map(len, self.adj))
+            if len(degrees) != 1:
+                raise ValueError(f"{self!r} has no neighbor table: its degrees {sorted(degrees)} differ")
+            (d,) = degrees
+            self._nbr = np.fromiter(chain.from_iterable(self.adj), dtype=np.int64, count=self.n * d).reshape(self.n, d)
         return self._nbr
-
-    @property
-    def padded(self) -> bool:
-        """Whether some row of `nbr` ends in -1 padding (the degrees differ);
-        the flag is set when the table is built."""
-        if self._nbr is None:
-            self.nbr  # builds the table and sets the flag
-        return self._padded
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Whether (u, v) is an edge; False when either id is outside [0, n)."""
-        return (u, v) in self.edges or (v, u) in self.edges
 
     def __eq__(self, other) -> bool:
         return (
@@ -169,7 +153,7 @@ def validate_snapshot(g: GraphSnapshot) -> ValidationReport:
 
 
 def named_graph(name: str) -> GraphSnapshot:
-    """Build a standard graph from its short name: K<n>, C<n>, petersen, star<k>."""
+    """Build a standard graph from its short name: K<n>, C<n>, petersen."""
     key = name.strip().lower()
     if key == "petersen":
         edges = []
@@ -188,9 +172,6 @@ def named_graph(name: str) -> GraphSnapshot:
         if n < 3:
             raise ValueError("C_n needs n >= 3")
         return GraphSnapshot(n, [(i, (i + 1) % n) for i in range(n)])
-    if key.startswith("star") and key[4:].isdigit():
-        k = int(key[4:])
-        return GraphSnapshot(k + 1, [(0, i) for i in range(1, k + 1)])
     raise ValueError(f"unknown graph name: {name!r}")
 
 
@@ -267,12 +248,15 @@ class FloodTrace(NamedTuple):
 
 
 class GraphSchedule:
-    """Base class: deterministic map from round number to snapshot."""
+    """Base class: deterministic map from round number to snapshot, every
+    one of them d-regular for the schedule's one declared degree d >= 1."""
 
     FLOOD_MEMO_CELLS = 1 << 18  # cells of flood memo entries kept, 2(n + 1) each; cleared when full
     period: int | None = None  # snapshot_at(t + period) == snapshot_at(t), when known
 
     def __init__(self, n: int, d: int | None, seed: int, spec: str):
+        if d is None or d < 1:  # a simple random walk is uniform at stationarity only then
+            raise ScheduleError(f"non-regular schedule {spec!r}: its snapshots do not all have one degree d >= 1 (d={d})")
         self.n = n
         self.d = d
         self.seed = seed
@@ -341,14 +325,14 @@ class GraphSchedule:
         """
         n = self.n
         new = np.bincount(union[:n], minlength=n + 2).tolist()  # nodes informed in each round
-        rounds = union.tolist()
+        failed = int(union[n])  # the round whose snapshot build raised, if any
         sent, error = [], None
         have = new[0]
         for r in range(1, n + 1):
             if have == n:
                 break
             t = start_round + r - 1
-            if r == rounds[n]:  # this round's build raised; building it again gives the error
+            if r == failed:  # building this round's snapshot again gives the error
                 try:
                     self.snapshot_at(t)
                 except ScheduleError as exc:
@@ -357,11 +341,7 @@ class GraphSchedule:
             if not new[r]:
                 error = ScheduleError(f"flood stalled at round {t}: snapshot disconnected")
                 break
-            if self.d is None:
-                adj = self.snapshot_at(t).adj
-                sent.append(sum(len(adj[v]) for v in range(n) if rounds[v] < r))
-            else:
-                sent.append(self.d * have)
+            sent.append(self.d * have)
             have += new[r]
         informed = union[:n].astype(np.int64) + (start_round - 1)
         if have < n:  # the nodes the row informs after the flood's last round
@@ -452,11 +432,10 @@ def informed_rounds(schedule: GraphSchedule, sources: Sequence[int], start_round
     n + 1 when no round within n does.  In round r every informed node sends
     on each of its current edges, so a node is informed when any of its
     neighbors was informed before r: one pull gather on the snapshot's
-    neighbor table for all rows at once, whose -1 padding reads column n,
-    which holds n + 1 meanwhile.  Rows run until all are complete or n rounds
-    have passed, rounds that inform nobody included.  If a snapshot build
-    raises ScheduleError, the incomplete rows record that round in column n
-    (n + 1 otherwise), and all rows stop there.
+    neighbor table for all rows at once.  Rows run until all are complete or
+    n rounds have passed, rounds that inform nobody included.  If a snapshot
+    build raises ScheduleError, the incomplete rows record that round in
+    column n (n + 1 otherwise), and all rows stop there.
     """
     n = schedule.n
     out = np.full((len(sources), n + 1), n + 1, dtype=np.int32)
@@ -472,7 +451,7 @@ def informed_rounds(schedule: GraphSchedule, sources: Sequence[int], start_round
             break
         # One round after the earliest-informed neighbor, and no earlier than
         # r, since the edge to it exists in round r only.
-        reach = out.take(nbr.T, axis=1).min(axis=1, initial=n + 1)
+        reach = out.take(nbr.T, axis=1).min(axis=1)
         reach += 1
         np.maximum(reach, r, out=reach)
         np.minimum(rounds, reach, out=rounds)

@@ -230,9 +230,8 @@ def run_experiment(config: ExperimentConfig, schedule: GraphSchedule | None = No
     if schedule is None:
         schedule = parse_schedule_spec(config.schedule, seed=config.adversary_seed())
     out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if config.algo == "lemma-suite":
+        out_dir.mkdir(parents=True, exist_ok=True)
         results = lemma_suite(
             instances=config.seeds,
             seed=config.seed_base,
@@ -266,6 +265,7 @@ def run_experiment(config: ExperimentConfig, schedule: GraphSchedule | None = No
             oracle_mod.mixing_time_oracle(schedule, 0, oracle_mod.MIX_EPS),
             oracle_mod.mixing_time_oracle(schedule, 0, mixing_mod.epsilon_prime(schedule.n)),
         )
+    out_dir.mkdir(parents=True, exist_ok=True)  # after set-up, so a failed one leaves no directory
     for i in range(config.seeds):
         seed = config.seed_base + i
         engine = CongestEngine(schedule, replace(sim, seed=seed))

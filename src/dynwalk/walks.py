@@ -162,13 +162,6 @@ class WalkBatch(Sequence[WalkResult]):
         return iter(self._walks())
 
 
-def _degree(engine: CongestEngine) -> int:
-    """The schedule's declared degree d, which every walk step needs."""
-    if engine.schedule.d is None:
-        raise ProtocolError("non-regular schedule: walks need a declared degree d")
-    return engine.schedule.d
-
-
 def _walk_tokens(engine, rng, sources, steps, token_bits, record_path, moving=None):
     """Move one token per source for `steps` rounds: in round i the first
     `moving[i]` tokens take a step (all of them when `moving` is None).
@@ -179,7 +172,7 @@ def _walk_tokens(engine, rng, sources, steps, token_bits, record_path, moving=No
     positions and, with `record_path`, the (steps + 1, k) array of positions
     after each round.
     """
-    d = _degree(engine)
+    d = engine.schedule.d
     pos = np.array(sources, dtype=np.int64)
     choices = rng.integers(d, size=(steps, len(pos)))
     trail = np.empty((steps + 1, len(pos)), dtype=np.int64) if record_path else None
@@ -246,7 +239,7 @@ def phase1_distribute(
     """
     if engine.round != 0:
         raise ProtocolError("phase 1 must start at round 0 (coupons walk G_1 onwards)")
-    d = _degree(engine)
+    d = engine.schedule.d
     lam = params.lambda_walk
     rng = engine.stream(TAG_PHASE1)
     table = CouponTable(engine.n, d, lam + rng.integers(lam, size=engine.n * d))
@@ -304,7 +297,6 @@ def single_random_walk(
     skipped and all of tau is the naive tail.
     """
     tau, lam = params.tau, params.lambda_walk
-    _degree(engine)  # a non-regular schedule fails before any round, tau = 0 included
     token_bits = engine.enc.token_bits(tau, k_context)
     stitched = coupons is not None or tau > 2 * lam
     phi = engine.config.phi

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,24 @@ def as_dict(informed):
 def memo_traces(schedule):
     """How many of the schedule's flood memo entries hold a trace."""
     return sum(trace is not None for _, trace in schedule._memo.values())
+
+
+def star4():
+    """The star K_{1,4}: a snapshot whose degrees differ (4 at node 0, 1 elsewhere)."""
+    return GraphSnapshot(5, [(0, i) for i in range(1, 5)])
+
+
+def prism5():
+    """The 5-prism: 3-regular on 10 nodes like Petersen, but not isomorphic to it."""
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    return GraphSnapshot(10, outer + [(5 + u, 5 + v) for u, v in outer] + [(i, 5 + i) for i in range(5)])
+
+
+def write_snapshots(path, graphs):
+    """Write `graphs` as a schedule file, snapshot i at round i + 1."""
+    rows = [{"n": graphs[0].n, "T": len(graphs)}]
+    rows += [{"t": t, "edges": sorted(map(list, g.edges))} for t, g in enumerate(graphs, 1)]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
 
 
 def empirical_tv(destinations, target):

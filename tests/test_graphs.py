@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_dict, memo_traces
+from conftest import as_dict, memo_traces, prism5, star4, write_snapshots
 from dynwalk.harness import ExperimentConfig, resolve_phi
 from dynwalk.graphs import (
     GraphSnapshot,
@@ -78,7 +78,7 @@ class TestValidation:
         assert report.regular_degree == 2
 
     def test_star_degrees(self):
-        g = named_graph("star4")
+        g = star4()
         assert g.degree(0) == 4 and all(g.degree(i) == 1 for i in range(1, 5))
         assert validate_snapshot(g).regular_degree is None
 
@@ -93,26 +93,27 @@ class TestValidation:
 
 
 class TestNeighborTable:
-    def test_rows_padded_to_max_degree(self):
-        g = named_graph("star4")
-        assert g.nbr.shape == (5, 4)
-        assert sorted(g.nbr[0].tolist()) == [1, 2, 3, 4]
-        for leaf in range(1, 5):
-            assert g.nbr[leaf].tolist() == [0, -1, -1, -1]
+    # The paw (a triangle with a pendant edge) has 2|E| = 8 = 4 * 2 port
+    # entries: a reshaped table would fit, but its rows would be no node's ports.
+    @pytest.mark.parametrize("g", [star4(), GraphSnapshot(4, [(0, 1), (0, 2), (0, 3), (2, 3)])], ids=["star4", "paw"])
+    def test_degrees_that_differ_raise(self, g):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"has no neighbor table: its degrees \[.*\] differ"):
+                g.nbr
 
     def test_built_once_and_shared_with_round_clones(self):
         # Every round of a periodic schedule returns its period's snapshot
         # itself, so the table is built once for all of them.
-        g = named_graph("C5")
-        sched = PeriodicSchedule([g, named_graph("K5")])
+        g = named_graph("petersen")
+        sched = PeriodicSchedule([g, prism5()])
         nbr = sched.snapshot_at(9).nbr
         assert sched.snapshot_at(9) is g and g.nbr is nbr and sched.snapshot_at(3).nbr is nbr
-        for v in range(5):
+        for v in range(10):
             assert g.nbr[v].tolist() == list(g.adj[v])
 
 
 def port_pairs(g):
-    return {(u, v) for u, row in enumerate(g.nbr.tolist()) for v in row if v >= 0}
+    return {(u, v) for u, row in enumerate(g.nbr.tolist()) for v in row}
 
 
 def edge_pairs(g):
@@ -120,16 +121,14 @@ def edge_pairs(g):
 
 
 def assert_ports_match_edges(g):
-    degrees = [len(a) for a in g.adj]
-    assert g.nbr.shape == (g.n, max(degrees)) and g.nbr.dtype == np.int64
-    for v, a in enumerate(g.adj):  # sorted rows, in adj's order, then padding
-        assert g.nbr[v].tolist() == sorted(a) + [-1] * (g.nbr.shape[1] - len(a))
+    assert g.nbr.shape == (g.n, len(g.adj[0])) and g.nbr.dtype == np.int64
+    for v, a in enumerate(g.adj):  # sorted rows, in adj's order
+        assert g.nbr[v].tolist() == sorted(a) == list(a)
     assert port_pairs(g) == edge_pairs(g)
-    assert g.padded == (len(set(degrees)) > 1)
 
 
 class TestPorts:
-    @pytest.mark.parametrize("name", ["star4", "C5", "K5", "petersen"])
+    @pytest.mark.parametrize("name", ["C5", "K5", "petersen"])
     def test_matches_edges(self, name):
         assert_ports_match_edges(named_graph(name))
 
@@ -138,21 +137,13 @@ class TestPorts:
     def test_matches_edges_of_random_regular(self, d, n, seed):
         g = random_regular_graph(n + n * d % 2, d, random.Random(seed))
         assert_ports_match_edges(g)
-        assert not g.padded
 
-    def test_padded_read_first_builds_the_table(self):
-        g = named_graph("star4")
-        assert g.padded and g.nbr[1].tolist() == [0, -1, -1, -1]
-        assert not named_graph("C5").padded
-
-    @pytest.mark.parametrize("name", ["C5", "star4"])
-    def test_has_edge_false_off_range(self, name):
-        g = named_graph(name)
+    @pytest.mark.parametrize("g", [named_graph("C5"), star4()], ids=["C5", "star4"])
+    def test_has_edge_false_off_range(self, g):
+        # An id off [0, n) is on no edge, and adj holds each edge both ways.
         for bad in (-1, g.n, 10**9, -(10**9)):
-            for v in range(g.n):
-                assert not g.has_edge(bad, v) and not g.has_edge(v, bad)
-            assert not g.has_edge(bad, bad)
-        assert {(u, v) for u in range(g.n) for v in range(g.n) if g.has_edge(u, v)} == edge_pairs(g)
+            assert not any(bad in e for e in g.edges)
+        assert {(u, v) for u in range(g.n) for v in g.adj[u]} == edge_pairs(g)
 
 
 class TestSchedules:
@@ -162,16 +153,15 @@ class TestSchedules:
 
     def test_period(self, c5):
         assert c5.period == 1 and parse_schedule_spec("srr:n=8,d=3", seed=0).period == 1
-        assert PeriodicSchedule([named_graph("C5"), named_graph("K5"), named_graph("C5")]).period == 3
+        assert PeriodicSchedule([named_graph("petersen"), prism5(), named_graph("petersen")]).period == 3
         assert parse_schedule_spec("rr:n=8,d=3", seed=0).period is None
         assert parse_schedule_spec("perm:base=C9", seed=0).period is None
 
     def test_periodic_indexing(self):
-        k5 = named_graph("K5")
-        c5 = named_graph("C5")
-        sched = PeriodicSchedule([c5, k5])
-        assert sched.snapshot_at(3).edges == c5.edges  # period 2: t=3 -> first entry
-        assert sched.snapshot_at(2).edges == k5.edges
+        petersen, prism = named_graph("petersen"), prism5()
+        sched = PeriodicSchedule([petersen, prism])
+        assert sched.snapshot_at(3).edges == petersen.edges  # period 2: t=3 -> first entry
+        assert sched.snapshot_at(2).edges == prism.edges
 
     def test_random_regular_deterministic(self):
         a = RandomRegularSchedule(8, 3, seed=42)
@@ -201,6 +191,21 @@ class TestSchedules:
             parse_schedule_spec(f"rr:n={n},d={d}")
         with pytest.raises(ScheduleError, match=re.escape(text)):
             random_regular_graph(n, d, random.Random(1))
+
+    # Walks are uniform at stationarity only on snapshots of one degree d >= 1,
+    # so any other schedule is rejected when it is built, before any round.
+    @pytest.mark.parametrize("spec, graphs", [
+        ("static:{}", [star4()]),
+        ("perm:base={}", [star4()]),
+        ("periodic:{}", [named_graph("C5"), named_graph("K5")]),
+        ("static:{}", [GraphSnapshot(4, [])]),
+    ], ids=["static-star4", "perm-star4", "periodic-C5-K5", "static-edgeless"])
+    def test_non_regular_rejected_when_built(self, tmp_path, spec, graphs):
+        path = tmp_path / "g.jsonl"
+        write_snapshots(path, graphs)
+        spec = spec.format(path)
+        with pytest.raises(ScheduleError, match=re.escape(f"non-regular schedule {spec!r}")):
+            parse_schedule_spec(spec)
 
     def test_perm_preserves_invariants(self):
         base = random_regular_graph(12, 3, random.Random(5))
@@ -326,13 +331,8 @@ class TestFilesAndSpecs:
         elif kind == "perm":
             sched = parse_schedule_spec(f"perm:base=C{n}", seed=seed)
         else:
-            # Cycles mixed with d-regular graphs leave the degree undeclared.
             rng = random.Random(seed)
-            graphs = [
-                random_regular_graph(n, d, rng) if rng.random() < 0.5 else named_graph(f"C{n}")
-                for _ in range(rng.randint(1, 3))
-            ]
-            sched = PeriodicSchedule(graphs)
+            sched = PeriodicSchedule([random_regular_graph(n, d, rng) for _ in range(rng.randint(1, 3))])
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "sched.jsonl"
             write_schedule_file(sched, rounds, path)

@@ -8,7 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from conftest import memo_traces
+from conftest import memo_traces, write_snapshots
 from dynwalk.cli import EXIT_CONFIG_ERROR, EXIT_OK, _build_parser, _config_from_args, main
 from dynwalk import harness, oracle
 from dynwalk.harness import (
@@ -44,6 +44,7 @@ from dynwalk.graphs import (
     ScheduleError,
     StaticSchedule,
     dynamic_diameter,
+    named_graph,
     parse_schedule_spec,
     random_regular_graph,
     read_schedule_file,
@@ -639,23 +640,39 @@ class TestCli:
         ])
         assert "snapshot disconnected" in self._one_line_error(capsys, code)
 
-    # tau=3 <= 2*lambda: every walk algorithm walks naively, and each one
-    # refuses a non-regular schedule rather than walk a non-uniform chain.
-    @pytest.mark.parametrize("algo", ["naive", "single", "many", "gossip"])
-    def test_protocol_error_exit_2(self, tmp_path, capsys, algo):
-        code = main([
-            "run", "--schedule", "static:star4", "--algo", algo, "--tau", "3",
-            "--seeds", "1", "--out", str(tmp_path / "o"),
-        ])
-        assert "non-regular" in self._one_line_error(capsys, code)
+    # C4 then K4 share no degree: the schedule is rejected when it is built,
+    # before any round runs and before any output is written.
+    @pytest.mark.parametrize("argv", [
+        *(["run", "--algo", algo, "--tau", "3", "--seeds", "1"]
+          for algo in ("naive", "single", "many", "gossip", "estimate-mix")),
+        ["schedule", "--rounds", "3"],
+    ], ids=["naive", "single", "many", "gossip", "estimate-mix", "schedule"])
+    def test_non_regular_schedule_exit_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "mixed.jsonl"
+        write_snapshots(path, [named_graph("C4"), named_graph("K4")])
+        out = tmp_path / "o"
+        code = main([*argv, "--schedule", f"periodic:{path}", "--out", str(out)])
+        assert self._one_line_error(capsys, code).startswith("config error: non-regular schedule ")
+        assert not out.exists()
 
     def test_mixing_cap_exit_2(self, tmp_path, capsys):
-        # C8 is bipartite, so resolving tau from the oracle never mixes.
+        # C8 is bipartite, so resolving tau from the oracle never mixes; the
+        # output directory is made only once tau resolves.
         code = main([
             "run", "--schedule", "static:C8", "--algo", "single", "--seeds", "1",
             "--out", str(tmp_path / "o"),
         ])
         assert "cap" in self._one_line_error(capsys, code)
+        assert not (tmp_path / "o").exists()
+
+    def test_mixing_cap_of_the_oracle_bracket_exit_2(self, tmp_path, capsys):
+        # With tau given, estimate-mix --oracle still asks C8 for its mixing time.
+        code = main([
+            "run", "--schedule", "static:C8", "--algo", "estimate-mix", "--tau", "5", "--phi", "4",
+            "--seeds", "1", "--oracle", "--out", str(tmp_path / "o"),
+        ])
+        assert "no mixing below" in self._one_line_error(capsys, code)
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("via_flags", [False, True], ids=["file-only", "file-and-flags"])
     def test_unknown_config_key_exit_2(self, tmp_path, capsys, via_flags):

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import prism5
 from dynwalk import oracle
 from dynwalk.graphs import (
+    GraphSnapshot,
     PeriodicSchedule,
     RandomRegularSchedule,
     StaticSchedule,
@@ -46,7 +48,7 @@ class TestTransitionMatrix:
         assert all(sorted(P[i][P[i] > 0]) == [0.5, 0.5] for i in range(5))
 
     def test_star_rows(self):
-        P = transition_matrix(named_graph("star4"))
+        P = transition_matrix(GraphSnapshot(5, [(0, i) for i in range(1, 5)]))
         assert np.allclose(P[0, 1:], 0.25)
         assert all(P[i, 0] == 1.0 for i in range(1, 5))
 
@@ -88,15 +90,18 @@ def _explicit_matrix(g):
     return A
 
 
+# Graphs on 8 nodes, one list per degree: a periodic schedule's snapshots
+# share one degree, so it draws them from one list.
 _POOL8 = [
-    named_graph("K8"),
-    named_graph("C8"),
-    random_regular_graph(8, 3, random.Random(1)),
-    random_regular_graph(8, 4, random.Random(2)),
+    [named_graph("C8")],
+    [random_regular_graph(8, 3, random.Random(1)), random_regular_graph(8, 3, random.Random(3))],
+    [random_regular_graph(8, 4, random.Random(2)), random_regular_graph(8, 4, random.Random(4))],
+    [named_graph("K8")],
 ]
 
 _schedules8 = st.one_of(
-    st.lists(st.sampled_from(_POOL8), min_size=1, max_size=4).map(PeriodicSchedule),
+    st.sampled_from(_POOL8).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    .map(PeriodicSchedule),
     st.integers(0, 2**16).map(lambda seed: parse_schedule_spec("rr:n=8,d=3", seed=seed)),
 )
 
@@ -265,7 +270,7 @@ class TestSpectral:
 
     def test_non_regular_rejected(self):
         with pytest.raises(ValueError):
-            spectral_summary(named_graph("star4"))
+            spectral_summary(GraphSnapshot(5, [(0, i) for i in range(1, 5)]))
 
 
 class TestMixingTimes:
@@ -286,13 +291,14 @@ class TestMixingTimes:
         assert dynamic_mixing_bound(k4, 10) == 2
 
     def test_periodic_bound(self):
-        # Same-n stand-in for the complete/cycle pair: the bound is the max
-        # of the per-graph worst-source mixing times.
-        k6, c6odd = named_graph("K6"), named_graph("C7")
+        # Two 3-regular graphs on 10 nodes: the bound is the max of the
+        # per-graph worst-source mixing times.
         sched = PeriodicSchedule([named_graph("K6"), named_graph("K6")])
         assert dynamic_mixing_bound(sched, 6) == static_mixing_time(named_graph("K6"))
-        mixed = PeriodicSchedule([named_graph("C9"), named_graph("K9")])
-        expect = max(static_mixing_time(named_graph("C9")), static_mixing_time(named_graph("K9")))
+        petersen, prism = named_graph("petersen"), prism5()
+        mixed = PeriodicSchedule([petersen, prism])
+        expect = max(static_mixing_time(petersen), static_mixing_time(prism))
+        assert static_mixing_time(petersen) != static_mixing_time(prism)
         assert dynamic_mixing_bound(mixed, 6) == expect
 
     def test_worstcase_cap(self):
@@ -316,16 +322,15 @@ class TestSegmentMatrix:
         expect = (np.linalg.matrix_power(P, 2) + np.linalg.matrix_power(P, 3)) / 2
         assert np.allclose(segment_matrix(k4, 2), expect)
 
-    def test_periodic_product_average(self, k4, c5):
+    def test_periodic_product_average(self):
         # Direct product-average oracle, written independently of the
         # implementation's accumulation order.
-        g4, g5 = k4.snapshot_at(1), c5.snapshot_at(1)
-        sched = PeriodicSchedule([named_graph("K6"), named_graph("C6")])
+        sched = PeriodicSchedule([named_graph("petersen"), prism5()])
         mats = [transition_matrix(sched.snapshot_at(t)) for t in range(1, 6)]
         lam = 3
-        total = np.zeros((6, 6))
+        total = np.zeros((10, 10))
         for r in range(lam):
-            prod = np.eye(6)
+            prod = np.eye(10)
             for t in range(lam + r):
                 prod = prod @ mats[t]
             total += prod
