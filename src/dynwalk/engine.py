@@ -192,27 +192,43 @@ class CongestEngine:
         slot outside [0, n*d) raises ProtocolError; per directed edge the
         bits sum to at most B.  Every message of a round has the same size;
         an empty round is logged like an idle one.
+
+        One call is exactly one round, whatever it carries, so a protocol
+        never folds several rounds into one call: the benchmark's tracer
+        (perfbench/layers.py) charges one round per call, and its identity
+        "exchange + idle + flood rounds == log.rounds" rests on that.
         """
         t = self._begin_round()
         slots = np.asarray(slots, dtype=np.int64)
+        m = len(slots)
         dst, top = slots, 0
-        if len(slots):
+        if m:
             nbr = self.schedule.snapshot_at(t).nbr
-            # A negative slot wraps to a huge unsigned value: one max checks both ends.
-            if slots.view(np.uint64).max() >= nbr.size:
-                s = int(slots[(slots.view(np.uint64) >= nbr.size).argmax()])
-                raise ProtocolError(f"round {t}: slot {s} is outside the {nbr.shape[0]}x{nbr.shape[1]} port table of G_{t}")
-            dst = nbr.take(slots)
-            # adj rows are sorted, so the smallest busiest slot is the smallest busiest (u, v).
-            counts = np.bincount(slots)
-            e = int(counts.argmax())
-            top = counts.item(e) * bits
+            # take raises IndexError on a slot past either end of the table but
+            # wraps one in [-n*d, 0), which bincount or the lone slot's sign
+            # rejects: the range check costs no numpy call of its own.
+            try:
+                dst = nbr.take(slots)
+                if m > 1:
+                    # adj rows are sorted, so the smallest busiest slot is the smallest busiest (u, v).
+                    counts = np.bincount(slots)
+                    e = counts.argmax()
+                    load = counts.item(e)
+                else:  # a lone message is alone on its edge
+                    e, load = slots.item(0), 1
+                    if e < 0:
+                        raise ValueError(e)
+            except (IndexError, ValueError):
+                wide = slots.view(np.uint64)  # a negative slot wraps to a huge unsigned value
+                s = slots.item((wide >= nbr.size).argmax())
+                raise ProtocolError(f"round {t}: slot {s} is outside the {nbr.shape[0]}x{nbr.shape[1]} port table of G_{t}") from None
+            top = load * bits
             if top > self.B:
                 self.log.congestion_events += 1
                 raise CongestionError(
                     f"round {t}: edge ({e // nbr.shape[1]},{nbr.item(e)}) would carry {top} bits > B={self.B}"
                 )
-        self.log.observe(t, (len(slots),), top)
+        self.log.observe(t, (m,), top)
         self._round = t
         return dst
 
@@ -268,8 +284,8 @@ class CongestEngine:
         sources = list(dict.fromkeys(sources))
         if not sources:
             raise ValueError("flood needs at least one source")
-        bad = next((s for s in sources if not 0 <= s < self.n), None)
-        if bad is not None:
+        if min(sources) < 0 or max(sources) >= self.n:
+            bad = next(s for s in sources if not 0 <= s < self.n)
             raise ValueError(f"flood source {bad} is outside [0, {self.n})")
         start, msgs = self._round, []
         if len(sources) < self.n and budget != 0:

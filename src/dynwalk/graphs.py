@@ -506,8 +506,9 @@ def write_schedule_file(schedule: GraphSchedule, rounds: int, path: str | Path) 
 def read_schedule_file(path: str | Path) -> tuple[int, int | None, list[GraphSnapshot]]:
     """Read a schedule file; returns (n, d, snapshots ordered by t).
 
-    A missing key, a value of the wrong shape, or rows whose t are not
-    exactly 1..T raise ScheduleError naming the file.
+    A missing key, a value of the wrong shape, rows whose t are not exactly
+    1..T, or a declared degree d that is not every snapshot node's degree
+    raise ScheduleError naming the file.
     """
     path = Path(path)
     try:
@@ -532,6 +533,9 @@ def read_schedule_file(path: str | Path) -> tuple[int, int | None, list[GraphSna
         raise ScheduleError(f"schedule file {path} holds no snapshots")
     if not in_order:
         raise ScheduleError(f"schedule file {path} declares T={T} but its rows have t={ts}")
+    degrees = sorted({len(nbrs) for g in graphs for nbrs in g.adj})
+    if d is not None and degrees != [d]:
+        raise ScheduleError(f"schedule file {path} declares d={d!r} but its snapshots have degree {degrees}")
     return n, d, graphs
 
 

@@ -231,12 +231,12 @@ def run_experiment(config: ExperimentConfig, schedule: GraphSchedule | None = No
         schedule = parse_schedule_spec(config.schedule, seed=config.adversary_seed())
     out_dir = Path(config.out)
     if config.algo == "lemma-suite":
-        out_dir.mkdir(parents=True, exist_ok=True)
         results = lemma_suite(
             instances=config.seeds,
             seed=config.seed_base,
             census_trials=min(200, max(30, config.seeds)),
         )
+        out_dir.mkdir(parents=True, exist_ok=True)
         rows = [r.to_dict() for r in results]
         per_seed = out_dir / "lemma_suite.jsonl"
         write_jsonl(per_seed, rows)
@@ -265,7 +265,6 @@ def run_experiment(config: ExperimentConfig, schedule: GraphSchedule | None = No
             oracle_mod.mixing_time_oracle(schedule, 0, oracle_mod.MIX_EPS),
             oracle_mod.mixing_time_oracle(schedule, 0, mixing_mod.epsilon_prime(schedule.n)),
         )
-    out_dir.mkdir(parents=True, exist_ok=True)  # after set-up, so a failed one leaves no directory
     for i in range(config.seeds):
         seed = config.seed_base + i
         engine = CongestEngine(schedule, replace(sim, seed=seed))
@@ -309,6 +308,7 @@ def run_experiment(config: ExperimentConfig, schedule: GraphSchedule | None = No
             row["seed"] = seed
             rows.append(row)
 
+    out_dir.mkdir(parents=True, exist_ok=True)  # after the sweep, so a failed one leaves no directory
     aggregates: dict = {}
     per_seed_path = None
     csv_path = None

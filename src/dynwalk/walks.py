@@ -96,8 +96,9 @@ class CouponTable:
     def __init__(self, n: int, d: int, lengths):
         self.d = d
         self.lengths = np.asarray(lengths, dtype=np.int64)
-        self.holders = np.repeat(np.arange(n, dtype=np.int64), d)
-        self.unused: list[list[int]] = [list(range(v * d, (v + 1) * d)) for v in range(n)]
+        ids = np.arange(n * d)
+        self.holders = ids // d
+        self.unused: list[list[int]] = ids.reshape(n, d).tolist()
         self.trail: np.ndarray | None = None
 
     def sample(self, origin: int, rng: np.random.Generator) -> int:
@@ -162,6 +163,16 @@ class WalkBatch(Sequence[WalkResult]):
         return iter(self._walks())
 
 
+def _checked_sources(n: int, sources) -> np.ndarray:
+    """`sources` as an int64 array; ValueError naming the first one outside
+    [0, n).  Every walk checks its sources before it charges a round."""
+    sources = np.array(sources, dtype=np.int64)
+    wide = sources.view(np.uint64)  # a negative source wraps to a huge unsigned value
+    if len(wide) and wide.item(wide.argmax()) >= n:
+        raise ValueError(f"walk source {sources.item((wide >= n).argmax())} is outside [0, {n})")
+    return sources
+
+
 def _walk_tokens(engine, rng, sources, steps, token_bits, record_path, moving=None):
     """Move one token per source for `steps` rounds: in round i the first
     `moving[i]` tokens take a step (all of them when `moving` is None).
@@ -175,17 +186,15 @@ def _walk_tokens(engine, rng, sources, steps, token_bits, record_path, moving=No
     d = engine.schedule.d
     pos = np.array(sources, dtype=np.int64)
     choices = rng.integers(d, size=(steps, len(pos)))
+    stride = np.array(d)  # numpy scales by a 0-d array faster than by a Python int
     trail = np.empty((steps + 1, len(pos)), dtype=np.int64) if record_path else None
     if record_path:
         trail[0] = pos
-    for i, m in enumerate(moving or [len(pos)] * steps):
-        dst = engine.exchange(pos[:m] * d + choices[i, :m], token_bits)
-        if moving is None:
-            pos = dst
-        else:
-            pos[:m] = dst
+    for i, (m, row) in enumerate(zip(moving or [len(pos)] * steps, choices), 1):
+        here = pos[:m]  # a view: the moving tokens land in place
+        here[...] = engine.exchange(here * stride + row[:m], token_bits)
         if record_path:
-            trail[i + 1] = pos
+            trail[i] = pos
     return pos, trail
 
 
@@ -207,7 +216,7 @@ def concurrent_naive_walks(
     Returns a `WalkBatch`: walk j starts at sources[j], and its endpoint is
     `destinations[j]`.
     """
-    sources = np.array(sources, dtype=np.int64)
+    sources = _checked_sources(engine.n, sources)
     bits = engine.enc.token_bits(length, len(sources))
     start_round = engine.round
     pos, trail = _walk_tokens(engine, engine.stream(TAG_NAIVE), sources, length, bits, record_path)
@@ -241,15 +250,16 @@ def phase1_distribute(
         raise ProtocolError("phase 1 must start at round 0 (coupons walk G_1 onwards)")
     d = engine.schedule.d
     lam = params.lambda_walk
+    coupons = engine.n * d
     rng = engine.stream(TAG_PHASE1)
-    table = CouponTable(engine.n, d, lam + rng.integers(lam, size=engine.n * d))
-    # Longest coupons first: the coupons moving in round i (length >= i)
-    # are the first moving[i-1] of them.
-    order = np.argsort(-table.lengths, kind="stable")
-    moving = np.searchsorted(-table.lengths[order], -np.arange(1, 2 * lam + 1), side="right")
+    extra = rng.integers(lam, size=coupons)
+    table = CouponTable(engine.n, d, lam + extra)
+    # Longest coupons first: the coupons moving in round i (length >= i) are
+    # the first moving[i-1] of them, all of them up to round lambda.
+    order = np.argsort(-extra, kind="stable")
+    moving = [coupons] * lam + (coupons - np.bincount(extra, minlength=lam).cumsum()).tolist()
     pos, trail = _walk_tokens(
-        engine, rng, table.holders[order], 2 * lam, engine.enc.coupon_bits(lam, d),
-        record_paths, moving.tolist(),
+        engine, rng, table.holders[order], 2 * lam, engine.enc.coupon_bits(lam, d), record_paths, moving
     )
     table.holders[order] = pos
     if record_paths:
@@ -296,6 +306,7 @@ def single_random_walk(
     with tau <= 2*lambda the stitched regime is unreachable: Phase 1 is
     skipped and all of tau is the naive tail.
     """
+    _checked_sources(engine.n, (source,))
     tau, lam = params.tau, params.lambda_walk
     token_bits = engine.enc.token_bits(tau, k_context)
     stitched = coupons is not None or tau > 2 * lam
@@ -319,7 +330,7 @@ def single_random_walk(
         prov.extend(range(first, engine.round + 1))
         if record_path:
             path.extend(trail[1:, 0].tolist())
-        return int(pos[0])
+        return pos.item(0)
 
     fallbacks = 0
     while stitched and completed <= tau - 2 * lam:
@@ -332,13 +343,13 @@ def single_random_walk(
             continue
         if segments:
             connectors.append(v)
-        length = int(coupons.lengths[ci])
+        length = coupons.lengths.item(ci)
         completed += length
         segments.append(length)
         prov.extend(range(1, length + 1))
         if record_path and coupons.trail is not None:
             path.extend(coupons.trail[1 : length + 1, ci].tolist())
-        v = int(coupons.holders[ci])
+        v = coupons.holders.item(ci)
     if tau > completed:
         v = walk_naively(tau - completed)
     return WalkResult(
@@ -369,6 +380,7 @@ def many_random_walks(
     stitching runs source by source, consuming disjoint coupons.  Returns a
     `WalkBatch` in source order whose `destinations` are the endpoints.
     """
+    sources = _checked_sources(engine.n, sources)
     k = len(sources)
     if k == 0:
         return WalkBatch(np.empty(0, dtype=np.int64), list)
@@ -385,7 +397,7 @@ def many_random_walks(
         single_random_walk(
             engine, s, params, coupons=table, walk_id=j, k_context=k, record_path=record_path
         )
-        for j, s in enumerate(sources)
+        for j, s in enumerate(sources.tolist())
     ]
     return WalkBatch([r.destination for r in results], lambda: results)
 

@@ -36,6 +36,15 @@ from dynwalk.graphs import (
     random_regular_graph,
 )
 
+from dynwalk.gossip import k_gossip_rw, k_gossip_trivial, resolve_gossip_params
+from dynwalk.walks import (
+    WalkParams,
+    concurrent_naive_walks,
+    many_random_walks,
+    naive_walk,
+    single_random_walk,
+)
+
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -45,6 +54,8 @@ class TestExchange:
         eng = make_engine(c5, seed=0)
         with pytest.raises(ProtocolError, match=f"round 1: slot {slot} is outside the 5x2 port table of G_1"):
             eng.exchange([0, slot], 4)  # C5: 5 nodes of 2 ports
+        with pytest.raises(ProtocolError, match=f"round 1: slot {slot} is outside"):
+            eng.exchange([slot], 4)  # a lone message skips the congestion count
         assert eng.round == 0
 
     def test_strict_overflow_names_round_and_edge(self, k4):
@@ -93,6 +104,49 @@ class TestExchange:
         assert eng.log.max_edge_bits == max(r.max_edge_bits for r in eng.log.records)
         assert len(eng.log.jsonl_records()) == 3
 
+
+
+# The protocols whose rounds the log charges, each run on one engine: stitched
+# walks with and without CouponsExhausted fallbacks (48 coupons of length 1
+# cannot serve tau = 60), naive walks, shared-phase walks and both routes of a
+# gossip race.  Each returns the destinations of its walks.
+def gossip_race_routes(eng):
+    holders = {1: [0], 2: [5]}
+    k_gossip_rw(eng, holders, resolve_gossip_params(eng.n, 2, 8, eng.config.phi), 8, eng.config.phi)
+    k_gossip_trivial(eng, holders)
+    return []
+
+
+LOG_RUNS = {
+    "stitched": lambda eng: [single_random_walk(eng, 0, WalkParams(tau=24, lambda_walk=6)).destination],
+    "fallbacks": lambda eng: [single_random_walk(eng, 0, WalkParams(tau=60, lambda_walk=1)).fallbacks],
+    "naive": lambda eng: [
+        naive_walk(eng, 3, 20).destination, *concurrent_naive_walks(eng, [0, 1, 1, 5], 9).destinations.tolist()
+    ],
+    "many": lambda eng: many_random_walks(eng, [0, 3, 3, 7], 40, lambda_walk=4).destinations.tolist(),
+    "gossip": gossip_race_routes,
+}
+LOG_SCHEDULES = {"srr": "srr:n=16,d=3", "rr": "rr:n=16,d=3", "perm": "perm:base=petersen"}
+
+
+@pytest.mark.parametrize("run", LOG_RUNS, ids=LOG_RUNS)
+@pytest.mark.parametrize("spec", LOG_SCHEDULES.values(), ids=LOG_SCHEDULES)
+def test_log_totals_do_not_depend_on_records(spec, run):
+    schedule = parse_schedule_spec(spec, seed=3)
+    engines, outputs = [], []
+    for keep in (False, True):
+        # phi = n - 1 completes every flood on a connected-per-round schedule
+        eng = CongestEngine(schedule, SimConfig(seed=5, bandwidth_bits=AMPLE, phi=schedule.n - 1, record_rounds=keep))
+        outputs.append(LOG_RUNS[run](eng))
+        engines.append(eng)
+    off, on = (eng.log for eng in engines)
+    assert off.summary() == on.summary() and off.records == [] and outputs[0] == outputs[1]
+    assert [r.t for r in on.records] == list(range(1, engines[1].round + 1)) and on.rounds == engines[1].round
+    assert on.total_msgs == sum(r.msgs for r in on.records)
+    assert on.max_edge_bits == max(r.max_edge_bits for r in on.records)
+    assert all(r.max_edge_bits == 0 for r in on.records if r.msgs == 0)
+    if run == "fallbacks":
+        assert outputs[0][0] > 0
 
 def reference_exchange(g, B, t, slots, bits):
     """Per-message model of one round: (error type, text) or (msgs, max edge

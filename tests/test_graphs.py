@@ -342,6 +342,17 @@ class TestFilesAndSpecs:
         assert ts == list(range(1, rounds + 1))
         assert [g.edges for g in graphs] == [sched.snapshot_at(t).edges for t in range(1, rounds + 1)]
 
+    @pytest.mark.parametrize("spec", ["static:{}", "perm:base={}", "periodic:{}"])
+    def test_misdeclared_degree_names_file_and_both_degrees(self, tmp_path, spec):
+        path = tmp_path / "k4.jsonl"
+        path.write_text(json.dumps({"n": 4, "d": 5, "T": 1}) + "\n"
+                        + json.dumps({"t": 1, "edges": sorted(map(list, named_graph("K4").edges))}) + "\n")
+        message = f"schedule file {path} declares d=5 but its snapshots have degree [3]"
+        with pytest.raises(ScheduleError, match=re.escape(message)):
+            read_schedule_file(path)
+        with pytest.raises(ScheduleError, match=re.escape(message)):
+            parse_schedule_spec(spec.format(path), seed=0)
+
     @pytest.mark.parametrize("rounds", [0, -2])
     def test_write_rejects_nonpositive_rounds(self, tmp_path, rounds):
         path = tmp_path / "sched.jsonl"

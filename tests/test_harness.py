@@ -629,6 +629,7 @@ class TestCli:
             "--seeds", "1", "--out", str(tmp_path / "o"),
         ])
         assert "flood" in self._one_line_error(capsys, code)
+        assert not (tmp_path / "o").exists()  # the sweep failed before its first write
 
     def test_disconnected_schedule_exit_2(self, tmp_path, capsys, triangles):
         # The gossip walks run, then the first broadcast stalls.
@@ -705,8 +706,11 @@ class TestCli:
          '{"t": 2, "edges": [[0, 1], [1, 2], [0, 2]]}'],
         ['{"n": 3, "d": 2, "T": 2}', '{"t": 1, "edges": [[0, 1], [1, 2], [0, 2]]}'],
         ['{"n": 3, "d": 2}', '{"t": 0, "edges": [[0, 1], [1, 2], [0, 2]]}'],
+        ['{"n": 3, "d": 5, "T": 1}', '{"t": 1, "edges": [[0, 1], [1, 2], [0, 2]]}'],  # degree 2
+        ['{"n": 3, "d": "2", "T": 1}', '{"t": 1, "edges": [[0, 1], [1, 2], [0, 2]]}'],
     ], ids=["no-n", "no-t", "no-edges", "edges-int", "edge-triple", "row-list", "header-int",
-            "n-zero", "n-text", "T-text", "t-text", "bad-json", "t-1-7", "t-2-2", "T-short", "t-0"])
+            "n-zero", "n-text", "T-text", "t-text", "bad-json", "t-1-7", "t-2-2", "T-short", "t-0",
+            "d-five", "d-text"])
     def test_malformed_schedule_file_exit_2(self, tmp_path, capsys, lines):
         path = tmp_path / "bad.jsonl"
         path.write_text("\n".join(lines) + "\n")
@@ -714,7 +718,9 @@ class TestCli:
             "run", "--schedule", f"periodic:{path}", "--algo", "naive", "--tau", "3",
             "--seeds", "1", "--bandwidth", "100000", "--out", str(tmp_path / "o"),
         ])
-        assert str(path) in self._one_line_error(capsys, code)
+        err = self._one_line_error(capsys, code)
+        assert err.startswith("config error: ") and str(path) in err
+        assert not (tmp_path / "o").exists()
         with pytest.raises(ScheduleError, match=re.escape(str(path))):
             read_schedule_file(path)
 

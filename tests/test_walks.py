@@ -367,6 +367,32 @@ class TestWalkBatch:
         assert_batch_matches(batch, expected)
 
 
+# Each entry point with one source outside [0, n): (eng, coupons or None, source) -> walk.
+OUTSIDE_WALKS = {
+    "single": lambda eng, table, s: single_random_walk(eng, s, WalkParams(tau=24, lambda_walk=6)),
+    "single-with-coupons": lambda eng, table, s: single_random_walk(
+        eng, s, WalkParams(tau=24, lambda_walk=6), coupons=table
+    ),
+    "naive": lambda eng, table, s: naive_walk(eng, s, 5),
+    "concurrent": lambda eng, table, s: concurrent_naive_walks(eng, [0, s], 5),
+    "many-stitched": lambda eng, table, s: many_random_walks(eng, [0, s], 24, lambda_walk=6),
+    "many-naive": lambda eng, table, s: many_random_walks(eng, [0, s], 5, lambda_walk=6),
+}
+
+
+@pytest.mark.parametrize("source", [-1, 16], ids=["minus-one", "n"])
+@pytest.mark.parametrize("walk", OUTSIDE_WALKS.values(), ids=OUTSIDE_WALKS.keys())
+def test_source_outside_rejected_before_any_round(rr16, walk, source):
+    eng = make_engine(rr16, seed=0, phi=4)
+    table = phase1_distribute(eng, WalkParams(tau=24, lambda_walk=6), record_paths=False)
+    eng = make_engine(rr16, seed=0, phi=4)  # a fresh one: Phase 1 starts at round 0
+    unused = [pool[:] for pool in table.unused]
+    with pytest.raises(ValueError, match=rf"^walk source {source} is outside \[0, 16\)$"):
+        walk(eng, table, source)
+    assert eng.round == eng.log.rounds == 0
+    assert table.unused == unused  # no coupon was sampled
+
+
 class TestVisitStats:
     def test_zero_length_walk(self, k4):
         res = naive_walk(make_engine(k4, seed=0, phi=1), 2, 0)
