@@ -380,7 +380,6 @@ def many_random_walks(
     stitching runs source by source, consuming disjoint coupons.  Returns a
     `WalkBatch` in source order whose `destinations` are the endpoints.
     """
-    sources = _checked_sources(engine.n, sources)
     k = len(sources)
     if k == 0:
         return WalkBatch(np.empty(0, dtype=np.int64), list)
@@ -392,6 +391,7 @@ def many_random_walks(
         params = WalkParams.for_many(tau, engine.config.phi, k, lambda_c)
     if params.lambda_walk >= tau:
         return concurrent_naive_walks(engine, sources, tau, record_path=record_path)
+    sources = _checked_sources(engine.n, sources)  # before Phase 1 charges its rounds
     table = phase1_distribute(engine, params, record_paths=record_path)
     results = [
         single_random_walk(

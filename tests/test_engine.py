@@ -35,7 +35,6 @@ from dynwalk.graphs import (
     parse_schedule_spec,
     random_regular_graph,
 )
-
 from dynwalk.gossip import k_gossip_rw, k_gossip_trivial, resolve_gossip_params
 from dynwalk.walks import (
     WalkParams,
@@ -105,11 +104,11 @@ class TestExchange:
         assert len(eng.log.jsonl_records()) == 3
 
 
-
 # The protocols whose rounds the log charges, each run on one engine: stitched
 # walks with and without CouponsExhausted fallbacks (48 coupons of length 1
 # cannot serve tau = 60), naive walks, shared-phase walks and both routes of a
-# gossip race.  Each returns the destinations of its walks.
+# gossip race.  Each returns what its walks output (the fallback count for
+# "fallbacks", which must be positive).
 def gossip_race_routes(eng):
     holders = {1: [0], 2: [5]}
     k_gossip_rw(eng, holders, resolve_gossip_params(eng.n, 2, 8, eng.config.phi), 8, eng.config.phi)
@@ -147,6 +146,7 @@ def test_log_totals_do_not_depend_on_records(spec, run):
     assert all(r.max_edge_bits == 0 for r in on.records if r.msgs == 0)
     if run == "fallbacks":
         assert outputs[0][0] > 0
+
 
 def reference_exchange(g, B, t, slots, bits):
     """Per-message model of one round: (error type, text) or (msgs, max edge

@@ -367,7 +367,7 @@ class TestWalkBatch:
         assert_batch_matches(batch, expected)
 
 
-# Each entry point with one source outside [0, n): (eng, coupons or None, source) -> walk.
+# Each walk entry point, given an engine, a Phase-1 table and one source outside [0, n).
 OUTSIDE_WALKS = {
     "single": lambda eng, table, s: single_random_walk(eng, s, WalkParams(tau=24, lambda_walk=6)),
     "single-with-coupons": lambda eng, table, s: single_random_walk(
