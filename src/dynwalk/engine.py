@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import DynwalkError, GraphSchedule, derive_seed
+from .graphs import DynwalkError, GraphSchedule, derive_seed, flood_failure
 
 __all__ = [
     "SimConfig",
@@ -256,8 +256,8 @@ class CongestEngine:
         node, the round it is informed in: the engine's round at the sources,
         -1 where the budget ends first.  A negative budget raises ValueError
         before any round is charged.  A round that informs nobody while nodes
-        are uninformed raises ScheduleError (a disconnected snapshot); a
-        complete flood inside the budget is required unless
+        are uninformed raises its `flood_failure` (a disconnected snapshot or
+        a failed build); a complete flood inside the budget is required unless
         `require_complete` is False (probabilistic callers).
         """
         if budget < 0:
@@ -287,33 +287,30 @@ class CongestEngine:
         if min(sources) < 0 or max(sources) >= self.n:
             bad = next(s for s in sources if not 0 <= s < self.n)
             raise ValueError(f"flood source {bad} is outside [0, {self.n})")
-        start, msgs = self._round, []
+        start = self._round
         if len(sources) < self.n and budget != 0:
-            sent, informed, error = self.schedule.flood_trace(sources, start + 1)
+            sent, informed, complete = self.schedule.flood_trace(sources, start + 1)
         else:  # no round can inform anyone new
-            sent, informed, error = (), np.full(self.n, -1, dtype=np.int64), None
+            sent, informed, complete = (), np.full(self.n, -1, dtype=np.int64), True
             informed[sources] = start
             informed.setflags(write=False)
         run = len(sent) if budget is None else min(budget, len(sent))
-        stalls = error is not None and run != budget  # the budget reaches the failing round
+        stalls = not complete and run != budget  # the budget reaches the round that informs nobody
         tail = 0 if budget is None or stalls else budget - run  # rounds after coverage
         fit = min(run + tail, self.config.max_rounds - start)
-        try:
-            bfs = min(fit, run)
-            msgs += sent[:bfs]
-            if bfs < len(sent):  # the budget or the round limit cuts the flood short
-                informed = np.where(informed > start + bfs, -1, informed)
-                informed.setflags(write=False)
-            self._round = start + bfs
-            if fit > bfs:  # every node is informed, so each round left sends n*d messages
-                msgs += [self.n * self.schedule.d] * (fit - bfs)
-                self._round = start + fit
-        finally:  # the rounds run before an error stay charged
-            self.log.observe(start + 1, msgs, payload_bits)
+        bfs = min(fit, run)
+        msgs = list(sent[:bfs])
+        if bfs < len(sent):  # the budget or the round limit cuts the flood short
+            informed = np.where(informed > start + bfs, -1, informed)
+            informed.setflags(write=False)
+        if fit > bfs:  # every node is informed, so each round left sends n*d messages
+            msgs += [self.n * self.schedule.d] * (fit - bfs)
+        self._round = start + fit
+        self.log.observe(start + 1, msgs, payload_bits)  # the rounds run before an error stay charged
         if fit < run + tail or stalls:
             self._begin_round()  # raises RoundLimitError, as round start + fit + 1 would
-            raise type(error)(*error.args) from error.__cause__  # as the trace's round did
+            raise flood_failure(self.schedule, start + fit + 1)
         # Only a cut, a stall or a zero budget can leave a node uninformed.
-        if require_complete and (bfs < len(sent) or error is not None or budget == 0) and informed.min() < 0:
+        if require_complete and (bfs < len(sent) or not complete or budget == 0) and informed.min() < 0:
             raise FloodIncompleteError(f"flood informed {np.count_nonzero(informed >= 0)}/{self.n} nodes in {budget} rounds")
         return informed

@@ -32,6 +32,7 @@ __all__ = [
     "random_regular_graph",
     "FloodTrace",
     "informed_rounds",
+    "flood_failure",
     "flooding_time",
     "dynamic_diameter",
     "parse_schedule_spec",
@@ -70,9 +71,10 @@ def derive_seed(*parts: int) -> int:
 
 
 class GraphSnapshot:
-    """One round's topology: a simple undirected graph on nodes [0, n)."""
+    """One round's topology: a simple undirected graph on nodes [0, n).  `d`
+    is the one degree all its nodes have, or None if their degrees differ."""
 
-    __slots__ = ("n", "edges", "adj", "_nbr")
+    __slots__ = ("n", "edges", "adj", "d", "_nbr")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         norm = set()
@@ -89,6 +91,8 @@ class GraphSnapshot:
             adj[u].append(v)
             adj[v].append(u)
         self.adj = tuple(tuple(a) for a in adj)
+        degrees = set(map(len, adj))
+        self.d = degrees.pop() if len(degrees) == 1 else None
         self._nbr: np.ndarray | None = None
 
     @property
@@ -96,11 +100,9 @@ class GraphSnapshot:
         """Neighbor table, built on first use: the n x d array whose row v is
         adj[v].  Only a d-regular snapshot has one; ValueError otherwise."""
         if self._nbr is None:
-            degrees = set(map(len, self.adj))
-            if len(degrees) != 1:
-                raise ValueError(f"{self!r} has no neighbor table: its degrees {sorted(degrees)} differ")
-            (d,) = degrees
-            self._nbr = np.fromiter(chain.from_iterable(self.adj), dtype=np.int64, count=self.n * d).reshape(self.n, d)
+            if self.d is None:
+                raise ValueError(f"{self!r} has no neighbor table: its degrees {sorted(set(map(len, self.adj)))} differ")
+            self._nbr = np.fromiter(chain.from_iterable(self.adj), dtype=np.int64, count=self.n * self.d).reshape(self.n, self.d)
         return self._nbr
 
     def degree(self, v: int) -> int:
@@ -123,15 +125,11 @@ class GraphSnapshot:
 @dataclass(frozen=True)
 class ValidationReport:
     connected: bool
-    regular_degree: int | None
     bipartite: bool
 
 
 def validate_snapshot(g: GraphSnapshot) -> ValidationReport:
-    """Exact connectivity, degree, and 2-coloring bipartiteness checks."""
-    degrees = [g.degree(v) for v in range(g.n)]
-    uniform = degrees[0] if g.n > 0 and all(x == degrees[0] for x in degrees) else None
-
+    """Exact connectivity and 2-coloring bipartiteness checks (the degree is `g.d`)."""
     color = [-1] * g.n
     color[0] = 0
     queue = deque([0])
@@ -149,7 +147,7 @@ def validate_snapshot(g: GraphSnapshot) -> ValidationReport:
     connected = seen == g.n
     # A 2-coloring of one component says nothing about unreachable ones;
     # a disconnected report already fails every schedule invariant.
-    return ValidationReport(connected=connected, regular_degree=uniform, bipartite=bipartite)
+    return ValidationReport(connected=connected, bipartite=bipartite)
 
 
 def named_graph(name: str) -> GraphSnapshot:
@@ -244,14 +242,14 @@ class FloodTrace(NamedTuple):
 
     sent: tuple[int, ...]  # messages sent in each round
     informed: np.ndarray  # read-only: node -> absolute round informed, start_round - 1 at sources, -1 if never
-    error: ScheduleError | None  # raised by the round after the last one, if any
+    complete: bool  # False: round start_round + len(sent) informs nobody, see `flood_failure`
 
 
 class GraphSchedule:
     """Base class: deterministic map from round number to snapshot, every
     one of them d-regular for the schedule's one declared degree d >= 1."""
 
-    FLOOD_MEMO_CELLS = 1 << 18  # cells of flood memo entries kept, 2(n + 1) each; cleared when full
+    FLOOD_MEMO_CELLS = 1 << 18  # cells of flood memo entries kept, 2n each; cleared when full
     period: int | None = None  # snapshot_at(t + period) == snapshot_at(t), when known
 
     def __init__(self, n: int, d: int | None, seed: int, spec: str):
@@ -304,7 +302,7 @@ class GraphSchedule:
         if None in entries:
             missing = [s for s, entry in zip(sources, entries) if entry is None]
             computed = [[row, None] for row in informed_rounds(self, missing, start_round)]
-            cells = 2 * (self.n + 1)
+            cells = 2 * self.n
             if (len(self._memo) + len(missing)) * cells > self.FLOOD_MEMO_CELLS:
                 self._memo.clear()
             if len(missing) * cells <= self.FLOOD_MEMO_CELLS:
@@ -319,35 +317,23 @@ class GraphSchedule:
         does, so a set's row is the minimum of its members' rows.
 
         The trace runs until every node is informed, at most n - 1 rounds,
-        or to its error: a snapshot build that raised ScheduleError while
-        some node was uninformed, or the first round that informs nobody
-        while some node is uninformed (a disconnected snapshot).
+        or to the first round that informs nobody while some node is
+        uninformed: a disconnected snapshot, or one whose build raised.
         """
         n = self.n
-        new = np.bincount(union[:n], minlength=n + 2).tolist()  # nodes informed in each round
-        failed = int(union[n])  # the round whose snapshot build raised, if any
-        sent, error = [], None
+        new = np.bincount(union, minlength=n + 2).tolist()  # nodes informed in each round
+        sent = []
         have = new[0]
         for r in range(1, n + 1):
-            if have == n:
-                break
-            t = start_round + r - 1
-            if r == failed:  # building this round's snapshot again gives the error
-                try:
-                    self.snapshot_at(t)
-                except ScheduleError as exc:
-                    error = exc.with_traceback(None)
-                    break
-            if not new[r]:
-                error = ScheduleError(f"flood stalled at round {t}: snapshot disconnected")
+            if have == n or not new[r]:
                 break
             sent.append(self.d * have)
             have += new[r]
-        informed = union[:n].astype(np.int64) + (start_round - 1)
+        informed = union.astype(np.int64) + (start_round - 1)
         if have < n:  # the nodes the row informs after the flood's last round
-            informed[union[:n] > len(sent)] = -1
+            informed[union > len(sent)] = -1
         informed.setflags(write=False)
-        return FloodTrace(tuple(sent), informed, error)
+        return FloodTrace(tuple(sent), informed, have == n)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(spec={self.spec!r}, n={self.n}, d={self.d}, seed={self.seed})"
@@ -359,8 +345,7 @@ class StaticSchedule(GraphSchedule):
     period = 1
 
     def __init__(self, graph: GraphSnapshot, seed: int = 0, spec: str = "static"):
-        report = validate_snapshot(graph)
-        super().__init__(graph.n, report.regular_degree, seed, spec)
+        super().__init__(graph.n, graph.d, seed, spec)
         self._graph = graph
 
     def snapshot_at(self, t: int) -> GraphSnapshot:
@@ -378,7 +363,7 @@ class PeriodicSchedule(GraphSchedule):
         n = graphs[0].n
         if any(g.n != n for g in graphs):
             raise ScheduleError("all snapshots in a schedule share one node set")
-        degs = {validate_snapshot(g).regular_degree for g in graphs}
+        degs = {g.d for g in graphs}
         d = degs.pop() if len(degs) == 1 else None
         super().__init__(n, d, seed, spec)
         self._graphs = list(graphs)
@@ -411,8 +396,7 @@ class PermutedSchedule(GraphSchedule):
     """
 
     def __init__(self, base: GraphSnapshot, seed: int, spec: str = "perm"):
-        report = validate_snapshot(base)
-        super().__init__(base.n, report.regular_degree, seed, spec)
+        super().__init__(base.n, base.d, seed, spec)
         self._base = base
 
     def _build(self, t: int) -> GraphSnapshot:
@@ -426,45 +410,54 @@ class PermutedSchedule(GraphSchedule):
 def informed_rounds(schedule: GraphSchedule, sources: Sequence[int], start_round: int = 1) -> np.ndarray:
     """The one temporal BFS, run for each of the distinct `sources` alone.
 
-    Row i of the returned (len(sources), n + 1) int32 array holds, for each
-    node, the round in which a flood from sources[i] informs it: 0 at the
-    source, r when round r (on snapshot start_round + r - 1) informs it, and
-    n + 1 when no round within n does.  In round r every informed node sends
+    Row i of the returned (len(sources), n) int32 array holds, for each node,
+    the round in which a flood from sources[i] informs it: 0 at the source,
+    r when round r (on snapshot start_round + r - 1) informs it, and n + 1
+    when no round within n does.  In round r every informed node sends
     on each of its current edges, so a node is informed when any of its
     neighbors was informed before r: one pull gather on the snapshot's
     neighbor table for all rows at once.  Rows run until all are complete or
     n rounds have passed, rounds that inform nobody included.  If a snapshot
-    build raises ScheduleError, the incomplete rows record that round in
-    column n (n + 1 otherwise), and all rows stop there.
+    build raises ScheduleError, all rows stop there: that round and every
+    later one inform nobody.
     """
     n = schedule.n
-    out = np.full((len(sources), n + 1), n + 1, dtype=np.int32)
-    out[np.arange(len(sources)), sources] = 0
-    rounds = out[:, :n]
+    rounds = np.full((len(sources), n), n + 1, dtype=np.int32)
+    rounds[np.arange(len(sources)), sources] = 0
     for r in range(1, n + 1):
         if rounds.max() <= n:  # every row is complete
             break
         try:
             nbr = schedule.snapshot_at(start_round + r - 1).nbr
         except ScheduleError:
-            out[(rounds > n).any(axis=1), n] = r
             break
         # One round after the earliest-informed neighbor, and no earlier than
         # r, since the edge to it exists in round r only.
-        reach = out.take(nbr.T, axis=1).min(axis=1)
+        reach = rounds.take(nbr.T, axis=1).min(axis=1)
         reach += 1
         np.maximum(reach, r, out=reach)
         np.minimum(rounds, reach, out=rounds)
-    return out
+    return rounds
+
+
+def flood_failure(schedule: GraphSchedule, t: int) -> ScheduleError:
+    """The error of a flood whose round t informs nobody while some node is
+    uninformed: the ScheduleError that building snapshot t raises, or else a
+    stall on a disconnected snapshot."""
+    try:
+        schedule.snapshot_at(t)
+    except ScheduleError as exc:
+        return exc
+    return ScheduleError(f"flood stalled at round {t}: snapshot disconnected")
 
 
 def flooding_time(schedule: GraphSchedule, source: int, start_round: int = 1) -> int:
     """Rounds of temporal BFS (`informed_rounds`) needed to inform all n
     nodes from `source`, starting on snapshot `start_round`.  A flood that
-    stalls or meets a failed snapshot build raises its ScheduleError."""
-    sent, _, error = schedule.flood_trace((source,), start_round)
-    if error is not None:
-        raise error
+    stalls or meets a failed snapshot build raises its `flood_failure`."""
+    sent, _, complete = schedule.flood_trace((source,), start_round)
+    if not complete:
+        raise flood_failure(schedule, start_round + len(sent))
     return len(sent)
 
 
@@ -475,7 +468,7 @@ def dynamic_diameter(schedule: GraphSchedule, horizon: int) -> int:
         raise ValueError("horizon must be >= 1")
     best = 0
     for start in range(1, horizon + 1):
-        rows = np.array([row for row, _ in schedule._entries(range(schedule.n), start)])[:, : schedule.n]
+        rows = np.array([row for row, _ in schedule._entries(range(schedule.n), start)])
         rows.sort(axis=1)
         # A round missing from a row is one its flood stalls in, or never reaches.
         failed = (np.diff(rows, axis=1) > 1).any(axis=1)
@@ -533,8 +526,8 @@ def read_schedule_file(path: str | Path) -> tuple[int, int | None, list[GraphSna
         raise ScheduleError(f"schedule file {path} holds no snapshots")
     if not in_order:
         raise ScheduleError(f"schedule file {path} declares T={T} but its rows have t={ts}")
-    degrees = sorted({len(nbrs) for g in graphs for nbrs in g.adj})
-    if d is not None and degrees != [d]:
+    if d is not None and any(g.d != d for g in graphs):
+        degrees = sorted({len(nbrs) for g in graphs for nbrs in g.adj})
         raise ScheduleError(f"schedule file {path} declares d={d!r} but its snapshots have degree {degrees}")
     return n, d, graphs
 

@@ -187,8 +187,6 @@ def write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
 
 
 def _quantiles(values: list[float]) -> dict:
-    if not values:
-        return {"median": None, "q25": None, "q75": None, "min": None, "max": None}
     values = sorted(values)
     return {
         "median": statistics.median(values),

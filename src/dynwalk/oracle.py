@@ -119,7 +119,7 @@ class SpectralSummary:
 def spectral_summary(g: GraphSnapshot) -> SpectralSummary:
     """Second eigenvalue (signed and in absolute value) of a regular
     snapshot's walk matrix, which is symmetric."""
-    if len({g.degree(v) for v in range(g.n)}) != 1:
+    if g.d is None:
         raise ValueError("snapshot is not regular")
     eigs = np.linalg.eigvalsh(transition_matrix(g))  # ascending
     lambda2_signed = float(eigs[-2])

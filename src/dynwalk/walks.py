@@ -113,17 +113,14 @@ class CouponTable:
 class WalkResult:
     """Outcome of one walk: where it ended and what it cost.
 
-    `step_provenance` lists, per walk step, the schedule round whose snapshot
-    the step was taken on (Phase-1 rounds for stitched segments, live rounds
-    for naive steps).  `connectors` starts with the source; entries after the
-    first are the stitch points, in order.
+    `connectors` starts with the source; entries after the first are the
+    stitch points, in order.
     """
 
     source: int
     destination: int
     rounds_used: int
     connectors: list[int]
-    step_provenance: list[int]
     segment_lengths: list[int]
     fallbacks: int
     path: list[int] | None
@@ -223,10 +220,9 @@ def concurrent_naive_walks(
     end_round = engine.round
 
     def build() -> list[WalkResult]:
-        prov = list(range(start_round + 1, end_round + 1))
         paths = trail.T.tolist() if record_path else [None] * len(pos)
         return [
-            WalkResult(s, dest, end_round - start_round, [s], prov[:], [], 0, path, j)
+            WalkResult(s, dest, end_round - start_round, [s], [], 0, path, j)
             for j, (s, dest, path) in enumerate(zip(sources.tolist(), pos.tolist(), paths))
         ]
 
@@ -320,14 +316,11 @@ def single_random_walk(
     v = source
     connectors = [source]
     segments: list[int] = []
-    prov: list[int] = []
     path = [source] if record_path else None
 
     def walk_naively(steps: int) -> int:
-        first = engine.round + 1
         rng = engine.stream(TAG_NAIVE)
         pos, trail = _walk_tokens(engine, rng, [v], steps, token_bits, record_path)
-        prov.extend(range(first, engine.round + 1))
         if record_path:
             path.extend(trail[1:, 0].tolist())
         return pos.item(0)
@@ -346,7 +339,6 @@ def single_random_walk(
         length = coupons.lengths.item(ci)
         completed += length
         segments.append(length)
-        prov.extend(range(1, length + 1))
         if record_path and coupons.trail is not None:
             path.extend(coupons.trail[1 : length + 1, ci].tolist())
         v = coupons.holders.item(ci)
@@ -357,7 +349,6 @@ def single_random_walk(
         destination=v,
         rounds_used=engine.round - start_round,
         connectors=connectors,
-        step_provenance=prov,
         segment_lengths=segments,
         fallbacks=fallbacks,
         path=path,

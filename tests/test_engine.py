@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 from unittest import mock
 
@@ -30,6 +31,7 @@ from dynwalk.graphs import (
     ScheduleError,
     StaticSchedule,
     dynamic_diameter,
+    flood_failure,
     flooding_time,
     named_graph,
     parse_schedule_spec,
@@ -532,10 +534,12 @@ class TestFloodMemo:
         # one BFS computed them together or each flood alone did before.
         sched, sources, start, _ = case
         for flood in ([[s] for s in sources] if members_first else []) + [sources]:
-            sent, informed, error = sched.flood_trace(flood, start)
+            sent, informed, complete = sched.flood_trace(flood, start)
             expected_sent, expected_informed, stall = reference_trace(sched, flood, start)
             assert sent == tuple(expected_sent) and as_dict(informed) == expected_informed
-            assert (None if error is None else str(error)) == stall
+            assert complete == (stall is None)
+            if not complete:
+                assert str(flood_failure(sched, start + len(sent))) == stall
 
     def test_build_error_after_the_union_completes_does_not_surface(self):
         sched = CycleUntil(2)
@@ -544,7 +548,7 @@ class TestFloodMemo:
         with pytest.raises(ScheduleError, match="round 3: no snapshot"):
             dynamic_diameter(sched, 1)
         trace = sched.flood_trace([0, 4], 1)  # informs everyone in 2 rounds
-        assert trace.error is None and trace.sent == (4, 12)
+        assert trace.complete and trace.sent == (4, 12)
         assert as_dict(trace.informed) == {0: 0, 4: 0, 1: 1, 3: 1, 5: 1, 7: 1, 2: 2, 6: 2}
         eng = make_engine(sched, seed=0)
         assert len(as_dict(eng.flood(8, [4, 0], 6))) == 8 and eng.round == 6
@@ -554,26 +558,53 @@ class TestFloodMemo:
             eng.flood(8, [0, 1], 6)
         assert eng.round == eng.log.rounds == 2
 
+    @pytest.mark.parametrize("sched, text", [
+        (PeriodicSchedule([two_cycles(8)]), "flood stalled at round 4: snapshot disconnected"),
+        (CycleUntil(3), "round 4: no snapshot"),
+    ], ids=["stall", "build-error"])
+    def test_each_failure_is_raised_fresh(self, sched, text):
+        # The memo keeps no exception: every failing flood raises a new one,
+        # whose traceback is as long as the last one's.
+        raised = []
+        for _ in range(3):
+            with pytest.raises(ScheduleError, match=text) as info:
+                flooding_time(sched, 0, 2)
+            raised.append((info.value, len(traceback.extract_tb(info.value.__traceback__))))
+        assert len({id(exc) for exc, _ in raised}) == 3
+        assert len({depth for _, depth in raised}) == 1
+        assert not any(isinstance(field, BaseException) for field in sched.flood_trace([0], 2))
+
+    def test_build_error_keeps_its_cause(self, monkeypatch):
+        def no_graph(n, d, rng):
+            raise ScheduleError("no graph")
+
+        sched = parse_schedule_spec("rr:n=8,d=3", seed=0)
+        monkeypatch.setattr(graphs, "random_regular_graph", no_graph)
+        with pytest.raises(ScheduleError, match="^round 1: no graph$") as info:
+            make_engine(sched, seed=0).flood(8, [0], 3)
+        assert str(info.value.__cause__) == "no graph"
+        assert flood_failure(sched, 1) is not flood_failure(sched, 1)
+
     def test_rows_memo_never_grows_past_its_cap(self):
         sched = parse_schedule_spec("rr:n=8,d=3", seed=5)
-        sched.FLOOD_MEMO_CELLS = 5 * 2 * 9  # five entries of two rows of n + 1 cells
+        sched.FLOOD_MEMO_CELLS = 5 * 2 * 8  # five entries of two rows of n cells
         rng = random.Random(3)
         for start in range(1, 30):
             sources = rng.sample(range(8), rng.randint(1, 4))
             sent, informed, _ = sched.flood_trace(sources, start)
-            assert len(sched._memo) * 2 * 9 <= sched.FLOOD_MEMO_CELLS
+            assert len(sched._memo) * 2 * 8 <= sched.FLOOD_MEMO_CELLS
             assert all(row.dtype == np.int32 for row, _ in sched._memo.values())
             expected_sent, expected_informed, _ = reference_trace(sched, sources, start)
             assert sent == tuple(expected_sent) and as_dict(informed) == expected_informed
         # A batch of all 8 rows is larger than the cap: it is used, not kept.
         assert dynamic_diameter(sched, 3) == max(flooding_time(sched, s, t) for s in range(8) for t in (1, 2, 3))
-        assert len(sched._memo) * 2 * 9 <= sched.FLOOD_MEMO_CELLS
+        assert len(sched._memo) * 2 * 8 <= sched.FLOOD_MEMO_CELLS
 
     def test_cap_counts_two_rows_per_entry(self):
-        # Room for four rows of n + 1 cells is room for two entries: a row
-        # each, and its trace's informed array.
+        # Room for four rows of n cells is room for two entries: a row each,
+        # and its trace's informed array.
         sched = parse_schedule_spec("static:C8")
-        sched.FLOOD_MEMO_CELLS = 4 * 9
+        sched.FLOOD_MEMO_CELLS = 4 * 8
         for source in (0, 1):
             sched.flood_trace([source], 1)
         assert sorted(sched._memo) == [(1, 0), (1, 1)] and memo_traces(sched) == 2

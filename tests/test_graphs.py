@@ -20,6 +20,7 @@ from dynwalk.graphs import (
     ScheduleError,
     StaticSchedule,
     dynamic_diameter,
+    flood_failure,
     flooding_time,
     named_graph,
     parse_schedule_spec,
@@ -60,13 +61,14 @@ def temporal_bfs_rounds(schedule, source, start):
 def valid(g, d):
     """Connected, not bipartite and d-regular: what every schedule promises."""
     report = validate_snapshot(g)
-    return report.connected and not report.bipartite and report.regular_degree == d
+    return report.connected and not report.bipartite and g.d == d
 
 
 class TestValidation:
     def test_c5_report(self):
-        report = validate_snapshot(named_graph("C5"))
-        assert report.connected and report.regular_degree == 2 and not report.bipartite
+        g = named_graph("C5")
+        report = validate_snapshot(g)
+        assert report.connected and g.d == 2 and not report.bipartite
 
     def test_c4_bipartite(self):
         assert validate_snapshot(named_graph("C4")).bipartite
@@ -75,12 +77,12 @@ class TestValidation:
         g = GraphSnapshot(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         report = validate_snapshot(g)
         assert not report.connected
-        assert report.regular_degree == 2
+        assert g.d == 2
 
     def test_star_degrees(self):
         g = star4()
         assert g.degree(0) == 4 and all(g.degree(i) == 1 for i in range(1, 5))
-        assert validate_snapshot(g).regular_degree is None
+        assert g.d is None
 
     def test_petersen(self):
         g = named_graph("petersen")
@@ -276,19 +278,19 @@ class TestFloodMemo:
         trace = sched.flood_trace([3], 4)
         assert sched.flood_trace((3, 3), 4) is trace
         assert sched.flood_trace([3], 5) is not trace
-        assert sorted(as_dict(trace.informed)) == list(range(10)) and trace.error is None
+        assert sorted(as_dict(trace.informed)) == list(range(10)) and trace.complete
         assert trace.informed[3] == 3 and min(np.delete(trace.informed, 3)) == 4
         pair = sched.flood_trace([3, 1], 4)  # a set trace is read from the rows on every call
         news = {v: t for v, t in as_dict(pair.informed).items() if v not in (1, 3)}
         assert sorted(news) == [0, 2] + list(range(4, 10))
-        assert min(news.values()) == 4 and pair.error is None
+        assert min(news.values()) == 4 and pair.complete
 
     def test_stall_is_kept_in_the_trace(self, triangles):
         trace = triangles.flood_trace([0], 2)
         assert trace.sent == (2,) and as_dict(trace.informed) == {0: 1, 1: 2, 2: 2}
         assert trace.informed.tolist() == [1, 2, 2, -1, -1, -1]
-        assert isinstance(trace.error, ScheduleError)
-        assert str(trace.error) == "flood stalled at round 3: snapshot disconnected"
+        assert not trace.complete  # round 2 + len(sent) informs nobody
+        assert str(flood_failure(triangles, 3)) == "flood stalled at round 3: snapshot disconnected"
 
     @pytest.mark.parametrize(
         "setup",

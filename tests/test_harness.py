@@ -4,12 +4,13 @@ import random
 import re
 import statistics
 from dataclasses import fields
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from conftest import memo_traces, write_snapshots
-from dynwalk.cli import EXIT_CONFIG_ERROR, EXIT_OK, _build_parser, _config_from_args, main
+from dynwalk.cli import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_PROPERTY_FAILURE, _build_parser, _config_from_args, main
 from dynwalk import harness, oracle
 from dynwalk.harness import (
     PropertyResult,
@@ -245,6 +246,35 @@ class TestRunExperiment:
         assert lines[0] == "n,d,k,tau,phi,f,rounds_rw,rounds_trivial,winner,coverage_rw,seed"
         assert len(lines) == 4  # header + one row per seed
         assert report.aggregates["coverage_rate"] == 1.0
+
+    def test_tv_to_oracle_of_the_readme_single_example(self, tmp_path):
+        cfg = ExperimentConfig(
+            "static:petersen", "single", seeds=100, bandwidth=100000, out=str(tmp_path / "o"), oracle=True,
+        )
+        report, code = run_experiment(cfg)
+        tau = report.aggregates["tau"]
+        rows = [json.loads(line) for line in (tmp_path / "o" / "single_per_seed.jsonl").read_text().splitlines()]
+        counts = np.bincount([r["destination"] for r in rows], minlength=10) / len(rows)
+        sched = parse_schedule_spec("static:petersen")
+        law = next(islice(oracle.walk_laws(oracle.point_mass(10, 0), sched), tau, None))  # row 0 of P^tau
+        assert code == EXIT_OK and tau > 0
+        assert report.aggregates["tv_to_oracle"] == pytest.approx(0.5 * np.abs(counts - law).sum(), abs=1e-12)
+
+    def test_many_sweep_rows_and_aggregates(self, tmp_path):
+        cfg = ExperimentConfig(
+            "rr:n=16,d=3", "many", tau="40", k=6, seeds=3, bandwidth=100000, out=str(tmp_path / "o"),
+        )
+        report, code = run_experiment(cfg)
+        rows = [json.loads(line) for line in (tmp_path / "o" / "many_per_seed.jsonl").read_text().splitlines()]
+        assert code == EXIT_OK
+        assert [(r["seed"], r["walk_id"], r["source"]) for r in rows] == [(i, j, j) for i in range(3) for j in range(6)]
+        rounds = sorted(r["rounds_used"] for r in rows)
+        assert report.aggregates["rounds"] == {
+            "median": statistics.median(rounds), "q25": rounds[17 // 4], "q75": rounds[3 * 17 // 4],
+            "min": rounds[0], "max": rounds[-1],
+        }
+        assert report.aggregates["fallbacks_total"] == sum(r["fallbacks"] for r in rows)
+        assert report.aggregates["tau"] == 40
 
     def test_estimate_mix_with_oracle(self, tmp_path):
         cfg = ExperimentConfig(
@@ -640,6 +670,35 @@ class TestCli:
             "--phi", "3", "--seeds", "1", "--out", str(tmp_path / "o"),
         ])
         assert "snapshot disconnected" in self._one_line_error(capsys, code)
+        assert not (tmp_path / "o").exists()
+
+    def test_phi_resolution_stall_exit_2(self, tmp_path, capsys, triangles):
+        # C6 then two triangles: a flood from node 1 meets only its own
+        # triangle in round 2, so resolving phi stalls before any walk.
+        path = tmp_path / "c6-triangles.jsonl"
+        write_snapshots(path, [named_graph("C6"), triangles.snapshot_at(1)])
+        code = main([
+            "run", "--schedule", f"periodic:{path}", "--algo", "naive", "--tau", "3",
+            "--seeds", "1", "--out", str(tmp_path / "o"),
+        ])
+        assert self._one_line_error(capsys, code) == "run error: flood stalled at round 2: snapshot disconnected\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_estimate_mix_bracket_miss_exit_1(self, tmp_path, capsys, monkeypatch):
+        # An oracle bracket that excludes every estimate fails each seed, and
+        # the report is still written.
+        monkeypatch.setattr(oracle, "mixing_time_oracle", lambda *args: 10**6)
+        out = tmp_path / "o"
+        code = main([
+            "run", "--schedule", "srr:n=24,d=8", "--algo", "estimate-mix", "--seeds", "2",
+            "--bandwidth", "100000", "--oracle", "--out", str(out),
+        ])
+        err = capsys.readouterr().err.splitlines()
+        assert code == EXIT_PROPERTY_FAILURE and len(err) == 2
+        for seed, line in enumerate(err):
+            assert re.fullmatch(rf"FAIL: seed {seed}: tau_tilde \d+ outside \(1000000, 1000000\)", line)
+        report = json.loads((out / "report.json").read_text())
+        assert len(report["failures"]) == 2 and report["aggregates"]["tau_tilde"]["max"] < 10**6
 
     # C4 then K4 share no degree: the schedule is rejected when it is built,
     # before any round runs and before any output is written.

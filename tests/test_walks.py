@@ -10,6 +10,7 @@ from scipy import stats
 from conftest import empirical_tv, make_engine
 from dynwalk.graphs import (
     PeriodicSchedule,
+    dynamic_diameter,
     parse_schedule_spec,
     random_regular_graph,
 )
@@ -33,6 +34,49 @@ from dynwalk.walks import (
 )
 
 
+def hops_on(schedule, path, first_round):
+    """Whether hop j of `path` (j = 1, 2, ...) is an edge of the snapshot of
+    round first_round + j - 1."""
+    hops = zip(path, path[1:])
+    return all(v in schedule.snapshot_at(t).adj[u] for t, (u, v) in enumerate(hops, first_round))
+
+
+class TestPathAudit:
+    """Each step of a walk is taken on the snapshot of its own round, on a
+    schedule whose snapshots differ from round to round."""
+
+    @pytest.fixture(scope="class")
+    def rr(self):
+        return parse_schedule_spec("rr:n=16,d=3", seed=5)
+
+    def test_stitched_walk_hops(self, rr):
+        # Hop j of a segment is a coupon's step in Phase-1 round j; after s
+        # stitches the tail starts in round 2*lambda + 2*phi*s + 1.
+        params = WalkParams(tau=60, lambda_walk=8)
+        phi = dynamic_diameter(rr, 160)
+        audited = 0
+        for seed in range(40):
+            res = single_random_walk(make_engine(rr, seed=seed, phi=phi), seed % 16, params)
+            if res.fallbacks:
+                continue
+            at = 0
+            for length in res.segment_lengths:
+                assert hops_on(rr, res.path[at : at + length + 1], 1)
+                at += length
+            stitches = len(res.segment_lengths)
+            assert 0 < at < 60 and hops_on(rr, res.path[at:], 2 * params.lambda_walk + 2 * phi * stitches + 1)
+            audited += 1
+        assert audited >= 30
+
+    def test_naive_walk_hops(self, rr):
+        # A naive walk started after k idle rounds steps on G_{k+1}, G_{k+2}, ...
+        for seed in range(40):
+            eng = make_engine(rr, seed=seed)
+            eng.idle(seed % 5)
+            res = naive_walk(eng, seed % 16, 20)
+            assert hops_on(rr, res.path, seed % 5 + 1)
+
+
 class TestWalkParams:
     def test_defaults(self):
         p = WalkParams.for_single(tau=100, phi=4)
@@ -53,16 +97,13 @@ class TestNaiveWalk:
     def test_zero_length(self, k4):
         res = naive_walk(make_engine(k4, seed=0, phi=1), 2, 0)
         assert res.destination == 2 and res.rounds_used == 0
-        assert res.path == [2] and res.step_provenance == []
+        assert res.path == [2]
 
     def test_rounds_equal_length(self, c9):
         eng = make_engine(c9, seed=3, phi=4)
         res = naive_walk(eng, 0, 17)
         assert res.rounds_used == 17 == eng.round
-        assert len(res.path) == 18 and len(res.step_provenance) == 17
-        # every hop is an edge of its provenance round's snapshot
-        for i, t in enumerate(res.step_provenance):
-            assert res.path[i + 1] in c9.snapshot_at(t).adj[res.path[i]]
+        assert len(res.path) == 18 and hops_on(c9, res.path, 1)
 
     def test_k4_one_step_distribution(self, k4):
         dests = []
@@ -194,7 +235,6 @@ class TestSingleRandomWalk:
         for seed in range(30):
             eng = make_engine(rr16, seed=seed, phi=4)
             res = single_random_walk(eng, seed % 16, params)
-            assert len(res.step_provenance) == 60
             assert len(res.path) == 61
             assert res.path[0] == res.source == res.connectors[0]
             assert res.path[-1] == res.destination
@@ -209,7 +249,7 @@ class TestSingleRandomWalk:
         table.unused[0] = []  # drain the source before it can stitch
         res = single_random_walk(eng, 0, params, coupons=table)
         assert res.fallbacks >= 1
-        assert len(res.step_provenance) == 12 and len(res.path) == 13
+        assert len(res.path) == 13
 
     def test_consumed_coupons_match_segments(self, rr16):
         eng = make_engine(rr16, seed=9, phi=4)
@@ -236,7 +276,7 @@ class TestManyRandomWalks:
         results = many_random_walks(eng, [0, 1, 2, 3], tau=3)  # lambda = ceil(sqrt(12)) = 4 >= 3
         assert eng.round == 3
         assert [r.walk_id for r in results] == [0, 1, 2, 3]
-        assert all(len(r.step_provenance) == 3 for r in results)
+        assert all(len(r.path) == 4 for r in results)
 
     def test_case1_pairwise_independence(self, k4):
         # Two walks from one source: joint destination table factorizes.
@@ -253,7 +293,7 @@ class TestManyRandomWalks:
         results = many_random_walks(eng, [0, 5, 9, 13], tau=60, lambda_walk=5)
         total_segments = sum(len(r.segment_lengths) for r in results)
         assert total_segments >= 4  # stitched regime reached
-        assert all(len(r.step_provenance) == 60 for r in results)
+        assert all(len(r.path) == 61 for r in results)
 
     def test_case2_marginals(self, k4):
         P = transition_matrix(k4.snapshot_at(1))
@@ -285,8 +325,7 @@ def reference_naive(schedule, seed, sources, length, record_path):
         path = [s]
         for i in range(length):
             path.append(schedule.snapshot_at(i + 1).adj[path[-1]][draws[i, j]])
-        prov = list(range(1, length + 1))
-        out.append(WalkResult(s, path[-1], length, [s], prov, [], 0, path if record_path else None, j))
+        out.append(WalkResult(s, path[-1], length, [s], [], 0, path if record_path else None, j))
     return out
 
 
