@@ -2,12 +2,15 @@
 the shared-phase extension to k walks, all simple random walks on a schedule
 with a declared degree d.
 
-The fast single walk runs in two phases.  Phase 1 distributes, from every
-node, d coupons that walk for lambda + r rounds (r uniform in [0, lambda-1])
-over snapshots G_1..G_{2*lambda} and freeze at their endpoints.  Phase 2
-repeatedly samples an unused coupon at the token's current node (one flood
-to locate the holder, one flood to transfer the token, phi rounds each) and
-finishes the remainder below 2*lambda naively on live snapshots.
+One driver runs every tau-step walk; a single walk is a batch of one.  When
+tau <= 2*lambda the walks run naively and concurrently in tau rounds.
+Otherwise Phase 1 distributes, from every node, d coupons that walk for
+lambda + r rounds (r uniform in [0, lambda-1]) over snapshots
+G_1..G_{2*lambda} and freeze at their endpoints.  Phase 2 then takes the
+walks one after another: each repeatedly samples an unused coupon at the
+token's current node (one flood to locate the holder, one flood to transfer
+the token, phi rounds each) and finishes the remainder below 2*lambda
+naively on live snapshots.
 
 Every token step (Phase 1's coupons, naive walks, a stitched walk's
 fallbacks and tail) goes through one round loop, `_walk_tokens`: positions
@@ -114,7 +117,10 @@ class WalkResult:
     """Outcome of one walk: where it ended and what it cost.
 
     `connectors` starts with the source; entries after the first are the
-    stitch points, in order.
+    stitch points, in order.  `rounds_used` counts the rounds from the start
+    of the call that ran the walk until its endpoint is known: in a stitched
+    batch, walk j's count includes Phase 1 and walks 0..j-1, so the last
+    walk's count is the batch's cost.
     """
 
     source: int
@@ -283,77 +289,66 @@ def sample_coupon(
     return ci
 
 
-def single_random_walk(
-    engine: CongestEngine,
-    source: int,
-    params: WalkParams,
-    coupons: CouponTable | None = None,
-    walk_id: int = 0,
-    k_context: int = 1,
-    record_path: bool = True,
-) -> WalkResult:
-    """Sample the endpoint of a tau-step walk by stitching Phase-1 coupons.
+def _naive_steps(engine, v, steps, token_bits, path):
+    """Walk one token `steps` live naive steps from v and return where it
+    lands; the steps are appended to `path` unless it is None."""
+    pos, trail = _walk_tokens(engine, engine.stream(TAG_NAIVE), [v], steps, token_bits, path is not None)
+    if path is not None:
+        path.extend(trail[1:, 0].tolist())
+    return pos.item(0)
 
-    While the completed length is at most tau - 2*lambda, the token holder
-    samples one of its coupons and jumps to the holder; the rest (always
-    below 2*lambda steps) is walked naively on live snapshots.  When a
-    connector's coupons are exhausted, the token takes lambda live naive
-    steps and resumes stitching (logged as a fallback).  Without coupons and
-    with tau <= 2*lambda the stitched regime is unreachable: Phase 1 is
-    skipped and all of tau is the naive tail.
+
+def _walks(engine: CongestEngine, sources, params: WalkParams, record_path: bool) -> WalkBatch:
+    """The one walk driver: len(sources) tau-step walks in source order.
+
+    Stitched walks consume disjoint coupons of one Phase 1; a connector out
+    of coupons takes lambda live naive steps instead (a fallback).
     """
-    _checked_sources(engine.n, (source,))
     tau, lam = params.tau, params.lambda_walk
-    token_bits = engine.enc.token_bits(tau, k_context)
-    stitched = coupons is not None or tau > 2 * lam
+    if tau <= 2 * lam:
+        return concurrent_naive_walks(engine, sources, tau, record_path)
+    sources = _checked_sources(engine.n, sources)  # before Phase 1 charges its rounds
     phi = engine.config.phi
-    if stitched and phi is None:
+    if phi is None:
         raise ProtocolError("stitched walks need phi in SimConfig")
     start_round = engine.round
-    if coupons is None and stitched:
-        coupons = phase1_distribute(engine, params, record_paths=record_path)
-    completed = 0
-    v = source
-    connectors = [source]
-    segments: list[int] = []
-    path = [source] if record_path else None
+    coupons = phase1_distribute(engine, params, record_paths=record_path)
+    token_bits = engine.enc.token_bits(tau, len(sources))
+    results = []
+    for j, source in enumerate(sources.tolist()):
+        v, completed, fallbacks = source, 0, 0
+        connectors, segments = [source], []
+        path = [source] if record_path else None
+        while completed <= tau - 2 * lam:
+            try:
+                ci = sample_coupon(engine, coupons, v, phi, token_bits)
+            except CouponsExhausted:
+                fallbacks += 1
+                v = _naive_steps(engine, v, lam, token_bits, path)
+                completed += lam
+                continue
+            if segments:
+                connectors.append(v)
+            length = coupons.lengths.item(ci)
+            completed += length
+            segments.append(length)
+            if record_path:
+                path.extend(coupons.trail[1 : length + 1, ci].tolist())
+            v = coupons.holders.item(ci)
+        if tau > completed:
+            v = _naive_steps(engine, v, tau - completed, token_bits, path)
+        results.append(
+            WalkResult(source, v, engine.round - start_round, connectors, segments, fallbacks, path, j)
+        )
+    return WalkBatch([r.destination for r in results], lambda: results)
 
-    def walk_naively(steps: int) -> int:
-        rng = engine.stream(TAG_NAIVE)
-        pos, trail = _walk_tokens(engine, rng, [v], steps, token_bits, record_path)
-        if record_path:
-            path.extend(trail[1:, 0].tolist())
-        return pos.item(0)
 
-    fallbacks = 0
-    while stitched and completed <= tau - 2 * lam:
-        try:
-            ci = sample_coupon(engine, coupons, v, phi, token_bits)
-        except CouponsExhausted:
-            fallbacks += 1
-            v = walk_naively(lam)
-            completed += lam
-            continue
-        if segments:
-            connectors.append(v)
-        length = coupons.lengths.item(ci)
-        completed += length
-        segments.append(length)
-        if record_path and coupons.trail is not None:
-            path.extend(coupons.trail[1 : length + 1, ci].tolist())
-        v = coupons.holders.item(ci)
-    if tau > completed:
-        v = walk_naively(tau - completed)
-    return WalkResult(
-        source=source,
-        destination=v,
-        rounds_used=engine.round - start_round,
-        connectors=connectors,
-        segment_lengths=segments,
-        fallbacks=fallbacks,
-        path=path,
-        walk_id=walk_id,
-    )
+def single_random_walk(
+    engine: CongestEngine, source: int, params: WalkParams, record_path: bool = True
+) -> WalkResult:
+    """Sample the endpoint of a tau-step walk: walk 0 of a one-source batch
+    (coupon-stitched when tau > 2*lambda, naive otherwise)."""
+    return _walks(engine, (source,), params, record_path)[0]
 
 
 def many_random_walks(
@@ -364,11 +359,9 @@ def many_random_walks(
     lambda_c: float = 1.0,
     record_path: bool = True,
 ) -> WalkBatch:
-    """k independent tau-length walks sharing one Phase 1.
+    """k independent tau-length walks sharing one Phase 1 (see `_walks`).
 
-    With lambda >= tau the walks are performed naively and concurrently in
-    tau rounds; otherwise one coupon distribution serves all sources and the
-    stitching runs source by source, consuming disjoint coupons.  Returns a
+    lambda defaults to the k-walk shape of `WalkParams.for_many`.  Returns a
     `WalkBatch` in source order whose `destinations` are the endpoints.
     """
     k = len(sources)
@@ -380,17 +373,7 @@ def many_random_walks(
         raise ProtocolError("many_random_walks needs phi to size lambda")
     else:
         params = WalkParams.for_many(tau, engine.config.phi, k, lambda_c)
-    if params.lambda_walk >= tau:
-        return concurrent_naive_walks(engine, sources, tau, record_path=record_path)
-    sources = _checked_sources(engine.n, sources)  # before Phase 1 charges its rounds
-    table = phase1_distribute(engine, params, record_paths=record_path)
-    results = [
-        single_random_walk(
-            engine, s, params, coupons=table, walk_id=j, k_context=k, record_path=record_path
-        )
-        for j, s in enumerate(sources.tolist())
-    ]
-    return WalkBatch([r.destination for r in results], lambda: results)
+    return _walks(engine, sources, params, record_path)
 
 
 @dataclass

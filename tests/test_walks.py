@@ -14,6 +14,7 @@ from dynwalk.graphs import (
     parse_schedule_spec,
     random_regular_graph,
 )
+from dynwalk import walks
 from dynwalk.engine import CongestEngine, SimConfig
 from dynwalk.oracle import segment_matrix, transition_matrix
 from dynwalk.walks import (
@@ -243,21 +244,27 @@ class TestSingleRandomWalk:
             assert 0 <= naive_tail < 2 * lam
 
     def test_fallback_on_exhaustion(self, k4):
-        eng = make_engine(k4, seed=6, phi=1)
-        params = WalkParams(tau=12, lambda_walk=2)
-        table = phase1_distribute(eng, params)
-        table.unused[0] = []  # drain the source before it can stitch
-        res = single_random_walk(eng, 0, params, coupons=table)
-        assert res.fallbacks >= 1
-        assert len(res.path) == 13
+        # lambda = 1: every coupon has length 1, so the walk samples 39 times,
+        # but K4 holds only 12 coupons.
+        for seed in range(5):
+            res = single_random_walk(make_engine(k4, seed=seed, phi=1), 0, WalkParams(tau=40, lambda_walk=1))
+            assert res.fallbacks >= 27 and len(res.segment_lengths) <= 12
+            assert sum(res.segment_lengths) + res.fallbacks == 39
+            assert len(res.path) == 41 and hops_on(k4, res.path, 1)
 
-    def test_consumed_coupons_match_segments(self, rr16):
-        eng = make_engine(rr16, seed=9, phi=4)
-        params = WalkParams.for_single(tau=60, phi=4)
-        table = phase1_distribute(eng, params)
-        res = single_random_walk(eng, 0, params, coupons=table)
-        consumed = eng.n * table.d - sum(map(len, table.unused))
-        assert consumed == len(res.segment_lengths)
+    def test_consumed_coupons_match_segments(self, rr16, monkeypatch):
+        tables = []
+
+        def keep_table(*args, **kwargs):
+            tables.append(phase1_distribute(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(walks, "phase1_distribute", keep_table)
+        for sources in ([0], [0, 5, 5, 13]):
+            batch = many_random_walks(make_engine(rr16, seed=9, phi=4), sources, 60, lambda_walk=8)
+            consumed = 16 * tables[-1].d - sum(map(len, tables[-1].unused))
+            assert consumed == sum(len(r.segment_lengths) for r in batch) > 0
+        assert len(tables) == 2  # one Phase 1 per batch
 
     def test_stitched_destination_distribution(self, k4):
         P = transition_matrix(k4.snapshot_at(1))
@@ -330,14 +337,38 @@ def reference_naive(schedule, seed, sources, length, record_path):
 
 
 def reference_stitched(schedule, seed, phi, sources, params, record_path):
-    """The k walks of `many_random_walks`' stitched branch, one call each."""
+    """The stitched walks, source by source, from one Phase-1 table and
+    `sample_coupon`; each naive leg (a fallback or the tail) steps through
+    `adj` on `TAG_NAIVE` draws taken leg by leg in the same order, and idles
+    the engine for its rounds.  Returns the walks and the rounds spent."""
     eng = make_engine(schedule, seed, phi=phi)
-    table = phase1_distribute(eng, params, record_paths=record_path)
-    return [
-        single_random_walk(eng, s, params, coupons=table, walk_id=j, k_context=len(sources),
-                           record_path=record_path)
-        for j, s in enumerate(sources)
-    ], eng.round
+    tau, lam = params.tau, params.lambda_walk
+    table = phase1_distribute(eng, params)
+    rng, bits = eng.stream(TAG_NAIVE), eng.enc.token_bits(tau, len(sources))
+    out = []
+    for j, s in enumerate(sources):
+        path, connectors, segments, fallbacks = [s], [s], [], 0
+
+        def naive(steps):
+            for i, draw in enumerate(rng.integers(schedule.d, size=steps), eng.round + 1):
+                path.append(schedule.snapshot_at(i).adj[path[-1]][draw])
+            eng.idle(steps)
+
+        while len(path) - 1 <= tau - 2 * lam:
+            try:
+                ci = sample_coupon(eng, table, path[-1], phi, bits)
+            except CouponsExhausted:
+                fallbacks += 1
+                naive(lam)
+                continue
+            if segments:
+                connectors.append(path[-1])
+            segments.append(int(table.lengths[ci]))
+            path.extend(table.trail[1 : segments[-1] + 1, ci].tolist())
+        naive(tau + 1 - len(path))
+        out.append(WalkResult(s, path[-1], eng.round, connectors, segments, fallbacks,
+                              path if record_path else None, j))
+    return out, eng.round
 
 
 def assert_batch_matches(batch, expected):
@@ -396,7 +427,7 @@ class TestWalkBatch:
         phi = schedule.n - 1  # per-round connectivity completes every flood within n - 1 rounds
         eng = make_engine(schedule, seed, phi=phi)
         batch = many_random_walks(eng, sources, tau, lambda_walk=lam, record_path=record_path)
-        if lam >= tau:
+        if tau <= 2 * lam:
             expected, rounds = reference_naive(schedule, seed, sources, tau, record_path), tau
         else:
             expected, rounds = reference_stitched(
@@ -405,17 +436,44 @@ class TestWalkBatch:
         assert eng.round == rounds
         assert_batch_matches(batch, expected)
 
+    @settings(max_examples=60, deadline=None)
+    @given(batch_cases())
+    def test_round_identity_on_every_walk(self, case):
+        # Walk j's rounds_used counts from the call's start: Phase 1 and
+        # walks 0..j-1 included, so the last walk's count is the batch's cost.
+        schedule, sources, tau, lam, record_path, seed = case
+        phi = schedule.n - 1
+        eng = make_engine(schedule, seed, phi=phi)
+        batch = many_random_walks(eng, sources, tau, lambda_walk=lam, record_path=record_path)
+        expected = 0 if tau <= 2 * lam else 2 * lam
+        for res in batch:
+            if tau <= 2 * lam:
+                expected = tau
+            else:
+                walked = sum(res.segment_lengths) + lam * res.fallbacks
+                expected += 2 * phi * len(res.segment_lengths) + lam * res.fallbacks + tau - walked
+            assert res.rounds_used == expected
+        assert batch[-1].rounds_used == eng.round
 
-# Each walk entry point, given an engine, a Phase-1 table and one source outside [0, n).
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_phase1_when_no_stitch_fits(self, seed):
+        # lambda = ceil(sqrt(6*40*4)) = 31: 40 <= 2*lambda, so Phase 1's 62
+        # rounds would leave no room for a stitch.
+        sched = parse_schedule_spec("rr:n=16,d=3", seed=1)
+        sources = list(range(6))
+        eng = make_engine(sched, seed, phi=4)
+        batch = many_random_walks(eng, sources, 40)
+        assert eng.round == 40
+        assert_batch_matches(batch, reference_naive(sched, seed, sources, 40, True))
+
+
+# Each walk entry point, given an engine and one source outside [0, n).
 OUTSIDE_WALKS = {
-    "single": lambda eng, table, s: single_random_walk(eng, s, WalkParams(tau=24, lambda_walk=6)),
-    "single-with-coupons": lambda eng, table, s: single_random_walk(
-        eng, s, WalkParams(tau=24, lambda_walk=6), coupons=table
-    ),
-    "naive": lambda eng, table, s: naive_walk(eng, s, 5),
-    "concurrent": lambda eng, table, s: concurrent_naive_walks(eng, [0, s], 5),
-    "many-stitched": lambda eng, table, s: many_random_walks(eng, [0, s], 24, lambda_walk=6),
-    "many-naive": lambda eng, table, s: many_random_walks(eng, [0, s], 5, lambda_walk=6),
+    "single": lambda eng, s: single_random_walk(eng, s, WalkParams(tau=24, lambda_walk=6)),
+    "naive": lambda eng, s: naive_walk(eng, s, 5),
+    "concurrent": lambda eng, s: concurrent_naive_walks(eng, [0, s], 5),
+    "many-stitched": lambda eng, s: many_random_walks(eng, [0, s], 24, lambda_walk=6),
+    "many-naive": lambda eng, s: many_random_walks(eng, [0, s], 5, lambda_walk=6),
 }
 
 
@@ -423,13 +481,9 @@ OUTSIDE_WALKS = {
 @pytest.mark.parametrize("walk", OUTSIDE_WALKS.values(), ids=OUTSIDE_WALKS.keys())
 def test_source_outside_rejected_before_any_round(rr16, walk, source):
     eng = make_engine(rr16, seed=0, phi=4)
-    table = phase1_distribute(eng, WalkParams(tau=24, lambda_walk=6), record_paths=False)
-    eng = make_engine(rr16, seed=0, phi=4)  # a fresh one: Phase 1 starts at round 0
-    unused = [pool[:] for pool in table.unused]
     with pytest.raises(ValueError, match=rf"^walk source {source} is outside \[0, 16\)$"):
-        walk(eng, table, source)
+        walk(eng, source)
     assert eng.round == eng.log.rounds == 0
-    assert table.unused == unused  # no coupon was sampled
 
 
 class TestVisitStats:
