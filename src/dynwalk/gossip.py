@@ -47,16 +47,15 @@ def resolve_gossip_params(
     tau: int,
     phi: int,
     f: int | None = None,
-    broadcast_rounds: int | None = None,
 ) -> GossipParams:
     """Defaults: f = ceil(n^(2/3) * (k/(tau*phi))^(1/3)), capped to [1, n];
-    broadcast_rounds = ceil(2*n*ln(n)/f)."""
+    broadcast_rounds = ceil(2*n*ln(n)/f).  tau and phi must be >= 1."""
+    if tau < 1 or phi < 1:
+        raise ValueError(f"gossip needs tau >= 1 and phi >= 1, got tau={tau}, phi={phi}")
     if f is None:
         f = math.ceil(n ** (2.0 / 3.0) * (k / (tau * phi)) ** (1.0 / 3.0))
     f = max(1, min(n, f))
-    if broadcast_rounds is None:
-        broadcast_rounds = math.ceil(2.0 * n * math.log(n) / f)
-    return GossipParams(k=k, f=f, broadcast_rounds=broadcast_rounds)
+    return GossipParams(k=k, f=f, broadcast_rounds=math.ceil(2.0 * n * math.log(n) / f))
 
 
 def _normalize_assignment(assignment: Mapping[int, Sequence[int]], n: int) -> dict[int, list[int]]:

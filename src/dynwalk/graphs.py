@@ -50,6 +50,7 @@ class ScheduleError(DynwalkError):
     """A schedule could not produce a valid snapshot, or a flood met a disconnected one."""
 
 
+RR_MAX_TRIES = 10_000  # pairing attempts `random_regular_graph` makes before it gives up
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
@@ -181,15 +182,13 @@ def _check_regular_shape(n: int, d: int) -> None:
         raise ScheduleError(f"need 0 < d < n, got n={n}, d={d}")
 
 
-def random_regular_graph(
-    n: int, d: int, rng: random.Random, max_tries: int = 10_000
-) -> GraphSnapshot:
+def random_regular_graph(n: int, d: int, rng: random.Random) -> GraphSnapshot:
     """Random connected non-bipartite d-regular graph.
 
     Configuration-model pairing: stubs violating simplicity go back into the
     pool for another shuffle, and an attempt restarts when no suitable pair
     remains.  Simple graphs that come out disconnected or bipartite are
-    rejected as a whole.  Capped at `max_tries` attempts in total.
+    rejected as a whole.  Capped at `RR_MAX_TRIES` attempts in total.
     """
     _check_regular_shape(n, d)
 
@@ -225,7 +224,7 @@ def random_regular_graph(
             stubs = [v for v, c in leftovers.items() for _ in range(c)]
         return edges
 
-    for _ in range(max_tries):
+    for _ in range(RR_MAX_TRIES):
         edges = try_pairing()
         if edges is None:
             continue
@@ -233,7 +232,7 @@ def random_regular_graph(
         report = validate_snapshot(g)
         if report.connected and not report.bipartite:
             return g
-    raise ScheduleError(f"no valid {d}-regular graph on {n} nodes after {max_tries} tries")
+    raise ScheduleError(f"no valid {d}-regular graph on {n} nodes after {RR_MAX_TRIES} tries")
 
 
 class FloodTrace(NamedTuple):

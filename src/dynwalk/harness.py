@@ -50,16 +50,11 @@ __all__ = [
     "lemma_suite",
     "PropertyResult",
     "load_config_file",
-    "write_jsonl",
-    "write_csv",
 ]
 
 ADVERSARY_TAG = 0x5EED5C8E
 PHI_HORIZON = 16
 TAU_HORIZON = 8
-
-ALGORITHMS = ("naive", "single", "many", "gossip", "estimate-mix", "lemma-suite")
-
 
 @dataclass
 class ExperimentConfig:
@@ -82,12 +77,23 @@ class ExperimentConfig:
             raise ValueError(f"seeds and k must be at least 1, got seeds={self.seeds}, k={self.k}")
         if not 0 < self.lambda_c < math.inf:
             raise ValueError(f"lambda_c must be finite and positive, got lambda_c={self.lambda_c}")
+        for key, words, least in (("tau", ("oracle", "worstcase"), 0), ("phi", ("oracle",), 1)):
+            value = getattr(self, key)
+            if value not in words and not _is_int_at_least(value, least):
+                raise ValueError(f"{key} must be {' or '.join(words)} or an integer >= {least}, got {key}={value!r}")
 
     def adversary_seed(self) -> int:
         return self.seed_base ^ ADVERSARY_TAG
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _is_int_at_least(text, least: int) -> bool:
+    try:
+        return int(text) >= least
+    except ValueError:
+        return False
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -172,20 +178,6 @@ class RunReport:
         }
 
 
-def write_jsonl(path: Path, rows: list[dict]) -> None:
-    with path.open("w") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-
-def write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-
-
 def _quantiles(values: list[float]) -> dict:
     values = sorted(values)
     return {
@@ -198,16 +190,7 @@ def _quantiles(values: list[float]) -> dict:
 
 
 def _walk_row(seed: int, res) -> dict:
-    return {
-        "seed": seed,
-        "walk_id": res.walk_id,
-        "source": res.source,
-        "destination": res.destination,
-        "connectors": res.connectors,
-        "segment_lengths": res.segment_lengths,
-        "fallbacks": res.fallbacks,
-        "rounds_used": res.rounds_used,
-    }
+    return {"seed": seed, **{key: value for key, value in vars(res).items() if key != "path"}}
 
 
 def _oracle_tv(schedule, source: int, tau: int, destinations: list[int]) -> float | None:
@@ -218,141 +201,138 @@ def _oracle_tv(schedule, source: int, tau: int, destinations: list[int]) -> floa
     return oracle_mod.tv_distance(counts, p)
 
 
+# A sweep runs one algorithm over the seeds: sweep(config, schedule, tau, phi,
+# engines), where `engines` yields one (seed, engine) pair per seed, returns
+# (rows, aggregates, failures).
+
+def _walk_sweep(walks):
+    """The sweep whose seeds each run `walks(config, engine, n, tau)`, one row
+    per walk.  `tv_to_oracle` compares source 0's endpoints with the live
+    walk law, which is a stitched walk's law only when every round has the
+    same snapshot: it is None once a walk stitched (made a segment or a
+    fallback) on a schedule whose period is not 1."""
+
+    def sweep(config, schedule, tau, phi, engines):
+        rows = [_walk_row(seed, res) for seed, engine in engines for res in walks(config, engine, schedule.n, tau)]
+        aggregates = {
+            "rounds": _quantiles([r["rounds_used"] for r in rows]),
+            "fallbacks_total": sum(r["fallbacks"] for r in rows),
+        }
+        if config.oracle:
+            unknown = schedule.period != 1 and any(r["segment_lengths"] or r["fallbacks"] for r in rows)
+            destinations = [r["destination"] for r in rows if r["source"] == 0]
+            aggregates["tv_to_oracle"] = None if unknown else _oracle_tv(schedule, 0, tau, destinations)
+        return rows, aggregates, []
+
+    return sweep
+
+
+def _batch(k):
+    """A seed's walks: one `many_random_walks` batch from nodes j mod n, j < k(config)."""
+    return lambda config, engine, n, tau: many_random_walks(
+        engine, [j % n for j in range(k(config))], tau, lambda_c=config.lambda_c, record_path=False
+    )
+
+
+def _gossip_sweep(config, schedule, tau, phi, engines):
+    assignment = {t: [(t - 1) % schedule.n] for t in range(1, config.k + 1)}
+    params = gossip_mod.resolve_gossip_params(schedule.n, config.k, tau, phi)
+    rows = []
+    for seed, engine in engines:
+        race = gossip_mod.k_gossip_race(engine, assignment, params, tau, phi)
+        rows.append({
+            "n": schedule.n, "d": schedule.d, "k": config.k, "tau": tau, "phi": phi, "f": params.f,
+            "rounds_rw": race.rounds_rw, "rounds_trivial": race.rounds_trivial, "winner": race.winner,
+            "coverage_rw": int(race.coverage_rw_complete), "seed": seed,
+        })
+    aggregates = {
+        "rounds_rw": _quantiles([r["rounds_rw"] for r in rows]),
+        "rounds_trivial": _quantiles([r["rounds_trivial"] for r in rows]),
+        "coverage_rate": sum(r["coverage_rw"] for r in rows) / len(rows),
+        "winners": {w: sum(r["winner"] == w for r in rows) for w in ("rw", "trivial")},
+    }
+    return rows, aggregates, []
+
+
+def _mix_sweep(config, schedule, tau, phi, engines):
+    bracket = None  # the oracle's (lo, hi), the same for every seed
+    if config.oracle and schedule.n <= oracle_mod.N_CAP:
+        epsilons = (oracle_mod.MIX_EPS, mixing_mod.epsilon_prime(schedule.n))
+        bracket = tuple(oracle_mod.mixing_time_oracle(schedule, 0, eps) for eps in epsilons)
+    rows = [
+        {**mixing_mod.estimate_mixing_time(engine, 0, phi).to_report(0, bracket), "seed": seed}
+        for seed, engine in engines
+    ]
+    failures = [
+        f"seed {r['seed']}: tau_tilde {r['tau_tilde']} outside {bracket}"
+        for r in rows if bracket and not bracket[0] <= r["tau_tilde"] <= bracket[1]
+    ]
+    aggregates = {key: _quantiles([r[key] for r in rows]) for key in ("tau_tilde", "total_rounds")}
+    return rows, aggregates, failures
+
+
+# algorithm -> (sweep, per-seed file, written as CSV when it ends in .csv and
+# as JSON Lines otherwise); `lemma-suite` resolves no phi or tau and has no sweep.
+SWEEPS = {
+    "naive": (
+        _walk_sweep(lambda config, engine, n, tau: [naive_walk(engine, 0, tau, record_path=False)]),
+        "naive_per_seed.jsonl",
+    ),
+    "single": (_walk_sweep(_batch(lambda config: 1)), "single_per_seed.jsonl"),
+    "many": (_walk_sweep(_batch(lambda config: config.k)), "many_per_seed.jsonl"),
+    "gossip": (_gossip_sweep, "gossip.csv"),
+    "estimate-mix": (_mix_sweep, "estimate-mix_per_seed.jsonl"),
+}
+ALGORITHMS = (*SWEEPS, "lemma-suite")
+
+
 def run_experiment(config: ExperimentConfig, schedule: GraphSchedule | None = None) -> tuple[RunReport, int]:
     """Execute the configured algorithm over the seed sweep.
 
     `schedule` is the one `config.schedule` names, parsed here when not
     given.  Returns (report, exit_code): 0 pass, 1 property failure, 2 on
-    config/schedule errors (raised as exceptions by lower layers).
+    config/schedule errors (raised as exceptions by lower layers).  The
+    output directory is made after the sweep, so a failed one leaves none.
     """
     if schedule is None:
         schedule = parse_schedule_spec(config.schedule, seed=config.adversary_seed())
-    out_dir = Path(config.out)
     if config.algo == "lemma-suite":
-        results = lemma_suite(
-            instances=config.seeds,
-            seed=config.seed_base,
-            census_trials=min(200, max(30, config.seeds)),
-        )
-        out_dir.mkdir(parents=True, exist_ok=True)
+        results = lemma_suite(config.seeds, config.seed_base, census_trials=min(200, max(30, config.seeds)))
         rows = [r.to_dict() for r in results]
-        per_seed = out_dir / "lemma_suite.jsonl"
-        write_jsonl(per_seed, rows)
         failures = [r.name for r in results if not r.passed]
-        report = RunReport(
-            config=config.to_dict(),
-            aggregates={"properties": rows, "failed": failures},
-            per_seed_path=str(per_seed),
-            csv_path=None,
-            generated_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            failures=failures,
-        )
-        _write_report(out_dir, report)
-        return report, (1 if failures else 0)
+        aggregates = {"properties": rows, "failed": failures}
+        name = "lemma_suite.jsonl"
+    else:
+        sweep, name = SWEEPS[config.algo]
+        phi = resolve_phi(config, schedule)
+        tau = resolve_tau(config, schedule)
+        sim = SimConfig(bandwidth_bits=config.bandwidth, phi=phi)
+        seeds = range(config.seed_base, config.seed_base + config.seeds)
+        engines = ((seed, CongestEngine(schedule, replace(sim, seed=seed))) for seed in seeds)
+        rows, aggregates, failures = sweep(config, schedule, tau, phi, engines)
+        aggregates |= {"tau": tau, "phi": phi}
 
-    phi = resolve_phi(config, schedule)
-    tau = resolve_tau(config, schedule)
-    sim = SimConfig(bandwidth_bits=config.bandwidth, phi=phi)
-
-    rows: list[dict] = []
-    csv_rows: list[dict] = []
-    failures: list[str] = []
-    oracle_bracket = None  # estimate-mix: the oracle's (lo, hi), the same for every seed
-    if config.algo == "estimate-mix" and config.oracle and schedule.n <= oracle_mod.N_CAP:
-        oracle_bracket = (
-            oracle_mod.mixing_time_oracle(schedule, 0, oracle_mod.MIX_EPS),
-            oracle_mod.mixing_time_oracle(schedule, 0, mixing_mod.epsilon_prime(schedule.n)),
-        )
-    for i in range(config.seeds):
-        seed = config.seed_base + i
-        engine = CongestEngine(schedule, replace(sim, seed=seed))
-        if config.algo == "naive":
-            res = naive_walk(engine, 0, tau, record_path=False)
-            rows.append(_walk_row(seed, res))
-        elif config.algo == "single":
-            params = WalkParams.for_single(tau, phi, config.lambda_c)
-            res = single_random_walk(engine, 0, params, record_path=False)
-            rows.append(_walk_row(seed, res))
-        elif config.algo == "many":
-            sources = [j % schedule.n for j in range(config.k)]
-            for res in many_random_walks(
-                engine, sources, tau, lambda_c=config.lambda_c, record_path=False
-            ):
-                rows.append(_walk_row(seed, res))
-        elif config.algo == "gossip":
-            assignment = {t: [(t - 1) % schedule.n] for t in range(1, config.k + 1)}
-            params = gossip_mod.resolve_gossip_params(schedule.n, config.k, tau, phi)
-            race = gossip_mod.k_gossip_race(engine, assignment, params, tau, phi)
-            csv_rows.append(
-                {
-                    "n": schedule.n,
-                    "d": schedule.d,
-                    "k": config.k,
-                    "tau": tau,
-                    "phi": phi,
-                    "f": params.f,
-                    "rounds_rw": race.rounds_rw,
-                    "rounds_trivial": race.rounds_trivial,
-                    "winner": race.winner,
-                    "coverage_rw": int(race.coverage_rw_complete),
-                    "seed": seed,
-                }
-            )
-        elif config.algo == "estimate-mix":
-            est = mixing_mod.estimate_mixing_time(engine, 0, phi)
-            if oracle_bracket is not None and not oracle_bracket[0] <= est.tau_tilde <= oracle_bracket[1]:
-                failures.append(f"seed {seed}: tau_tilde {est.tau_tilde} outside {oracle_bracket}")
-            row = est.to_report(0, oracle_bracket)
-            row["seed"] = seed
-            rows.append(row)
-
-    out_dir.mkdir(parents=True, exist_ok=True)  # after the sweep, so a failed one leaves no directory
-    aggregates: dict = {}
-    per_seed_path = None
-    csv_path = None
-    if rows:
-        per_seed_path = out_dir / f"{config.algo}_per_seed.jsonl"
-        write_jsonl(per_seed_path, rows)
-        if config.algo in ("naive", "single", "many"):
-            aggregates["rounds"] = _quantiles([r["rounds_used"] for r in rows])
-            aggregates["fallbacks_total"] = sum(r["fallbacks"] for r in rows)
-            if config.oracle:
-                tv = _oracle_tv(schedule, 0, tau, [r["destination"] for r in rows if r["source"] == 0])
-                aggregates["tv_to_oracle"] = tv
-        if config.algo == "estimate-mix":
-            aggregates["tau_tilde"] = _quantiles([r["tau_tilde"] for r in rows])
-            aggregates["total_rounds"] = _quantiles([r["total_rounds"] for r in rows])
-    if csv_rows:
-        csv_path = out_dir / "gossip.csv"
-        write_csv(
-            csv_path,
-            ["n", "d", "k", "tau", "phi", "f", "rounds_rw", "rounds_trivial", "winner", "coverage_rw", "seed"],
-            csv_rows,
-        )
-        aggregates["rounds_rw"] = _quantiles([r["rounds_rw"] for r in csv_rows])
-        aggregates["rounds_trivial"] = _quantiles([r["rounds_trivial"] for r in csv_rows])
-        aggregates["coverage_rate"] = sum(r["coverage_rw"] for r in csv_rows) / len(csv_rows)
-        aggregates["winners"] = {
-            "rw": sum(1 for r in csv_rows if r["winner"] == "rw"),
-            "trivial": sum(1 for r in csv_rows if r["winner"] == "trivial"),
-        }
-    aggregates["tau"] = tau
-    aggregates["phi"] = phi
-
+    out_dir = Path(config.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / name
+    is_csv = path.suffix == ".csv"
+    with path.open("w", newline="") as fh:
+        if is_csv:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        else:
+            fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
     report = RunReport(
         config=config.to_dict(),
         aggregates=aggregates,
-        per_seed_path=str(per_seed_path) if per_seed_path else None,
-        csv_path=str(csv_path) if csv_path else None,
+        per_seed_path=None if is_csv else str(path),
+        csv_path=str(path) if is_csv else None,
         generated_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
         failures=failures,
     )
-    _write_report(out_dir, report)
-    return report, (1 if failures else 0)
-
-
-def _write_report(out_dir: Path, report: RunReport) -> None:
     (out_dir / "report.json").write_text(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
+    return report, (1 if failures else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +531,7 @@ def check_connector_bound(
     most t*(log2 n)^2/lambda times; violation frequency over (trial, node)
     pairs tolerated up to 1/n^2 + 0.02."""
     n = schedule.n
-    params = WalkParams.for_single(tau, phi, lambda_c)
+    params = WalkParams.for_many(tau, phi, 1, lambda_c)
     factor = (math.log2(n) ** 2) / params.lambda_walk
 
     def margins(stats):

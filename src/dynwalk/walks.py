@@ -63,9 +63,9 @@ class CouponsExhausted(DynwalkError):
 class WalkParams:
     """Walk length tau and short-walk parameter lambda.
 
-    By default lambda = ceil(lambda_c * sqrt(tau*phi)) for a single walk and
-    ceil(lambda_c * sqrt(k*tau*phi)) for k walks; the asymptotic shape the
-    round bounds prescribe, with the proof constants dropped.
+    By default lambda = ceil(lambda_c * sqrt(k*tau*phi)) for k walks (k = 1
+    for a single walk); the asymptotic shape the round bounds prescribe, with
+    the proof constants dropped.
     """
 
     tau: int
@@ -78,13 +78,11 @@ class WalkParams:
             raise ValueError("lambda_walk must be >= 1")
 
     @classmethod
-    def for_single(cls, tau: int, phi: int, lambda_c: float = 1.0) -> "WalkParams":
-        return cls.for_many(tau, phi, 1, lambda_c)
-
-    @classmethod
     def for_many(cls, tau: int, phi: int, k: int, lambda_c: float = 1.0) -> "WalkParams":
-        lam = max(1, math.ceil(lambda_c * math.sqrt(k * max(1, tau) * phi)))
-        return cls(tau=tau, lambda_walk=lam)
+        lam = lambda_c * math.sqrt(k * max(1, tau) * phi)
+        if not math.isfinite(lam):
+            raise ValueError(f"lambda = {lam} is not finite (tau={tau}, phi={phi}, k={k}, lambda_c={lambda_c})")
+        return cls(tau=tau, lambda_walk=max(1, math.ceil(lam)))
 
 
 class CouponTable:

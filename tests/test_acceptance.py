@@ -149,7 +149,7 @@ def test_c5_k_walk_sharing():
         many_random_walks(eng, sources, tau, record_path=False)
         many_rounds.append(eng.round)
         total = 0
-        params = WalkParams.for_single(tau, phi)
+        params = WalkParams.for_many(tau, phi, 1)
         for j, s in enumerate(sources):
             eng = CongestEngine(sched, SimConfig(seed=seed * 100 + j, bandwidth_bits=AMPLE, phi=phi))
             total += single_random_walk(eng, s, params, record_path=False).rounds_used

@@ -42,6 +42,12 @@ class TestParams:
         with pytest.raises(ValueError):
             GossipParams(k=0, f=1, broadcast_rounds=1)
 
+    @pytest.mark.parametrize("tau, phi", [(0, 4), (16, 0), (-1, 4), (16, -2)])
+    def test_tau_and_phi_below_one_rejected(self, tau, phi):
+        # tau or phi 0 divided by zero, and a negative one made f complex.
+        with pytest.raises(ValueError, match="tau >= 1 and phi >= 1"):
+            resolve_gossip_params(64, 8, tau, phi)
+
 
 class TestTrivial:
     def test_k1_complete_graph(self, k4):

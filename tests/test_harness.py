@@ -1,13 +1,18 @@
+import hashlib
 import json
 import math
 import random
 import re
 import statistics
+import tempfile
 from dataclasses import fields
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import memo_traces, write_snapshots
 from dynwalk.cli import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_PROPERTY_FAILURE, _build_parser, _config_from_args, main
@@ -129,6 +134,14 @@ class TestConfig:
     def test_unknown_algo(self):
         with pytest.raises(ValueError):
             ExperimentConfig("static:K4", "frobnicate")
+
+    @pytest.mark.parametrize("key, value", [
+        ("tau", "-1"), ("tau", "1.5"), ("tau", "mixing"), ("tau", ""),
+        ("phi", "0"), ("phi", "-3"), ("phi", "worstcase"), ("phi", "2.0"),
+    ])
+    def test_bad_tau_or_phi_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be .* or an integer >= {int(key == 'phi')}, got {key}="):
+            ExperimentConfig("static:K4", "naive", **{key: value})
 
     def test_unknown_key_names_itself_and_the_known_ones(self):
         with pytest.raises(ValueError, match="unknown config key") as info:
@@ -303,6 +316,79 @@ class TestRunExperiment:
         assert len({json.dumps(json.loads(r)["oracle_bracket"]) for r in rows}) == 1
 
 
+    @pytest.mark.parametrize("argv, stitched, tv", [
+        ("--schedule perm:base=petersen --algo single --tau 60", True, None),
+        ("--schedule rr:n=16,d=3 --algo many --k 2 --tau 40 --lambda-c 0.2", True, None),
+        ("--schedule perm:base=petersen --algo naive --tau 60", False, float),
+        ("--schedule rr:n=16,d=3 --algo many --k 6 --tau 40", False, float),
+        ("--schedule srr:n=16,d=3 --algo single --tau 160", True, float),
+        ("--schedule static:K4 --algo single --tau 40 --lambda-c 0.1", True, float),
+    ], ids=["perm-stitched", "rr-stitched", "perm-naive", "rr-naive-branch", "srr-stitched", "k4-fallbacks"])
+    def test_tv_to_oracle_is_none_once_a_walk_stitched_on_a_changing_schedule(self, tmp_path, argv, stitched, tv):
+        # The live law is a stitched walk's law only when every round has the
+        # same snapshot (period 1); perm-stitched used to report 0.333.
+        out = tmp_path / "o"
+        assert main(["run", *argv.split(), "--seeds", "6", "--bandwidth", "100000", "--oracle", "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        rows = [json.loads(line) for line in Path(report["outputs"]["per_seed"]).read_text().splitlines()]
+        assert any(r["segment_lengths"] or r["fallbacks"] for r in rows) == stitched
+        got = report["aggregates"]["tv_to_oracle"]
+        assert got is None if tv is None else isinstance(got, tv) and 0 <= got <= 1
+
+
+# Small sweeps of every algorithm, pinned before `run_experiment` dispatched
+# once: sha256 of the per-seed file (JSON Lines, or gossip's CSV) and of
+# report.json without `generated_at`, re-serialized with sorted keys.
+SWEEP_PINS = {
+    "naive": (
+        "--schedule perm:base=C9 --algo naive --tau 30 --seeds 8 --bandwidth 100000 --oracle",
+        "1f888cd02d3f9770598042899e1d9585ea151fde291943ba83fd490496c902d6",
+        "d8356061a91939c84d094fd1af4226dd0a13738d37ecaa173b335cf2d2c3ed56",
+    ),
+    "single-fallbacks": (
+        "--schedule static:K4 --algo single --tau 40 --lambda-c 0.1 --seeds 8 --bandwidth 100000 --oracle",
+        "60714d12f984570045c2037f931ee13328973cfa2adfe251a0c9fec186b77a5b",
+        "aac463d8f273046804454380ecd4bdea16a8abe5177244d3df1988b84a401ca2",
+    ),
+    "single-dynamic": (
+        "--schedule rr:n=16,d=3 --algo single --tau 40 --seeds 6 --bandwidth 100000",
+        "b3baad4b1556428059a14cc4b5a7d1d48384eb52c31017ee751aec59ee42b7fb",
+        "a4be6c5a568d671941fce62007c858b366049a66b0a367f93735991f9b583b2d",
+    ),
+    "many": (
+        "--schedule srr:n=16,d=3 --algo many --k 4 --tau 160 --seeds 3 --bandwidth 100000 --oracle",
+        "0c74c589f7370c7b4e8a6b71531b5e2a235238691b59cf2b518b15cf39be3833",
+        "371e6bd7e047b8788df40705045bf7c1abe385ea8252943d3f69bfe6ae57cccf",
+    ),
+    "gossip": (
+        "--schedule rr:n=16,d=4 --algo gossip --k 4 --tau 8 --seeds 5 --bandwidth 100000",
+        "f133d2c0984a03bd9b5ddea7580372c7e925946070ad50eafc9d710aee85a08e",
+        "a25a08e9c740cfe645b3e1e7ed1ccf134011cb85ca7543e44367bbbf8a34cc02",
+    ),
+    "estimate-mix": (
+        "--schedule srr:n=24,d=8 --algo estimate-mix --seeds 2 --bandwidth 100000 --oracle",
+        "87aa658ae04b7d2456a7b421824f8ce43963c13a96a4941fcef02f16bab3969b",
+        "bc6cc0f322b3bb03b3185206080dede535b39dcfc68c27814b6eff62a14ed2de",
+    ),
+    "lemma-suite": (
+        "--schedule static:K4 --algo lemma-suite --seeds 2",
+        "ccd14888f76eacc3c26af0bec1f9e60b4112ed15ee465f25b07f2c6bed45ddde",
+        "bc590d3e41396f17e2d6ee712800b5529998cd0e9a19c8a79a3a883834219ceb",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, per_seed_sha, report_sha", SWEEP_PINS.values(), ids=SWEEP_PINS)
+def test_sweep_pins(tmp_path, monkeypatch, capsys, argv, per_seed_sha, report_sha):
+    monkeypatch.chdir(tmp_path)  # the report names its outputs by the relative --out
+    assert main(["run", *argv.split(), "--out", "o"]) == EXIT_OK
+    report = json.loads(Path("o/report.json").read_text())
+    del report["generated_at"]
+    per_seed = Path(report["outputs"]["per_seed"] or report["outputs"]["csv"]).read_bytes()
+    assert hashlib.sha256(per_seed).hexdigest() == per_seed_sha
+    assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == report_sha
+
+
 class TestFloodMemoIndependence:
     """A sweep's floods hit the schedule's memo from its second seed on; the
     last seed's row equals that seed's row on a freshly parsed schedule."""
@@ -348,7 +434,7 @@ class TestFloodMemoIndependence:
         assert sum(len(r["segment_lengths"]) for r in rows) == 58  # stitches, two floods each
 
         def walk(engine, n, phi, tau):
-            params = WalkParams.for_single(tau, phi, cfg.lambda_c)
+            params = WalkParams.for_many(tau, phi, 1, cfg.lambda_c)
             return single_random_walk(engine, 0, params, record_path=False)
 
         seed, cold = self._cold(cfg, walk)
@@ -548,7 +634,7 @@ def _ref_visits_bound(schedule, k, length, trials, seed, phi=None):
 
 def _ref_connector_bound(schedule, tau, trials, seed, phi, lambda_c=1.0):
     n = schedule.n
-    params = WalkParams.for_single(tau, phi, lambda_c)
+    params = WalkParams.for_many(tau, phi, 1, lambda_c)
     factor = (math.log2(n) ** 2) / params.lambda_walk
     violations = 0
     pairs = 0
@@ -839,6 +925,47 @@ class TestCli:
         code = main([*argv, "--seeds", "1", "--bandwidth", "100000", "--out", str(out)])
         assert "lambda_c" in self._one_line_error(capsys, code)
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, text", [
+        ("--algo gossip --tau 0", "gossip needs tau >= 1 and phi >= 1, got tau=0"),
+        ("--algo gossip --tau=-3", "config error: tau must be oracle or worstcase or an integer >= 0, got tau='-3'"),
+        ("--algo gossip --phi 0", "config error: phi must be oracle or an integer >= 1, got phi='0'"),
+        ("--algo naive --tau=-1", "config error: tau must be"),
+        ("--algo single --phi=-2", "config error: phi must be"),
+        ("--algo single --tau 40 --lambda-c 1e308", "run error: lambda = inf is not finite"),
+    ])
+    def test_bad_tau_phi_or_lambda_exit_2(self, tmp_path, capsys, argv, text):
+        # Each ended in a traceback: ZeroDivisionError, TypeError (a complex
+        # f), "negative dimensions are not allowed", "math domain error" or
+        # OverflowError.
+        out = tmp_path / "o"
+        code = main(["run", "--schedule", "static:K4", *argv.split(), "--seeds", "1", "--out", str(out)])
+        assert text in self._one_line_error(capsys, code)
+        assert not out.exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=st.sampled_from(["static:K4", "static:petersen", "static:C9", "srr:n=8,d=3", "rr:n=8,d=3", "perm:base=C9"]),
+        algo=st.sampled_from(["naive", "single", "many", "gossip"]),
+        tau=st.one_of(st.integers(-2, 40).map(str), st.sampled_from(["oracle", "worstcase"])),
+        phi=st.one_of(st.integers(-1, 5).map(str), st.just("oracle")),
+        lambda_c=st.one_of(st.sampled_from([1e308, 1e-300, 0.0, -1.0]), st.floats(0.05, 20.0)),
+        k=st.integers(0, 6),
+        seeds=st.integers(1, 3),
+        seed_base=st.integers(0, 2**32),
+    )
+    def test_numeric_values_exit_0_or_2(self, spec, algo, tau, phi, lambda_c, k, seeds, seed_base):
+        # Any value returns 0 or 2 and raises nothing; a run that exits 2
+        # leaves no output directory.
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "o"
+            code = main([
+                "run", f"--schedule={spec}", f"--algo={algo}", f"--tau={tau}", f"--phi={phi}",
+                f"--lambda-c={lambda_c!r}", f"--k={k}", f"--seeds={seeds}", f"--seed-base={seed_base}",
+                "--bandwidth=100000", f"--out={out}",
+            ])
+            assert code in (EXIT_OK, EXIT_CONFIG_ERROR)
+            assert out.exists() == (code == EXIT_OK)
 
     @pytest.mark.parametrize("spec, key", [
         ("rr:n=16,d=3,x=1", "x"), ("rr:n=16,n=32,d=3", "n"), ("srr:n=16,d=3,x=1", "x"),

@@ -80,12 +80,18 @@ class TestPathAudit:
 
 class TestWalkParams:
     def test_defaults(self):
-        p = WalkParams.for_single(tau=100, phi=4)
+        p = WalkParams.for_many(tau=100, phi=4, k=1)
         assert p.lambda_walk == math.ceil(math.sqrt(400))
         p = WalkParams.for_many(tau=100, phi=4, k=9)
         assert p.lambda_walk == 60
-        p = WalkParams.for_single(tau=100, phi=4, lambda_c=0.5)
+        p = WalkParams.for_many(tau=100, phi=4, k=1, lambda_c=0.5)
         assert p.lambda_walk == 10
+
+    @pytest.mark.parametrize("lambda_c", [1e308, math.inf])
+    def test_non_finite_lambda_rejected(self, lambda_c):
+        # ceil of an infinite lambda raised OverflowError.
+        with pytest.raises(ValueError, match="not finite"):
+            WalkParams.for_many(tau=40, phi=4, k=1, lambda_c=lambda_c)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -231,7 +237,7 @@ class TestSingleRandomWalk:
         assert res.rounds_used == 4 == eng.round
 
     def test_stitched_invariants(self, rr16):
-        params = WalkParams.for_single(tau=60, phi=4)
+        params = WalkParams.for_many(tau=60, phi=4, k=1)
         lam = params.lambda_walk
         for seed in range(30):
             eng = make_engine(rr16, seed=seed, phi=4)
@@ -500,7 +506,7 @@ class TestVisitStats:
 
     def test_counts_consistent_with_paths(self, rr16):
         eng = make_engine(rr16, seed=12, phi=4)
-        params = WalkParams.for_single(tau=60, phi=4)
+        params = WalkParams.for_many(tau=60, phi=4, k=1)
         res = single_random_walk(eng, 0, params)
         st = visit_stats([res], 16)
         assert st.visits.sum() == 61
