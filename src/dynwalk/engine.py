@@ -127,6 +127,16 @@ class RoundLog:
         if self._keep:
             self.records += [RoundRecord(t + i, m, max_bits if m else 0) for i, m in enumerate(msgs)]
 
+    def observe_repeat(self, t: int, rounds: int, msgs: int, max_bits: int) -> None:
+        """Log `rounds` rounds from t that each send `msgs` messages, as
+        `observe` logs them one by one, but charged as a count."""
+        self.rounds += rounds
+        self.total_msgs += rounds * msgs
+        if max_bits > self.max_edge_bits and rounds and msgs:
+            self.max_edge_bits = max_bits
+        if self._keep:
+            self.records += [RoundRecord(t + i, msgs, max_bits if msgs else 0) for i in range(rounds)]
+
     def summary(self) -> dict:
         return {
             "rounds": self.rounds,
@@ -299,14 +309,13 @@ class CongestEngine:
         tail = 0 if budget is None or stalls else budget - run  # rounds after coverage
         fit = min(run + tail, self.config.max_rounds - start)
         bfs = min(fit, run)
-        msgs = list(sent[:bfs])
         if bfs < len(sent):  # the budget or the round limit cuts the flood short
             informed = np.where(informed > start + bfs, -1, informed)
             informed.setflags(write=False)
-        if fit > bfs:  # every node is informed, so each round left sends n*d messages
-            msgs += [self.n * self.schedule.d] * (fit - bfs)
         self._round = start + fit
-        self.log.observe(start + 1, msgs, payload_bits)  # the rounds run before an error stay charged
+        self.log.observe(start + 1, sent[:bfs], payload_bits)  # the rounds run before an error stay charged
+        if fit > bfs:  # every node is informed, so each round left sends n*d messages
+            self.log.observe_repeat(start + 1 + bfs, fit - bfs, self.n * self.schedule.d, payload_bits)
         if fit < run + tail or stalls:
             self._begin_round()  # raises RoundLimitError, as round start + fit + 1 would
             raise flood_failure(self.schedule, start + fit + 1)

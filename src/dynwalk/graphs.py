@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import random
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -79,19 +78,23 @@ class GraphSnapshot:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         norm = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) outside [0,{n})")
-            norm.add((u, v) if u < v else (v, u))
+        add = norm.add
+        for u, v in edges:  # one pass: the first bad edge in input order raises
+            if u < v and 0 <= u and v < n:
+                add((u, v))
+            elif v < u and 0 <= v and u < n:
+                add((v, u))
+            else:
+                raise ValueError(f"self-loop at node {u}" if u == v else f"edge ({u},{v}) outside [0,{n})")
         self.n = n
         self.edges = frozenset(norm)
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in sorted(norm):
+        for u, v in norm:
             adj[u].append(v)
             adj[v].append(u)
-        self.adj = tuple(tuple(a) for a in adj)
+        for a in adj:
+            a.sort()
+        self.adj = tuple(map(tuple, adj))
         degrees = set(map(len, adj))
         self.d = degrees.pop() if len(degrees) == 1 else None
         self._nbr: np.ndarray | None = None
@@ -105,9 +108,6 @@ class GraphSnapshot:
                 raise ValueError(f"{self!r} has no neighbor table: its degrees {sorted(set(map(len, self.adj)))} differ")
             self._nbr = np.fromiter(chain.from_iterable(self.adj), dtype=np.int64, count=self.n * self.d).reshape(self.n, self.d)
         return self._nbr
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
 
     def __eq__(self, other) -> bool:
         return (
@@ -131,20 +131,24 @@ class ValidationReport:
 
 def validate_snapshot(g: GraphSnapshot) -> ValidationReport:
     """Exact connectivity and 2-coloring bipartiteness checks (the degree is `g.d`)."""
+    adj = g.adj
     color = [-1] * g.n
-    color[0] = 0
-    queue = deque([0])
+    color[0] = c = 0
+    frontier = [0]
     seen = 1
     bipartite = True
-    while queue:
-        v = queue.popleft()
-        for u in g.adj[v]:
-            if color[u] == -1:
-                color[u] = color[v] ^ 1
-                seen += 1
-                queue.append(u)
-            elif color[u] == color[v]:
-                bipartite = False
+    while frontier:  # one BFS level, all of color c, per pass
+        nxt = []
+        for v in frontier:
+            for u in adj[v]:
+                if color[u] < 0:
+                    color[u] = c ^ 1
+                    nxt.append(u)
+                elif color[u] == c:
+                    bipartite = False
+        seen += len(nxt)
+        frontier = nxt
+        c ^= 1
     connected = seen == g.n
     # A 2-coloring of one component says nothing about unreachable ones;
     # a disconnected report already fails every schedule invariant.
@@ -204,12 +208,15 @@ def random_regular_graph(n: int, d: int, rng: random.Random) -> GraphSnapshot:
                     return True
         return False
 
+    all_stubs = [v for v in range(n) for _ in range(d)]
+    shuffle = rng.shuffle
+
     def try_pairing() -> set | None:
         edges: set[tuple[int, int]] = set()
-        stubs = [v for v in range(n) for _ in range(d)]
+        stubs = all_stubs.copy()
         while stubs:
             leftovers: dict[int, int] = {}
-            rng.shuffle(stubs)
+            shuffle(stubs)
             it = iter(stubs)
             for u, v in zip(it, it):
                 if u > v:

@@ -7,8 +7,9 @@ total variation is provided separately for the estimator.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import chain, count, islice
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .graphs import DynwalkError, GraphSchedule, GraphSnapshot, StaticSchedule
 __all__ = [
     "MIX_EPS",
     "transition_matrix",
+    "transition_matrices",
     "uniform",
     "point_mass",
     "evolve",
@@ -47,17 +49,35 @@ def _check_size(n: int) -> None:
         raise ValueError(f"oracle is dense-only, n={n} exceeds cap {N_CAP}")
 
 
+def transition_matrices(graphs: Sequence[GraphSnapshot]) -> np.ndarray:
+    """The (T, n, n) stack of the snapshots' simple-random-walk matrices, in
+    one scatter: entry (t, u, v) is 1/deg(u) iff {u,v} is an edge of
+    graphs[t].  The snapshots share n, at most N_CAP; ValueError otherwise,
+    or on an isolated node."""
+    n = graphs[0].n
+    _check_size(n)
+    if any(g.n != n for g in graphs):
+        raise ValueError("stacked snapshots must share n")
+    T = len(graphs)
+    d = graphs[0].d
+    if d and all(g.d == d for g in graphs):  # row (t, u) holds 1/d at its d neighbors
+        nbr = graphs[0].nbr if T == 1 else np.stack([g.nbr for g in graphs])
+        rows, cols, weights = np.arange(T * n)[:, None], nbr.reshape(T * n, d), 1.0 / d
+    else:
+        deg = np.fromiter(chain.from_iterable(map(len, g.adj) for g in graphs), np.int64, count=T * n)
+        if not deg.all():
+            raise ValueError(f"node {int(deg.argmin()) % n} is isolated")
+        rows = np.repeat(np.arange(T * n), deg)
+        cols = np.fromiter(chain.from_iterable(chain.from_iterable(g.adj) for g in graphs), np.int64, count=len(rows))
+        weights = (1.0 / deg)[rows]
+    P = np.zeros((T, n, n))
+    P.reshape(T * n, n)[rows, cols] = weights
+    return P
+
+
 def transition_matrix(g: GraphSnapshot) -> np.ndarray:
     """Simple-random-walk matrix: entry (u,v) is 1/deg(u) iff {u,v} is an edge."""
-    _check_size(g.n)
-    P = np.zeros((g.n, g.n))
-    for u in range(g.n):
-        deg = g.degree(u)
-        if deg == 0:
-            raise ValueError(f"node {u} is isolated")
-        for v in g.adj[u]:
-            P[u, v] = 1.0 / deg
-    return P
+    return transition_matrices((g,))[0]
 
 
 def uniform(n: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import CongestEngine, ProtocolError
+from .engine import CongestEngine, ProtocolError, RoundLimitError
 from .graphs import DynwalkError
 
 __all__ = [
@@ -79,7 +79,10 @@ class WalkParams:
 
     @classmethod
     def for_many(cls, tau: int, phi: int, k: int, lambda_c: float = 1.0) -> "WalkParams":
-        lam = lambda_c * math.sqrt(k * max(1, tau) * phi)
+        try:
+            lam = lambda_c * math.sqrt(k * max(1, tau) * phi)
+        except OverflowError:  # k*tau*phi is an int too large for a float
+            lam = math.inf
         if not math.isfinite(lam):
             raise ValueError(f"lambda = {lam} is not finite (tau={tau}, phi={phi}, k={k}, lambda_c={lambda_c})")
         return cls(tau=tau, lambda_walk=max(1, math.ceil(lam)))
@@ -174,6 +177,14 @@ def _checked_sources(n: int, sources) -> np.ndarray:
     return sources
 
 
+def _check_room(engine: CongestEngine, rounds: int) -> None:
+    """RoundLimitError unless `rounds` more rounds fit within max_rounds:
+    raised before a walk makes any draw or allocation sized by its length."""
+    room = engine.config.max_rounds - engine.round
+    if rounds > room:
+        raise RoundLimitError(f"a walk needs at least {rounds} rounds, but max_rounds={engine.config.max_rounds} leaves {room}")
+
+
 def _walk_tokens(engine, rng, sources, steps, token_bits, record_path, moving=None):
     """Move one token per source for `steps` rounds: in round i the first
     `moving[i]` tokens take a step (all of them when `moving` is None).
@@ -218,6 +229,7 @@ def concurrent_naive_walks(
     `destinations[j]`.
     """
     sources = _checked_sources(engine.n, sources)
+    _check_room(engine, length)
     bits = engine.enc.token_bits(length, len(sources))
     start_round = engine.round
     pos, trail = _walk_tokens(engine, engine.stream(TAG_NAIVE), sources, length, bits, record_path)
@@ -250,6 +262,7 @@ def phase1_distribute(
         raise ProtocolError("phase 1 must start at round 0 (coupons walk G_1 onwards)")
     d = engine.schedule.d
     lam = params.lambda_walk
+    _check_room(engine, 2 * lam)
     coupons = engine.n * d
     rng = engine.stream(TAG_PHASE1)
     extra = rng.integers(lam, size=coupons)

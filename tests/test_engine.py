@@ -239,6 +239,30 @@ class TestFlood:
         eng.flood(8, [0], budget=5)
         assert eng.round == 5
 
+    @pytest.mark.parametrize("keep", [True, False], ids=["records", "totals"])
+    def test_rounds_after_coverage_charged_as_before(self, keep):
+        # Two 60-round floods after 3 idle rounds: each informs everyone in
+        # 3 rounds, and its other 57 rounds send n*d = 48 messages each.
+        sched = RandomRegularSchedule(16, 3, seed=8)
+        eng = CongestEngine(sched, SimConfig(bandwidth_bits=AMPLE, record_rounds=keep))
+        eng.idle(3)
+        eng.flood(8, [0, 5], 60)
+        eng.flood(12, [3], 60, require_complete=False)
+        assert eng.log.summary() == {"rounds": 123, "total_msgs": 5592, "max_edge_bits": 12, "congestion_events": 0}
+        expected = [(t, 0, 0) for t in (1, 2, 3)]
+        for start, sent, bits in ((4, [6, 18, 45], 8), (64, [3, 12, 36], 12)):
+            msgs = sent + [48] * 57
+            expected += [(t, m, bits) for t, m in enumerate(msgs, start)]
+        assert [(r.t, r.msgs, r.max_edge_bits) for r in eng.log.records] == (expected if keep else [])
+
+    def test_rounds_after_coverage_are_a_count(self, k4):
+        # A budget past max_rounds charges its 10^7 rounds without a list of them.
+        eng = make_engine(k4, seed=0)
+        with pytest.raises(RoundLimitError, match="exceeded max_rounds=10000000"):
+            eng.flood(8, [0], 10**12)
+        assert eng.round == eng.log.rounds == 10**7
+        assert eng.log.total_msgs == 3 + (10**7 - 1) * 12
+
     def test_insufficient_budget(self, c9):
         eng = make_engine(c9, seed=0)
         with pytest.raises(FloodIncompleteError):
@@ -349,7 +373,7 @@ def reference_flood(schedule, sources, start, budget):
     for t in range(start, start + budget):
         g = schedule.snapshot_at(t)
         before = set(informed)
-        msgs.append(sum(g.degree(v) for v in before))
+        msgs.append(sum(len(g.adj[v]) for v in before))
         for u in range(schedule.n):
             if u not in before and any(v in before for v in g.adj[u]):
                 informed[u] = t

@@ -81,7 +81,7 @@ class TestValidation:
 
     def test_star_degrees(self):
         g = star4()
-        assert g.degree(0) == 4 and all(g.degree(i) == 1 for i in range(1, 5))
+        assert len(g.adj[0]) == 4 and all(len(g.adj[i]) == 1 for i in range(1, 5))
         assert g.d is None
 
     def test_petersen(self):
@@ -92,6 +92,32 @@ class TestValidation:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
             GraphSnapshot(3, [(0, 0)])
+
+    @pytest.mark.parametrize("edges, text", [
+        ([(5, 5)], "self-loop at node 5"),  # a self-loop outside the range is a self-loop
+        ([(0, 1), (1, 7), (2, 2)], "edge (1,7) outside [0,3)"),
+        ([(0, 1), (2, 2), (1, 7)], "self-loop at node 2"),
+        ([(4, -1), (0, 1)], "edge (4,-1) outside [0,3)"),
+        ([(0, 1), (-1, 2)], "edge (-1,2) outside [0,3)"),
+    ])
+    def test_first_bad_edge_in_input_order_raises(self, edges, text):
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            GraphSnapshot(3, edges)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 9).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    ))
+    def test_edges_and_sorted_neighbors(self, case):
+        # Either order of an edge, repeated or not, is one edge; each node's
+        # neighbors are listed once, in increasing order.
+        n, pairs = case
+        pairs = [(u, v) for u, v in pairs if u != v]
+        g = GraphSnapshot(n, pairs)
+        assert g.edges == {(min(e), max(e)) for e in pairs}
+        assert g.adj == tuple(tuple(sorted({v for e in g.edges for v in e if u in e and v != u})) for u in range(n))
+        degrees = {len(a) for a in g.adj}
+        assert g.d == (degrees.pop() if len(degrees) == 1 else None)
 
 
 class TestNeighborTable:

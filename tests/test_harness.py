@@ -477,6 +477,21 @@ class TestLemmaChecks:
         assert any(name.startswith("connector_bound") for name in names)
 
 
+@pytest.mark.parametrize("check, steps", [
+    (check_stationarity, 20), (check_contraction, 50), (check_monotonicity, 50), (check_supnorm, 30),
+], ids=lambda x: getattr(x, "__name__", x))
+def test_lemma_check_builds_each_matrix_once(monkeypatch, check, steps):
+    # One stack per instance, of its steps' snapshots; contraction reads its
+    # laws and its worst |lambda_2| from that one stack.
+    built = []
+    real = oracle.transition_matrices
+    monkeypatch.setattr(oracle, "transition_matrices", lambda graphs: built.append(len(graphs)) or real(graphs))
+    for name in ("transition_matrix", "spectral_summary", "walk_laws"):
+        monkeypatch.setattr(oracle, name, lambda *args: pytest.fail(f"{name} called"))
+    assert check(3, seed=5).passed
+    assert built == [steps] * 3
+
+
 # The lemma checks as they were written before they shared one property loop
 # and read their laws from `oracle.walk_laws`: each its own rng, worst margin,
 # violation count and product loop. They pin the shared loop's results.
@@ -941,6 +956,19 @@ class TestCli:
         out = tmp_path / "o"
         code = main(["run", "--schedule", "static:K4", *argv.split(), "--seeds", "1", "--out", str(out)])
         assert text in self._one_line_error(capsys, code)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algo", ["naive", "single", "many", "gossip"])
+    @pytest.mark.parametrize("tau, text", [
+        (10**30, "run error: a walk needs at least"),  # past max_rounds: RoundLimitError before any draw
+        (10**400, "run error: "),  # naive: past max_rounds; stitched: lambda overflows a float
+    ], ids=["1e30", "1e400"])
+    def test_huge_tau_exit_2(self, tmp_path, capsys, algo, tau, text):
+        # 1e30 ended in a MemoryError traceback (Phase 1 sized a list by
+        # lambda ~ 1e15) and 1e400 in an OverflowError from math.sqrt.
+        out = tmp_path / "o"
+        code = main(["run", "--schedule", "static:K4", "--algo", algo, "--tau", str(tau), "--seeds", "1", "--out", str(out)])
+        assert self._one_line_error(capsys, code).startswith(text)
         assert not out.exists()
 
     @settings(max_examples=60, deadline=None)

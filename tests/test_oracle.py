@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import prism5
-from dynwalk import oracle
+from dynwalk import harness, oracle
 from dynwalk.graphs import (
     GraphSnapshot,
     PeriodicSchedule,
@@ -55,6 +55,56 @@ class TestTransitionMatrix:
     def test_doubly_stochastic_when_regular(self, petersen):
         P = transition_matrix(petersen.snapshot_at(1))
         assert np.allclose(P.sum(axis=0), 1) and np.allclose(P.sum(axis=1), 1)
+
+
+@st.composite
+def snapshot_lists(draw):
+    """1-4 snapshots on one n: random edge sets (most not regular, some
+    with isolated nodes) or random connected non-bipartite d-regular graphs
+    of one degree d >= 3."""
+    n = draw(st.integers(2, 12), label="n")
+    if draw(st.booleans(), label="regular") and n >= 4:
+        d = draw(st.sampled_from([d for d in range(3, n) if n * d % 2 == 0]), label="d")
+        seeds = draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=4), label="seeds")
+        return [random_regular_graph(n, d, random.Random(seed)) for seed in seeds]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    subsets = st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs))
+    return [GraphSnapshot(n, edges) for edges in draw(st.lists(subsets, min_size=1, max_size=4), label="edges")]
+
+
+class TestTransitionMatrices:
+    @settings(max_examples=150, deadline=None)
+    @given(snapshot_lists())
+    def test_stack_and_single_match_explicit(self, graphs):
+        isolated = [(t, u) for t, g in enumerate(graphs) for u in range(g.n) if not g.adj[u]]
+        if isolated:
+            for build in (oracle.transition_matrices, lambda gs: [transition_matrix(g) for g in gs]):
+                with pytest.raises(ValueError, match=f"^node {isolated[0][1]} is isolated$"):
+                    build(graphs)
+            return
+        stack = oracle.transition_matrices(graphs)
+        assert stack.shape == (len(graphs), graphs[0].n, graphs[0].n)
+        for g, P in zip(graphs, stack):
+            assert np.array_equal(P, _explicit_matrix(g))
+            assert np.array_equal(transition_matrix(g), _explicit_matrix(g))
+
+    def test_size_cap_shared_n_and_no_edges(self):
+        big = named_graph(f"C{oracle.N_CAP + 1}")
+        for build in (transition_matrix, lambda g: oracle.transition_matrices([g])):
+            with pytest.raises(ValueError, match=f"n={oracle.N_CAP + 1} exceeds cap {oracle.N_CAP}"):
+                build(big)
+        with pytest.raises(ValueError, match="share n"):
+            oracle.transition_matrices([named_graph("C5"), named_graph("C6")])
+        with pytest.raises(ValueError, match="^node 0 is isolated$"):  # d = 0: regular, but no walk
+            transition_matrix(GraphSnapshot(3, []))
+
+    @pytest.mark.parametrize("n, d", [(8, 3), (16, 4), (32, 5), (10, 3)])
+    def test_batched_worst_lambda_equals_spectral_summary(self, n, d):
+        d = 4 if n * d % 2 else d
+        schedule = RandomRegularSchedule(n, d, seed=n * d)
+        graphs = [schedule.snapshot_at(t) for t in range(1, 51)]
+        worst = harness._worst_lambda(oracle.transition_matrices(graphs))
+        assert worst == max(spectral_summary(g).lambda2_abs for g in graphs)
 
 
 class TestEvolve:

@@ -15,7 +15,7 @@ from dynwalk.graphs import (
     random_regular_graph,
 )
 from dynwalk import walks
-from dynwalk.engine import CongestEngine, SimConfig
+from dynwalk.engine import CongestEngine, RoundLimitError, SimConfig
 from dynwalk.oracle import segment_matrix, transition_matrix
 from dynwalk.walks import (
     TAG_NAIVE,
@@ -490,6 +490,47 @@ def test_source_outside_rejected_before_any_round(rr16, walk, source):
     with pytest.raises(ValueError, match=rf"^walk source {source} is outside \[0, 16\)$"):
         walk(eng, source)
     assert eng.round == eng.log.rounds == 0
+
+
+# Walks that cannot finish within the 40 rounds their engine has left: a
+# naive walk needs tau rounds, a stitched one at least 2*lambda.  A 1e30
+# stitched walk sized Phase 1's lists by lambda ~ 1e15 before its first round.
+LONG_WALKS = {
+    "naive": lambda eng: naive_walk(eng, 0, 41),
+    "concurrent": lambda eng: concurrent_naive_walks(eng, [0, 1], 41),
+    "many-naive": lambda eng: many_random_walks(eng, [0, 1], 41, lambda_walk=41),
+    "naive-1e30": lambda eng: naive_walk(eng, 0, 10**30),
+    "phase1": lambda eng: phase1_distribute(eng, WalkParams(tau=43, lambda_walk=21)),
+    "single-stitched": lambda eng: single_random_walk(eng, 0, WalkParams(tau=43, lambda_walk=21)),
+    "many-stitched": lambda eng: many_random_walks(eng, [0, 1], 43, lambda_walk=21),
+    "single-1e30": lambda eng: single_random_walk(eng, 0, WalkParams.for_many(10**30, 4, 1)),
+    "many-1e30": lambda eng: many_random_walks(eng, [0, 1], 10**30),
+}
+
+
+@pytest.mark.parametrize("walk", LONG_WALKS.values(), ids=LONG_WALKS.keys())
+def test_walk_past_max_rounds_rejected_before_any_draw(rr16, walk):
+    eng = CongestEngine(rr16, SimConfig(seed=0, bandwidth_bits=1 << 24, phi=4, max_rounds=40))
+    with pytest.raises(RoundLimitError, match=r"^a walk needs at least \d+ rounds, but max_rounds=40 leaves 40$"):
+        walk(eng)
+    assert eng.round == eng.log.rounds == 0
+    fresh = CongestEngine(rr16, SimConfig(seed=0))
+    for tag in (TAG_PHASE1, TAG_NAIVE):  # no stream drew
+        assert eng.stream(tag).random() == fresh.stream(tag).random()
+
+
+def test_naive_walk_room_counts_from_the_engine_round(rr16):
+    eng = CongestEngine(rr16, SimConfig(seed=0, bandwidth_bits=1 << 24, max_rounds=40))
+    eng.idle(30)
+    with pytest.raises(RoundLimitError, match="needs at least 11 rounds, but max_rounds=40 leaves 10$"):
+        naive_walk(eng, 0, 11)
+    assert naive_walk(eng, 0, 10).rounds_used == 10 and eng.round == 40
+
+
+def test_lambda_of_a_huge_tau_rejected():
+    # k*tau*phi past a float's range raised OverflowError from math.sqrt.
+    with pytest.raises(ValueError, match="not finite"):
+        WalkParams.for_many(tau=10**400, phi=4, k=1)
 
 
 class TestVisitStats:
