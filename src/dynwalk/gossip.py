@@ -162,11 +162,6 @@ class RaceReport:
     coverage_rw_complete: bool
 
 
-def race_winner(rounds_rw: int, rounds_trivial: int) -> str:
-    """Ties break to the trivial algorithm (deterministic report)."""
-    return "rw" if rounds_rw < rounds_trivial else "trivial"
-
-
 def k_gossip_race(
     engine: CongestEngine,
     assignment: Mapping[int, Sequence[int]],
@@ -182,11 +177,10 @@ def k_gossip_race(
     eng_triv = CongestEngine(schedule, config)
     rw = k_gossip_rw(eng_rw, assignment, params, tau, phi)
     triv = k_gossip_trivial(eng_triv, assignment)
-    winner = race_winner(rw.rounds, triv.rounds)
     return RaceReport(
         rounds_rw=rw.rounds,
         rounds_trivial=triv.rounds,
         race_rounds=min(rw.rounds, triv.rounds),
-        winner=winner,
+        winner="rw" if rw.rounds < triv.rounds else "trivial",
         coverage_rw_complete=rw.complete,
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from pathlib import Path
 from typing import Collection, Iterable, NamedTuple, Sequence
@@ -179,11 +180,41 @@ def named_graph(name: str) -> GraphSnapshot:
 
 
 def _check_regular_shape(n: int, d: int) -> None:
-    """Raise ScheduleError unless some simple d-regular graph on n nodes exists."""
+    """Raise ScheduleError unless some connected non-bipartite d-regular
+    graph on n nodes exists."""
     if n * d % 2 != 0:
         raise ScheduleError(f"n*d must be even, got n={n}, d={d}")
     if not 0 < d < n:
         raise ScheduleError(f"need 0 < d < n, got n={n}, d={d}")
+    # A 1-regular graph is a perfect matching, connected only as K2; a
+    # connected 2-regular graph on an even number of nodes is an even cycle.
+    # Both are bipartite, so no number of pairing attempts finds one.
+    if d == 1 or (d == 2 and n % 2 == 0):
+        raise ScheduleError(f"no connected non-bipartite {d}-regular graph on n={n} nodes: "
+                            f"need d >= 3, or d = 2 with n odd")
+
+
+_SHUFFLE_WIDTHS = [(i + 1).bit_length() for i in range(1024)]  # bits random.shuffle draws at index i
+
+
+def _shuffle(x: list, rng: random.Random) -> None:
+    """Shuffle `x` in place exactly as `rng.shuffle(x)` does: the same
+    Fisher-Yates swaps from the same `rng.getrandbits` calls, each redrawn
+    while above i, without a method call per element."""
+    getrandbits = rng.getrandbits
+    widths = _SHUFFLE_WIDTHS if len(x) <= len(_SHUFFLE_WIDTHS) else [(i + 1).bit_length() for i in range(len(x))]
+    for i in range(len(x) - 1, 0, -1):
+        k = widths[i]
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
+@lru_cache(maxsize=64)
+def _stubs(n: int, d: int) -> tuple[int, ...]:
+    """Each node's d stubs, node by node."""
+    return tuple(v for v in range(n) for _ in range(d))
 
 
 def random_regular_graph(n: int, d: int, rng: random.Random) -> GraphSnapshot:
@@ -195,28 +226,13 @@ def random_regular_graph(n: int, d: int, rng: random.Random) -> GraphSnapshot:
     rejected as a whole.  Capped at `RR_MAX_TRIES` attempts in total.
     """
     _check_regular_shape(n, d)
-
-    def suitable(edges: set, leftovers: dict) -> bool:
-        # Some pair of leftover stubs must still form a fresh edge.
-        if not leftovers:
-            return True
-        nodes = list(leftovers)
-        for i, u in enumerate(nodes):
-            for v in nodes[i + 1:]:
-                e = (u, v) if u < v else (v, u)
-                if e not in edges:
-                    return True
-        return False
-
-    all_stubs = [v for v in range(n) for _ in range(d)]
-    shuffle = rng.shuffle
-
-    def try_pairing() -> set | None:
+    all_stubs = _stubs(n, d)
+    for _ in range(RR_MAX_TRIES):
         edges: set[tuple[int, int]] = set()
-        stubs = all_stubs.copy()
+        stubs = list(all_stubs)
         while stubs:
+            _shuffle(stubs, rng)
             leftovers: dict[int, int] = {}
-            shuffle(stubs)
             it = iter(stubs)
             for u, v in zip(it, it):
                 if u > v:
@@ -226,19 +242,16 @@ def random_regular_graph(n: int, d: int, rng: random.Random) -> GraphSnapshot:
                 else:
                     leftovers[u] = leftovers.get(u, 0) + 1
                     leftovers[v] = leftovers.get(v, 0) + 1
-            if not suitable(edges, leftovers):
-                return None
+            # Some pair of leftover stubs must still form a fresh edge.
+            nodes = sorted(leftovers)
+            if nodes and all((u, v) in edges for i, u in enumerate(nodes) for v in nodes[i + 1:]):
+                break
             stubs = [v for v, c in leftovers.items() for _ in range(c)]
-        return edges
-
-    for _ in range(RR_MAX_TRIES):
-        edges = try_pairing()
-        if edges is None:
-            continue
-        g = GraphSnapshot(n, edges)
-        report = validate_snapshot(g)
-        if report.connected and not report.bipartite:
-            return g
+        else:
+            g = GraphSnapshot(n, edges)
+            report = validate_snapshot(g)
+            if report.connected and not report.bipartite:
+                return g
     raise ScheduleError(f"no valid {d}-regular graph on {n} nodes after {RR_MAX_TRIES} tries")
 
 
@@ -408,7 +421,7 @@ class PermutedSchedule(GraphSchedule):
     def _build(self, t: int) -> GraphSnapshot:
         rng = random.Random(derive_seed(self.seed, t, 2))
         perm = list(range(self.n))
-        rng.shuffle(perm)
+        _shuffle(perm, rng)
         edges = [(perm[u], perm[v]) for u, v in self._base.edges]
         return GraphSnapshot(self.n, edges)
 

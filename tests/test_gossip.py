@@ -1,15 +1,17 @@
 import math
 
+import numpy as np
 import pytest
 
 from conftest import make_engine
 from dynwalk.engine import CongestEngine, ProtocolError, SimConfig, default_bandwidth
+from dynwalk import gossip
 from dynwalk.gossip import (
+    GossipOutcome,
     GossipParams,
     k_gossip_race,
     k_gossip_rw,
     k_gossip_trivial,
-    race_winner,
     resolve_gossip_params,
 )
 from dynwalk.graphs import PermutedSchedule, RandomRegularSchedule, dynamic_diameter, parse_schedule_spec
@@ -132,10 +134,16 @@ class TestRace:
             assert report.race_rounds <= report.rounds_trivial
             assert report.race_rounds == min(report.rounds_rw, report.rounds_trivial)
 
-    def test_tie_breaks_to_trivial(self):
-        assert race_winner(10, 10) == "trivial"
-        assert race_winner(9, 10) == "rw"
-        assert race_winner(11, 10) == "trivial"
+    def test_tie_breaks_to_trivial(self, rr16, monkeypatch):
+        # Each route reports a fixed round count; the trivial one takes 10.
+        def outcome(rounds):
+            return GossipOutcome(rounds=rounds, coverage=np.ones((16, 1), dtype=bool), complete=True, phase1_rounds=0)
+
+        monkeypatch.setattr(gossip, "k_gossip_trivial", lambda *args: outcome(10))
+        for rounds_rw, winner in [(10, "trivial"), (9, "rw"), (11, "trivial")]:
+            monkeypatch.setattr(gossip, "k_gossip_rw", lambda *args: outcome(rounds_rw))
+            report = k_gossip_race(make_engine(rr16, seed=0, phi=4), {1: [0]}, resolve_gossip_params(16, 1, 6, 4), 6, 4)
+            assert (report.winner, report.race_rounds) == (winner, min(rounds_rw, 10))
 
     def test_phi_must_match_engine(self, rr16):
         # The race inherits k_gossip_rw's check: a mismatched phi raises.

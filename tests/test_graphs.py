@@ -19,6 +19,7 @@ from dynwalk.graphs import (
     RandomRegularSchedule,
     ScheduleError,
     StaticSchedule,
+    _shuffle,
     dynamic_diameter,
     flood_failure,
     flooding_time,
@@ -211,6 +212,9 @@ class TestSchedules:
         (5, 3, "n*d must be even, got n=5, d=3"),
         (4, 4, "need 0 < d < n, got n=4, d=4"),
         (6, 0, "need 0 < d < n, got n=6, d=0"),
+        (2, 1, "no connected non-bipartite 1-regular graph on n=2 nodes"),
+        (8, 1, "no connected non-bipartite 1-regular graph on n=8 nodes"),
+        (16, 2, "no connected non-bipartite 2-regular graph on n=16 nodes"),
     ])
     def test_rr_shape_rejected_when_built(self, n, d, text):
         with pytest.raises(ScheduleError, match=re.escape(text)):
@@ -219,6 +223,26 @@ class TestSchedules:
             parse_schedule_spec(f"rr:n={n},d={d}")
         with pytest.raises(ScheduleError, match=re.escape(text)):
             random_regular_graph(n, d, random.Random(1))
+
+    @pytest.mark.parametrize("n", [3, 9, 17])
+    def test_two_regular_on_odd_n_builds_an_odd_cycle(self, n):
+        g = RandomRegularSchedule(n, 2, seed=4).snapshot_at(1)
+        assert valid(g, 2) and len(g.edges) == n
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        length=st.one_of(st.integers(0, 400), st.sampled_from([2**k + 1 for k in range(12)])),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_shuffle_draws_what_random_shuffle_draws(self, length, seed):
+        # Lengths 2^k + 1 make random.shuffle redraw most often; 2049 is past
+        # the helper's table of bit widths.
+        expected, rng_expected = list(range(length)), random.Random(seed)
+        rng_expected.shuffle(expected)
+        got, rng = list(range(length)), random.Random(seed)
+        _shuffle(got, rng)
+        assert got == expected
+        assert rng.getstate() == rng_expected.getstate()
 
     # Walks are uniform at stationarity only on snapshots of one degree d >= 1,
     # so any other schedule is rejected when it is built, before any round.

@@ -1,10 +1,12 @@
 import hashlib
+import io
 import json
 import math
 import random
 import re
 import statistics
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from itertools import islice
 from pathlib import Path
@@ -994,6 +996,30 @@ class TestCli:
             ])
             assert code in (EXIT_OK, EXIT_CONFIG_ERROR)
             assert out.exists() == (code == EXIT_OK)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(["rr", "srr"]),
+        n=st.integers(0, 12),
+        d=st.integers(-1, 12),
+        command=st.sampled_from(["schedule", "run"]),
+    )
+    def test_regular_shapes_exit_0_or_2(self, kind, n, d, command):
+        # Any shape returns 0, or 2 with one config error line and no
+        # output: an impossible shape is never a traceback.
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "o"
+            argv = {
+                "schedule": ["schedule", "--rounds=4", "--seed=3"],
+                "run": ["run", "--algo=naive", "--tau=4", "--seeds=1", "--bandwidth=100000"],
+            }[command]
+            err = io.StringIO()
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                code = main([*argv, f"--schedule={kind}:n={n},d={d}", f"--out={out}"])
+            assert code in (EXIT_OK, EXIT_CONFIG_ERROR)
+            assert out.exists() == (code == EXIT_OK)
+            if code == EXIT_CONFIG_ERROR:
+                assert err.getvalue().startswith("config error: ") and err.getvalue().count("\n") == 1
 
     @pytest.mark.parametrize("spec, key", [
         ("rr:n=16,d=3,x=1", "x"), ("rr:n=16,n=32,d=3", "n"), ("srr:n=16,d=3,x=1", "x"),
