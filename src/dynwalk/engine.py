@@ -137,14 +137,6 @@ class RoundLog:
         if self._keep:
             self.records += [RoundRecord(t + i, msgs, max_bits if msgs else 0) for i in range(rounds)]
 
-    def summary(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "total_msgs": self.total_msgs,
-            "max_edge_bits": self.max_edge_bits,
-            "congestion_events": self.congestion_events,
-        }
-
     def jsonl_records(self) -> list[str]:
         return [
             json.dumps({"t": r.t, "max_edge_bits": r.max_edge_bits, "msgs": r.msgs})

@@ -17,7 +17,7 @@ import numpy as np
 
 from .engine import CongestEngine, ProtocolError, SimConfig
 from .graphs import GraphSchedule
-from .walks import many_random_walks
+from .walks import WalkParams, many_random_walks
 
 __all__ = [
     "GossipParams",
@@ -41,20 +41,12 @@ class GossipParams:
             raise ValueError("k, f and broadcast_rounds must be >= 1")
 
 
-def resolve_gossip_params(
-    n: int,
-    k: int,
-    tau: int,
-    phi: int,
-    f: int | None = None,
-) -> GossipParams:
-    """Defaults: f = ceil(n^(2/3) * (k/(tau*phi))^(1/3)), capped to [1, n];
+def resolve_gossip_params(n: int, k: int, tau: int, phi: int) -> GossipParams:
+    """f = ceil(n^(2/3) * (k/(tau*phi))^(1/3)), capped to [1, n];
     broadcast_rounds = ceil(2*n*ln(n)/f).  tau and phi must be >= 1."""
     if tau < 1 or phi < 1:
         raise ValueError(f"gossip needs tau >= 1 and phi >= 1, got tau={tau}, phi={phi}")
-    if f is None:
-        f = math.ceil(n ** (2.0 / 3.0) * (k / (tau * phi)) ** (1.0 / 3.0))
-    f = max(1, min(n, f))
+    f = max(1, min(n, math.ceil(n ** (2.0 / 3.0) * (k / (tau * phi)) ** (1.0 / 3.0))))
     return GossipParams(k=k, f=f, broadcast_rounds=math.ceil(2.0 * n * math.log(n) / f))
 
 
@@ -107,7 +99,7 @@ def k_gossip_rw(
         for c in range(params.f):
             sources.append(hs[c % len(hs)])
             token_of_walk.append(token)
-    results = many_random_walks(engine, sources, tau, record_path=False)
+    results = many_random_walks(engine, sources, WalkParams.for_many(tau, phi, len(sources)), record_path=False)
     phase1_rounds = engine.round - start_round
     coverage = np.zeros((engine.n, k), dtype=bool)
     holder_sets: dict[int, set[int]] = {t: set(holders[t]) for t in tokens}

@@ -51,6 +51,13 @@ class ScheduleError(DynwalkError):
 
 
 RR_MAX_TRIES = 10_000  # pairing attempts `random_regular_graph` makes before it gives up
+# Largest n*d a schedule may have: a snapshot holds its n*d ports as adj
+# entries, n*d/2 edge tuples and an n x d int64 table, about 100 bytes a
+# port (180 while `random_regular_graph` builds it), so about 100 MB.
+MAX_PORTS = 1 << 20
+# Largest n*n*d `dynamic_diameter` may gather: its (n, d, n) int32 take over
+# all n rows at once is 4 bytes a cell, 64 MB.
+MAX_DIAMETER_CELLS = 1 << 24
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
@@ -72,8 +79,8 @@ def derive_seed(*parts: int) -> int:
 
 
 class GraphSnapshot:
-    """One round's topology: a simple undirected graph on nodes [0, n).  `d`
-    is the one degree all its nodes have, or None if their degrees differ."""
+    """One round's topology: a simple undirected d-regular graph on nodes
+    [0, n) with d >= 1.  Any other edge list raises ValueError."""
 
     __slots__ = ("n", "edges", "adj", "d", "_nbr")
 
@@ -87,26 +94,27 @@ class GraphSnapshot:
                 add((v, u))
             else:
                 raise ValueError(f"self-loop at node {u}" if u == v else f"edge ({u},{v}) outside [0,{n})")
+        # n*d = 2|E|, checked before anything sized by n is allocated
+        if not norm or 2 * len(norm) % n:
+            raise ValueError(f"{len(norm)} edges on {n} nodes make no d-regular graph with d >= 1")
         self.n = n
         self.edges = frozenset(norm)
+        self.d = d = 2 * len(norm) // n
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in norm:
             adj[u].append(v)
             adj[v].append(u)
+        if max(map(len, adj)) != d:  # the degrees sum to n*d, so they all equal d
+            raise ValueError(f"snapshot degrees {sorted(set(map(len, adj)))} differ")
         for a in adj:
             a.sort()
         self.adj = tuple(map(tuple, adj))
-        degrees = set(map(len, adj))
-        self.d = degrees.pop() if len(degrees) == 1 else None
         self._nbr: np.ndarray | None = None
 
     @property
     def nbr(self) -> np.ndarray:
-        """Neighbor table, built on first use: the n x d array whose row v is
-        adj[v].  Only a d-regular snapshot has one; ValueError otherwise."""
+        """Neighbor table, built on first use: the n x d array whose row v is adj[v]."""
         if self._nbr is None:
-            if self.d is None:
-                raise ValueError(f"{self!r} has no neighbor table: its degrees {sorted(set(map(len, self.adj)))} differ")
             self._nbr = np.fromiter(chain.from_iterable(self.adj), dtype=np.int64, count=self.n * self.d).reshape(self.n, self.d)
         return self._nbr
 
@@ -156,6 +164,12 @@ def validate_snapshot(g: GraphSnapshot) -> ValidationReport:
     return ValidationReport(connected=connected, bipartite=bipartite)
 
 
+def _check_ports(n: int, d: int) -> None:
+    """ScheduleError when n nodes of degree d exceed MAX_PORTS."""
+    if n * d > MAX_PORTS:
+        raise ScheduleError(f"n*d = {n}*{d} exceeds the limit of {MAX_PORTS} ports")
+
+
 def named_graph(name: str) -> GraphSnapshot:
     """Build a standard graph from its short name: K<n>, C<n>, petersen."""
     key = name.strip().lower()
@@ -170,11 +184,13 @@ def named_graph(name: str) -> GraphSnapshot:
         n = int(key[1:])
         if n < 2:
             raise ValueError("K_n needs n >= 2")
+        _check_ports(n, n - 1)
         return GraphSnapshot(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
     if key.startswith("c") and key[1:].isdigit():
         n = int(key[1:])
         if n < 3:
             raise ValueError("C_n needs n >= 3")
+        _check_ports(n, 2)
         return GraphSnapshot(n, [(i, (i + 1) % n) for i in range(n)])
     raise ValueError(f"unknown graph name: {name!r}")
 
@@ -192,6 +208,7 @@ def _check_regular_shape(n: int, d: int) -> None:
     if d == 1 or (d == 2 and n % 2 == 0):
         raise ScheduleError(f"no connected non-bipartite {d}-regular graph on n={n} nodes: "
                             f"need d >= 3, or d = 2 with n odd")
+    _check_ports(n, d)
 
 
 _SHUFFLE_WIDTHS = [(i + 1).bit_length() for i in range(1024)]  # bits random.shuffle draws at index i
@@ -271,9 +288,7 @@ class GraphSchedule:
     FLOOD_MEMO_CELLS = 1 << 18  # cells of flood memo entries kept, 2n each; cleared when full
     period: int | None = None  # snapshot_at(t + period) == snapshot_at(t), when known
 
-    def __init__(self, n: int, d: int | None, seed: int, spec: str):
-        if d is None or d < 1:  # a simple random walk is uniform at stationarity only then
-            raise ScheduleError(f"non-regular schedule {spec!r}: its snapshots do not all have one degree d >= 1 (d={d})")
+    def __init__(self, n: int, d: int, seed: int, spec: str):
         self.n = n
         self.d = d
         self.seed = seed
@@ -379,11 +394,10 @@ class PeriodicSchedule(GraphSchedule):
     def __init__(self, graphs: Sequence[GraphSnapshot], seed: int = 0, spec: str = "periodic"):
         if not graphs:
             raise ScheduleError("periodic schedule needs at least one graph")
-        n = graphs[0].n
-        if any(g.n != n for g in graphs):
-            raise ScheduleError("all snapshots in a schedule share one node set")
-        degs = {g.d for g in graphs}
-        d = degs.pop() if len(degs) == 1 else None
+        n, d = graphs[0].n, graphs[0].d
+        if any((g.n, g.d) != (n, d) for g in graphs):  # a walk is uniform at stationarity only then
+            shapes = sorted({(g.n, g.d) for g in graphs})
+            raise ScheduleError(f"non-regular schedule {spec!r}: its snapshots' (n, d) are {shapes}, not one pair")
         super().__init__(n, d, seed, spec)
         self._graphs = list(graphs)
         self.period = len(graphs)
@@ -482,12 +496,16 @@ def flooding_time(schedule: GraphSchedule, source: int, start_round: int = 1) ->
 
 def dynamic_diameter(schedule: GraphSchedule, horizon: int) -> int:
     """Max flooding time over all sources and start rounds in [1, horizon],
-    from one batch of n rows per start round."""
+    from one batch of n rows per start round; ScheduleError before the first
+    BFS when that batch's gather of n*n*d cells exceeds MAX_DIAMETER_CELLS."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    n, d = schedule.n, schedule.d
+    if n * n * d > MAX_DIAMETER_CELLS:
+        raise ScheduleError(f"dynamic diameter of n={n}, d={d}: n*n*d exceeds the limit of {MAX_DIAMETER_CELLS} cells")
     best = 0
     for start in range(1, horizon + 1):
-        rows = np.array([row for row, _ in schedule._entries(range(schedule.n), start)])
+        rows = np.array([row for row, _ in schedule._entries(range(n), start)])
         rows.sort(axis=1)
         # A round missing from a row is one its flood stalls in, or never reaches.
         failed = (np.diff(rows, axis=1) > 1).any(axis=1)
@@ -515,12 +533,14 @@ def write_schedule_file(schedule: GraphSchedule, rounds: int, path: str | Path) 
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def read_schedule_file(path: str | Path) -> tuple[int, int | None, list[GraphSnapshot]]:
-    """Read a schedule file; returns (n, d, snapshots ordered by t).
+def read_schedule_file(path: str | Path) -> list[GraphSnapshot]:
+    """Read a schedule file; returns its snapshots ordered by t.
 
-    A missing key, a value of the wrong shape, rows whose t are not exactly
-    1..T, or a declared degree d that is not every snapshot node's degree
-    raise ScheduleError naming the file.
+    A missing key, a value of the wrong shape, a snapshot that is not
+    d-regular with d >= 1, rows whose t are not exactly 1..T, or a declared
+    degree d that is not every snapshot's degree raise ScheduleError naming
+    the file, and so does an n*d over MAX_PORTS (d = 1 when the header has
+    none), before any snapshot is built.
     """
     path = Path(path)
     try:
@@ -535,20 +555,20 @@ def read_schedule_file(path: str | Path) -> tuple[int, int | None, list[GraphSna
         n, d, T = header["n"], header.get("d"), header.get("T", len(rows))
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"n={n!r} is not a positive integer")
+        _check_ports(n, d if isinstance(d, int) else 1)
         rows.sort(key=lambda row: row["t"])
         ts = [row["t"] for row in rows]
         graphs = [GraphSnapshot(n, [tuple(e) for e in row["edges"]]) for row in rows]
-        in_order = ts == list(range(1, T + 1))
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        in_order = T == len(ts) and ts == list(range(1, T + 1))
+    except (KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise ScheduleError(f"malformed schedule file {path}: {type(exc).__name__}: {exc}") from None
     if not graphs:
         raise ScheduleError(f"schedule file {path} holds no snapshots")
     if not in_order:
         raise ScheduleError(f"schedule file {path} declares T={T} but its rows have t={ts}")
     if d is not None and any(g.d != d for g in graphs):
-        degrees = sorted({len(nbrs) for g in graphs for nbrs in g.adj})
-        raise ScheduleError(f"schedule file {path} declares d={d!r} but its snapshots have degree {degrees}")
-    return n, d, graphs
+        raise ScheduleError(f"schedule file {path} declares d={d!r} but its snapshots have degree {sorted({g.d for g in graphs})}")
+    return graphs
 
 
 def _static_source(arg: str) -> GraphSnapshot:
@@ -557,8 +577,7 @@ def _static_source(arg: str) -> GraphSnapshot:
     path separator or ends in .jsonl is read as a file."""
     p = Path(arg)
     if p.exists() or p.name != arg or p.suffix == ".jsonl":
-        _, _, graphs = read_schedule_file(p)
-        return graphs[0]
+        return read_schedule_file(p)[0]
     return named_graph(arg)
 
 
@@ -595,8 +614,7 @@ def parse_schedule_spec(spec: str, seed: int = 0) -> GraphSchedule:
     if kind == "static":
         return StaticSchedule(_static_source(arg), seed=seed, spec=spec)
     if kind == "periodic":
-        _, _, graphs = read_schedule_file(arg)
-        return PeriodicSchedule(graphs, seed=seed, spec=spec)
+        return PeriodicSchedule(read_schedule_file(arg), seed=seed, spec=spec)
     if kind in ("rr", "srr"):
         n, d = _spec_fields(spec, kind, arg, ("n", "d"), int)
         if kind == "rr":

@@ -228,9 +228,11 @@ def _walk_sweep(walks):
 
 
 def _batch(k):
-    """A seed's walks: one `many_random_walks` batch from nodes j mod n, j < k(config)."""
+    """A seed's walks: one `many_random_walks` batch from nodes j mod n, j < k(config),
+    lambda sized for k(config) walks."""
     return lambda config, engine, n, tau: many_random_walks(
-        engine, [j % n for j in range(k(config))], tau, lambda_c=config.lambda_c, record_path=False
+        engine, [j % n for j in range(k(config))],
+        WalkParams.for_many(tau, engine.config.phi, k(config), config.lambda_c), record_path=False,
     )
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .engine import CongestEngine, ProtocolError
 from .graphs import DynwalkError
 from .oracle import mixing_cap
-from .walks import many_random_walks
+from .walks import WalkParams, many_random_walks
 
 __all__ = [
     "DEFAULT_EPSILON",
@@ -152,12 +152,14 @@ def sample_endpoints(
 ) -> np.ndarray:
     """K endpoint samples of length-`length` walks from `source`.
 
-    The endpoints are the `destinations` array of `many_random_walks`; no
-    per-walk record is built.  The array is read-only.
+    The endpoints are the `destinations` array of one `many_random_walks`
+    batch, lambda sized for K walks from the engine's phi; no per-walk record
+    is built.  The array is read-only.
     """
     if length < 1 or K < 1:
         raise ValueError("length and K must be >= 1")
-    return many_random_walks(engine, np.full(K, source), length, record_path=False).destinations
+    params = WalkParams.for_many(length, engine.config.phi, K)
+    return many_random_walks(engine, np.full(K, source), params, record_path=False).destinations
 
 
 @dataclass
@@ -186,28 +188,22 @@ class MixingEstimate:
         return report
 
 
-def estimate_mixing_time(
-    engine: CongestEngine,
-    source: int,
-    phi: int,
-    epsilon: float = DEFAULT_EPSILON,
-    K: int | None = None,
-) -> MixingEstimate:
+def estimate_mixing_time(engine: CongestEngine, source: int, phi: int) -> MixingEstimate:
     """Double the probe length until the uniformity test passes, then binary
-    search the bracketed interval for the first passing length.  The probe
+    search the bracketed interval for the first passing length, with
+    K = `sample_count(n)` samples per probe at DEFAULT_EPSILON.  The probe
     walks' stitch floods run for the engine's phi, so `phi` must equal it."""
     if phi != engine.config.phi:
         raise ProtocolError(f"phi={phi} differs from the engine's phi={engine.config.phi}")
     n = engine.n
-    if K is None:
-        K = sample_count(n, epsilon)
+    K = sample_count(n)
     cap = mixing_cap(n)
     start_round = engine.round
     probes: list[tuple[int, str, float]] = []
 
     def probe(length: int) -> bool:
         samples = sample_endpoints(engine, source, length, K)
-        verdict = uniformity_test(samples, n, epsilon)
+        verdict = uniformity_test(samples, n)
         probes.append((length, verdict.label, verdict.statistic))
         return verdict.passed
 
@@ -229,7 +225,7 @@ def estimate_mixing_time(
         tau_tilde=hi,
         bracket=(lo, hi),
         K=K,
-        epsilon=epsilon,
+        epsilon=DEFAULT_EPSILON,
         epsilon_prime=epsilon_prime(n),
         probes=probes,
         total_rounds=engine.round - start_round,

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, count, islice
+from itertools import count, islice
 
 import numpy as np
 
@@ -51,32 +51,21 @@ def _check_size(n: int) -> None:
 
 def transition_matrices(graphs: Sequence[GraphSnapshot]) -> np.ndarray:
     """The (T, n, n) stack of the snapshots' simple-random-walk matrices, in
-    one scatter: entry (t, u, v) is 1/deg(u) iff {u,v} is an edge of
-    graphs[t].  The snapshots share n, at most N_CAP; ValueError otherwise,
-    or on an isolated node."""
-    n = graphs[0].n
+    one scatter: entry (t, u, v) is 1/d iff {u,v} is an edge of graphs[t].
+    The snapshots share n, at most N_CAP, and d; ValueError otherwise."""
+    n, d = graphs[0].n, graphs[0].d
     _check_size(n)
-    if any(g.n != n for g in graphs):
-        raise ValueError("stacked snapshots must share n")
+    if any((g.n, g.d) != (n, d) for g in graphs):
+        raise ValueError("stacked snapshots must share n and d")
     T = len(graphs)
-    d = graphs[0].d
-    if d and all(g.d == d for g in graphs):  # row (t, u) holds 1/d at its d neighbors
-        nbr = graphs[0].nbr if T == 1 else np.stack([g.nbr for g in graphs])
-        rows, cols, weights = np.arange(T * n)[:, None], nbr.reshape(T * n, d), 1.0 / d
-    else:
-        deg = np.fromiter(chain.from_iterable(map(len, g.adj) for g in graphs), np.int64, count=T * n)
-        if not deg.all():
-            raise ValueError(f"node {int(deg.argmin()) % n} is isolated")
-        rows = np.repeat(np.arange(T * n), deg)
-        cols = np.fromiter(chain.from_iterable(chain.from_iterable(g.adj) for g in graphs), np.int64, count=len(rows))
-        weights = (1.0 / deg)[rows]
+    nbr = graphs[0].nbr if T == 1 else np.stack([g.nbr for g in graphs])
     P = np.zeros((T, n, n))
-    P.reshape(T * n, n)[rows, cols] = weights
+    P.reshape(T * n, n)[np.arange(T * n)[:, None], nbr.reshape(T * n, d)] = 1.0 / d  # row (t, u): 1/d at its d neighbors
     return P
 
 
 def transition_matrix(g: GraphSnapshot) -> np.ndarray:
-    """Simple-random-walk matrix: entry (u,v) is 1/deg(u) iff {u,v} is an edge."""
+    """Simple-random-walk matrix: entry (u,v) is 1/d iff {u,v} is an edge."""
     return transition_matrices((g,))[0]
 
 
@@ -137,10 +126,8 @@ class SpectralSummary:
 
 
 def spectral_summary(g: GraphSnapshot) -> SpectralSummary:
-    """Second eigenvalue (signed and in absolute value) of a regular
-    snapshot's walk matrix, which is symmetric."""
-    if g.d is None:
-        raise ValueError("snapshot is not regular")
+    """Second eigenvalue (signed and in absolute value) of a snapshot's walk
+    matrix, which is symmetric."""
     eigs = np.linalg.eigvalsh(transition_matrix(g))  # ascending
     lambda2_signed = float(eigs[-2])
     lambda2_abs = float(max(eigs[-2], -eigs[0]))
@@ -152,17 +139,16 @@ def mixing_cap(n: int) -> int:
     return math.ceil(10 * n * n * max(1.0, math.log(n)))
 
 
-def mixing_time_oracle(
-    schedule: GraphSchedule, source: int, eps: float, cap: int | None = None
-) -> int:
-    """Minimal t with ||pi_x(t) - uniform||_2 < eps; t = 0 counts.
+def mixing_time_oracle(schedule: GraphSchedule, source: int, eps: float) -> int:
+    """Minimal t with ||pi_x(t) - uniform||_2 < eps; t = 0 counts, and
+    `mixing_cap(n)` steps are the most it tries.
 
     Valid as a forward search because the distance to uniform never
     increases on regular schedules.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    cap = cap if cap is not None else mixing_cap(schedule.n)
+    cap = mixing_cap(schedule.n)
     for t, p in enumerate(walk_laws(point_mass(schedule.n, source), schedule)):
         if l2_to_uniform(p) < eps:
             return t
@@ -173,6 +159,7 @@ def mixing_time_oracle(
 def static_mixing_time(g: GraphSnapshot, eps: float = MIX_EPS) -> int:
     """Worst-source mixing time of one static graph at threshold eps."""
     n = g.n
+    _check_size(n)  # before np.eye(n)
     cap = mixing_cap(n)
     pending = set(range(n))
     for t, M in enumerate(walk_laws(np.eye(n), StaticSchedule(g))):  # row x of M is pi_x(t)

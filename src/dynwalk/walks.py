@@ -59,13 +59,20 @@ class CouponsExhausted(DynwalkError):
     """A connector has no unused coupon serial left."""
 
 
+def _need_phi(phi: int | None) -> int:
+    """`phi`, or ProtocolError: stitch floods and lambda's size need it."""
+    if phi is None:
+        raise ProtocolError("stitched walks need phi in SimConfig")
+    return phi
+
+
 @dataclass(frozen=True)
 class WalkParams:
     """Walk length tau and short-walk parameter lambda.
 
-    By default lambda = ceil(lambda_c * sqrt(k*tau*phi)) for k walks (k = 1
-    for a single walk); the asymptotic shape the round bounds prescribe, with
-    the proof constants dropped.
+    `for_many` sizes lambda = ceil(lambda_c * sqrt(k*tau*phi)) for k walks
+    (k = 1 for a single walk); the asymptotic shape the round bounds
+    prescribe, with the proof constants dropped.
     """
 
     tau: int
@@ -78,9 +85,9 @@ class WalkParams:
             raise ValueError("lambda_walk must be >= 1")
 
     @classmethod
-    def for_many(cls, tau: int, phi: int, k: int, lambda_c: float = 1.0) -> "WalkParams":
+    def for_many(cls, tau: int, phi: int | None, k: int, lambda_c: float = 1.0) -> "WalkParams":
         try:
-            lam = lambda_c * math.sqrt(k * max(1, tau) * phi)
+            lam = lambda_c * math.sqrt(k * max(1, tau) * _need_phi(phi))
         except OverflowError:  # k*tau*phi is an int too large for a float
             lam = math.inf
         if not math.isfinite(lam):
@@ -151,7 +158,7 @@ class WalkBatch(Sequence[WalkResult]):
         self._build = build
         self._results: list[WalkResult] | None = None
 
-    def _walks(self) -> list[WalkResult]:
+    def _list(self) -> list[WalkResult]:
         if self._results is None:
             self._results = self._build()
             self._build = None
@@ -161,10 +168,10 @@ class WalkBatch(Sequence[WalkResult]):
         return len(self.destinations)
 
     def __getitem__(self, index):
-        return self._walks()[index]
+        return self._list()[index]
 
     def __iter__(self):
-        return iter(self._walks())
+        return iter(self._list())
 
 
 def _checked_sources(n: int, sources) -> np.ndarray:
@@ -309,19 +316,24 @@ def _naive_steps(engine, v, steps, token_bits, path):
     return pos.item(0)
 
 
-def _walks(engine: CongestEngine, sources, params: WalkParams, record_path: bool) -> WalkBatch:
-    """The one walk driver: len(sources) tau-step walks in source order.
+def many_random_walks(
+    engine: CongestEngine, sources: Sequence[int], params: WalkParams, record_path: bool = True
+) -> WalkBatch:
+    """The one walk driver: len(sources) independent tau-step walks in
+    source order, returned as a `WalkBatch` whose `destinations` are the
+    endpoints.
 
     Stitched walks consume disjoint coupons of one Phase 1; a connector out
-    of coupons takes lambda live naive steps instead (a fallback).
+    of coupons takes lambda live naive steps instead (a fallback).  Callers
+    size lambda, for k walks with `WalkParams.for_many`.
     """
+    if len(sources) == 0:
+        return WalkBatch(np.empty(0, dtype=np.int64), list)
     tau, lam = params.tau, params.lambda_walk
     if tau <= 2 * lam:
         return concurrent_naive_walks(engine, sources, tau, record_path)
     sources = _checked_sources(engine.n, sources)  # before Phase 1 charges its rounds
-    phi = engine.config.phi
-    if phi is None:
-        raise ProtocolError("stitched walks need phi in SimConfig")
+    phi = _need_phi(engine.config.phi)
     start_round = engine.round
     coupons = phase1_distribute(engine, params, record_paths=record_path)
     token_bits = engine.enc.token_bits(tau, len(sources))
@@ -359,32 +371,7 @@ def single_random_walk(
 ) -> WalkResult:
     """Sample the endpoint of a tau-step walk: walk 0 of a one-source batch
     (coupon-stitched when tau > 2*lambda, naive otherwise)."""
-    return _walks(engine, (source,), params, record_path)[0]
-
-
-def many_random_walks(
-    engine: CongestEngine,
-    sources: Sequence[int],
-    tau: int,
-    lambda_walk: int | None = None,
-    lambda_c: float = 1.0,
-    record_path: bool = True,
-) -> WalkBatch:
-    """k independent tau-length walks sharing one Phase 1 (see `_walks`).
-
-    lambda defaults to the k-walk shape of `WalkParams.for_many`.  Returns a
-    `WalkBatch` in source order whose `destinations` are the endpoints.
-    """
-    k = len(sources)
-    if k == 0:
-        return WalkBatch(np.empty(0, dtype=np.int64), list)
-    if lambda_walk is not None:
-        params = WalkParams(tau=tau, lambda_walk=lambda_walk)
-    elif engine.config.phi is None:
-        raise ProtocolError("many_random_walks needs phi to size lambda")
-    else:
-        params = WalkParams.for_many(tau, engine.config.phi, k, lambda_c)
-    return _walks(engine, sources, params, record_path)
+    return many_random_walks(engine, (source,), params, record_path)[0]
 
 
 @dataclass

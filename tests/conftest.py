@@ -23,9 +23,9 @@ def memo_traces(schedule):
     return sum(trace is not None for _, trace in schedule._memo.values())
 
 
-def star4():
-    """The star K_{1,4}: a snapshot whose degrees differ (4 at node 0, 1 elsewhere)."""
-    return GraphSnapshot(5, [(0, i) for i in range(1, 5)])
+def log_totals(log):
+    """A RoundLog's four run totals, as a dict."""
+    return {key: getattr(log, key) for key in ("rounds", "total_msgs", "max_edge_bits", "congestion_events")}
 
 
 def prism5():

@@ -146,7 +146,7 @@ def test_c5_k_walk_sharing():
     many_rounds, single_sums = [], []
     for seed in range(30):
         eng = CongestEngine(sched, SimConfig(seed=seed, bandwidth_bits=AMPLE, phi=phi))
-        many_random_walks(eng, sources, tau, record_path=False)
+        many_random_walks(eng, sources, WalkParams.for_many(tau, phi, k), record_path=False)
         many_rounds.append(eng.round)
         total = 0
         params = WalkParams.for_many(tau, phi, 1)
@@ -167,7 +167,7 @@ def test_c5_k_walk_sharing():
     dests = np.zeros((8, 4), dtype=np.int64)
     for i in range(30_000):
         eng = CongestEngine(k4, SimConfig(seed=i, bandwidth_bits=AMPLE, phi=1))
-        for j, res in enumerate(many_random_walks(eng, srcs, 8, record_path=False)):
+        for j, res in enumerate(many_random_walks(eng, srcs, WalkParams.for_many(8, 1, 8), record_path=False)):
             dests[j, res.destination] += 1
     worst = 0.0
     for j, s in enumerate(srcs):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import AMPLE, as_dict, make_engine, memo_traces
+from conftest import AMPLE, as_dict, log_totals, make_engine, memo_traces
 from dynwalk.engine import (
     CongestEngine,
     CongestionError,
@@ -90,7 +90,7 @@ class TestExchange:
             eng = CongestEngine(rr16, SimConfig(seed=seed, bandwidth_bits=AMPLE, record_rounds=True))
             rng = eng.stream(7)
             receivers = [int(eng.exchange([int(rng.integers(3))], 5)[0]) for _ in range(10)]
-            return eng.log.summary(), eng.log.records, receivers
+            return log_totals(eng.log), eng.log.records, receivers
 
         assert one_run(42) == one_run(42)
         assert one_run(42)[2] != one_run(43)[2]
@@ -124,7 +124,7 @@ LOG_RUNS = {
     "naive": lambda eng: [
         naive_walk(eng, 3, 20).destination, *concurrent_naive_walks(eng, [0, 1, 1, 5], 9).destinations.tolist()
     ],
-    "many": lambda eng: many_random_walks(eng, [0, 3, 3, 7], 40, lambda_walk=4).destinations.tolist(),
+    "many": lambda eng: many_random_walks(eng, [0, 3, 3, 7], WalkParams(40, 4)).destinations.tolist(),
     "gossip": gossip_race_routes,
 }
 LOG_SCHEDULES = {"srr": "srr:n=16,d=3", "rr": "rr:n=16,d=3", "perm": "perm:base=petersen"}
@@ -141,7 +141,7 @@ def test_log_totals_do_not_depend_on_records(spec, run):
         outputs.append(LOG_RUNS[run](eng))
         engines.append(eng)
     off, on = (eng.log for eng in engines)
-    assert off.summary() == on.summary() and off.records == [] and outputs[0] == outputs[1]
+    assert log_totals(off) == log_totals(on) and off.records == [] and outputs[0] == outputs[1]
     assert [r.t for r in on.records] == list(range(1, engines[1].round + 1)) and on.rounds == engines[1].round
     assert on.total_msgs == sum(r.msgs for r in on.records)
     assert on.max_edge_bits == max(r.max_edge_bits for r in on.records)
@@ -248,7 +248,7 @@ class TestFlood:
         eng.idle(3)
         eng.flood(8, [0, 5], 60)
         eng.flood(12, [3], 60, require_complete=False)
-        assert eng.log.summary() == {"rounds": 123, "total_msgs": 5592, "max_edge_bits": 12, "congestion_events": 0}
+        assert log_totals(eng.log) == {"rounds": 123, "total_msgs": 5592, "max_edge_bits": 12, "congestion_events": 0}
         expected = [(t, 0, 0) for t in (1, 2, 3)]
         for start, sent, bits in ((4, [6, 18, 45], 8), (64, [3, 12, 36], 12)):
             msgs = sent + [48] * 57
@@ -434,7 +434,7 @@ class TestFloodProperty:
             else:
                 assert as_dict(eng.flood(8, sources, budget, require_complete)) == expected
             assert eng.round == start - 1 + budget
-            summaries.append(eng.log.summary())
+            summaries.append(log_totals(eng.log))
             if keep:
                 flood_records = [(r.t, r.msgs, r.max_edge_bits) for r in eng.log.records[start - 1:]]
                 rounds = range(start, start + budget)
@@ -678,7 +678,7 @@ class TestFloodMemo:
             assert len(sched._memo) == (len(set(sources)) if traced else 0)
             assert memo_traces(sched) == int(traced and len(set(sources)) == 1)
             records = [(r.t, r.msgs, r.max_edge_bits) for r in eng.log.records]
-            runs.append((got, eng.round, eng.log.summary(), records))
+            runs.append((got, eng.round, log_totals(eng.log), records))
             assert got == expected
             assert records[start - 1:] == [(t, m, 8 if m else 0) for t, m in enumerate(msgs, start)]
             assert eng.round == eng.log.rounds == start - 1 + len(msgs)

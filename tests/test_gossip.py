@@ -38,7 +38,7 @@ class TestParams:
 
     def test_caps(self):
         assert resolve_gossip_params(16, 1, 10_000, 16).f == 1
-        assert resolve_gossip_params(16, 16, 1, 1, f=200).f == 16
+        assert resolve_gossip_params(16, 32, 1, 1).f == 16  # k > n*tau*phi: the formula gives 21
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -83,7 +83,7 @@ class TestTrivial:
 class TestWalkBased:
     def test_degenerate_all_seeded(self, rr16):
         # Every node already holds the token: Phase 2 trivially completes.
-        params = resolve_gossip_params(16, 1, 6, 4, f=16)
+        params = GossipParams(k=1, f=16, broadcast_rounds=math.ceil(2 * 16 * math.log(16) / 16))
         eng = make_engine(rr16, seed=2, phi=4)
         out = k_gossip_rw(eng, {1: list(range(16))}, params, tau=6, phi=4)
         assert out.complete

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_dict, memo_traces, prism5, star4, write_snapshots
+from conftest import as_dict, memo_traces, prism5
 from dynwalk.harness import ExperimentConfig, resolve_phi
 from dynwalk.graphs import (
     GraphSnapshot,
@@ -59,6 +59,39 @@ def temporal_bfs_rounds(schedule, source, start):
     return r
 
 
+STAR4 = [(0, 1), (0, 2), (0, 3), (0, 4)]  # K_{1,4} on 5 nodes: degree 4 at node 0, 1 elsewhere
+PAW = [(0, 1), (0, 2), (0, 3), (2, 3)]  # a triangle with a pendant edge: 2|E| = 8 = 4 * 2, yet degrees 1 to 3
+
+
+def write_edge_lists(path, n, edge_lists):
+    """A schedule file on n nodes whose snapshot t has edge_lists[t - 1],
+    written as it stands, regular or not."""
+    rows = [{"n": n, "T": len(edge_lists)}]
+    rows += [{"t": t, "edges": [list(e) for e in edges]} for t, edges in enumerate(edge_lists, 1)]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edge list): arbitrary pairs in and around [0, n), or the edges of
+    a random regular graph in random order and orientation, some repeated,
+    some dropped (which leaves degrees that differ), and now and then one
+    self-loop or out-of-range edge inserted anywhere."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 8))
+        return n, draw(st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)), max_size=24))
+    n, d = draw(st.sampled_from([(3, 2), (4, 3), (5, 2), (5, 4), (6, 3), (7, 4), (8, 3)]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pairs = [e if rng.random() < 0.5 else e[::-1] for e in sorted(random_regular_graph(n, d, rng).edges)]
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    del pairs[:draw(st.integers(0, 2))]
+    rng.shuffle(pairs)
+    bad = draw(st.sampled_from([None, (2, 2), (0, n), (-1, 1)]))
+    if bad is not None:
+        pairs.insert(rng.randrange(len(pairs) + 1), bad)
+    return n, pairs
+
+
 def valid(g, d):
     """Connected, not bipartite and d-regular: what every schedule promises."""
     report = validate_snapshot(g)
@@ -80,11 +113,6 @@ class TestValidation:
         assert not report.connected
         assert g.d == 2
 
-    def test_star_degrees(self):
-        g = star4()
-        assert len(g.adj[0]) == 4 and all(len(g.adj[i]) == 1 for i in range(1, 5))
-        assert g.d is None
-
     def test_petersen(self):
         g = named_graph("petersen")
         assert valid(g, 3)
@@ -105,31 +133,36 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
             GraphSnapshot(3, edges)
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 9).flatmap(
-        lambda n: st.tuples(st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
-    ))
-    def test_edges_and_sorted_neighbors(self, case):
-        # Either order of an edge, repeated or not, is one edge; each node's
-        # neighbors are listed once, in increasing order.
+    @settings(max_examples=300, deadline=None)
+    @given(edge_lists())
+    def test_regular_or_value_error(self, case):
+        # Any edge list either builds a d-regular snapshot with d >= 1, whose
+        # edges are its pairs in either order, repeated or not, and whose
+        # neighbor table rows are its sorted adjacency rows, or raises
+        # ValueError.  The first self-loop or out-of-range edge in input
+        # order is the one named.
         n, pairs = case
-        pairs = [(u, v) for u, v in pairs if u != v]
-        g = GraphSnapshot(n, pairs)
-        assert g.edges == {(min(e), max(e)) for e in pairs}
-        assert g.adj == tuple(tuple(sorted({v for e in g.edges for v in e if u in e and v != u})) for u in range(n))
-        degrees = {len(a) for a in g.adj}
-        assert g.d == (degrees.pop() if len(degrees) == 1 else None)
+        bad = next(((u, v) for u, v in pairs if u == v or not (0 <= u < n and 0 <= v < n)), None)
+        edges = {(min(e), max(e)) for e in pairs}
+        adj = [sorted({v for e in edges for v in e if u in e and v != u}) for u in range(n)]
+        degrees = set(map(len, adj))
+        if bad is not None:
+            u, v = bad
+            text = f"self-loop at node {u}" if u == v else f"edge ({u},{v}) outside [0,{n})"
+            with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+                GraphSnapshot(n, pairs)
+        elif len(degrees) != 1 or 0 in degrees:
+            with pytest.raises(ValueError, match="make no d-regular graph|degrees .* differ"):
+                GraphSnapshot(n, pairs)
+        else:
+            g = GraphSnapshot(n, pairs)
+            assert g.d == degrees.pop() >= 1 and g.edges == edges
+            assert g.adj == tuple(map(tuple, adj))
+            assert g.nbr.shape == (n, g.d) and g.nbr.dtype == np.int64
+            assert g.nbr.tolist() == adj
 
 
 class TestNeighborTable:
-    # The paw (a triangle with a pendant edge) has 2|E| = 8 = 4 * 2 port
-    # entries: a reshaped table would fit, but its rows would be no node's ports.
-    @pytest.mark.parametrize("g", [star4(), GraphSnapshot(4, [(0, 1), (0, 2), (0, 3), (2, 3)])], ids=["star4", "paw"])
-    def test_degrees_that_differ_raise(self, g):
-        for _ in range(2):
-            with pytest.raises(ValueError, match=r"has no neighbor table: its degrees \[.*\] differ"):
-                g.nbr
-
     def test_built_once_and_shared_with_round_clones(self):
         # Every round of a periodic schedule returns its period's snapshot
         # itself, so the table is built once for all of them.
@@ -167,7 +200,7 @@ class TestPorts:
         g = random_regular_graph(n + n * d % 2, d, random.Random(seed))
         assert_ports_match_edges(g)
 
-    @pytest.mark.parametrize("g", [named_graph("C5"), star4()], ids=["C5", "star4"])
+    @pytest.mark.parametrize("g", [named_graph("C5"), named_graph("petersen")], ids=["C5", "petersen"])
     def test_has_edge_false_off_range(self, g):
         # An id off [0, n) is on no edge, and adj holds each edge both ways.
         for bad in (-1, g.n, 10**9, -(10**9)):
@@ -245,18 +278,22 @@ class TestSchedules:
         assert rng.getstate() == rng_expected.getstate()
 
     # Walks are uniform at stationarity only on snapshots of one degree d >= 1,
-    # so any other schedule is rejected when it is built, before any round.
-    @pytest.mark.parametrize("spec, graphs", [
-        ("static:{}", [star4()]),
-        ("perm:base={}", [star4()]),
-        ("periodic:{}", [named_graph("C5"), named_graph("K5")]),
-        ("static:{}", [GraphSnapshot(4, [])]),
-    ], ids=["static-star4", "perm-star4", "periodic-C5-K5", "static-edgeless"])
-    def test_non_regular_rejected_when_built(self, tmp_path, spec, graphs):
+    # so any other schedule is rejected when it is built, before any round: a
+    # snapshot that is not regular when its file is read, snapshots of two
+    # degrees when they make one schedule.
+    @pytest.mark.parametrize("spec, n, edges, text", [
+        ("static:{}", 5, [STAR4], "ValueError: 4 edges on 5 nodes make no d-regular graph with d >= 1"),
+        ("perm:base={}", 5, [STAR4], "ValueError: 4 edges on 5 nodes make no d-regular graph with d >= 1"),
+        ("periodic:{}", 5, [sorted(named_graph("C5").edges), sorted(named_graph("K5").edges)],
+         "non-regular schedule {spec!r}: its snapshots' (n, d) are [(5, 2), (5, 4)], not one pair"),
+        ("static:{}", 4, [[]], "ValueError: 0 edges on 4 nodes make no d-regular graph with d >= 1"),
+        ("static:{}", 4, [PAW], "ValueError: snapshot degrees [1, 2, 3] differ"),
+    ], ids=["static-star4", "perm-star4", "periodic-C5-K5", "static-edgeless", "static-paw"])
+    def test_non_regular_rejected_when_built(self, tmp_path, spec, n, edges, text):
         path = tmp_path / "g.jsonl"
-        write_snapshots(path, graphs)
+        write_edge_lists(path, n, edges)
         spec = spec.format(path)
-        with pytest.raises(ScheduleError, match=re.escape(f"non-regular schedule {spec!r}")):
+        with pytest.raises(ScheduleError, match=re.escape(text.format(spec=spec))):
             parse_schedule_spec(spec)
 
     def test_perm_preserves_invariants(self):
@@ -362,9 +399,8 @@ class TestFilesAndSpecs:
         sched = RandomRegularSchedule(8, 3, seed=4)
         path = tmp_path / "sched.jsonl"
         write_schedule_file(sched, 5, path)
-        n, d, graphs = read_schedule_file(path)
-        assert (n, d) == (8, 3)
-        assert len(graphs) == 5
+        graphs = read_schedule_file(path)
+        assert len(graphs) == 5 and all((g.n, g.d) == (8, 3) for g in graphs)
         assert all(graphs[t - 1].edges == sched.snapshot_at(t).edges for t in range(1, 6))
         header = json.loads(path.read_text().splitlines()[0])
         assert header == {"n": 8, "d": 3, "T": 5}
@@ -388,9 +424,9 @@ class TestFilesAndSpecs:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "sched.jsonl"
             write_schedule_file(sched, rounds, path)
-            got_n, got_d, graphs = read_schedule_file(path)
+            graphs = read_schedule_file(path)
             ts = [json.loads(line)["t"] for line in path.read_text().splitlines()[1:]]
-        assert (got_n, got_d) == (sched.n, sched.d)
+        assert all((g.n, g.d) == (sched.n, sched.d) for g in graphs)
         assert ts == list(range(1, rounds + 1))
         assert [g.edges for g in graphs] == [sched.snapshot_at(t).edges for t in range(1, rounds + 1)]
 

@@ -734,6 +734,59 @@ def test_named_errors_share_one_base(error):
     assert issubclass(error, DynwalkError) and issubclass(error, RuntimeError)
 
 
+REGULAR_BASES = {name: named_graph(name) for name in ("K4", "C5", "C9", "petersen")}
+# Node counts and degrees: ones that often make a graph, any small ones, and
+# ones past every size limit.
+HUGE = st.sampled_from([10**7, 10**12, 10**30])
+NODES = st.one_of(st.integers(5, 12), st.integers(-1, 12), HUGE)
+DEGREES = st.one_of(st.integers(2, 4), st.integers(-1, 12), HUGE)
+
+
+def _edge_lists(base):
+    """One snapshot's edges: the base graph's, a multiset of them (edges
+    repeated or dropped, so degrees may differ), random pairs in and around
+    its node range (self-loops, ids out of range), or none, with a few
+    arbitrary pairs appended now and then."""
+    edges = sorted(base.edges)
+    pair = st.tuples(st.integers(-1, base.n), st.integers(-1, base.n))
+    lists = st.one_of(
+        st.just(edges), st.just(edges), st.lists(st.sampled_from(edges), max_size=len(edges) + 2),
+        st.lists(pair, max_size=12), st.just([]),
+    )
+    extra = st.one_of(st.just([]), st.just([]), st.lists(pair, min_size=1, max_size=2))
+    return st.tuples(lists, extra).map(lambda parts: parts[0] + parts[1])
+
+
+@st.composite
+def schedule_inputs(draw):
+    """A function of a directory that returns a schedule spec: a schedule
+    file it writes there, read through static:, periodic: or perm:base=, or
+    an rr:/srr: shape or a K<n>/C<n> graph name.  A file's header may give n
+    as 0, a negative number, true or 10^30, and any d or T."""
+    kind = draw(st.sampled_from(["static:{}", "periodic:{}", "perm:base={}", "rr", "srr", "name"]))
+    if kind in ("rr", "srr"):
+        spec = f"{kind}:n={draw(NODES)},d={draw(DEGREES)}"
+        return lambda tmp: spec
+    if kind == "name":
+        spec = draw(st.sampled_from(["static:{}", "perm:base={}"])).format(f"{draw(st.sampled_from('KC'))}{draw(NODES)}")
+        return lambda tmp: spec
+    base = REGULAR_BASES[draw(st.sampled_from(sorted(REGULAR_BASES)))]
+    edge_lists = draw(st.lists(_edge_lists(base), min_size=1, max_size=3) | st.just([]))
+    header = {"n": draw(st.just(base.n) | st.just(base.n) | st.sampled_from([0, -3, True, 10**30]) | st.integers(1, 10))}
+    for key, value, other in (("d", base.d, st.integers(-1, 5) | st.just(10**30)), ("T", len(edge_lists), st.integers(-1, 4))):
+        choice = draw(st.sampled_from(["absent", "true", "other"]))
+        if choice != "absent":
+            header[key] = value if choice == "true" else draw(other)
+    rows = [{"t": t, "edges": [list(e) for e in edges]} for t, edges in enumerate(edge_lists, 1)]
+
+    def write(tmp):
+        path = tmp / "s.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in [header, *rows]))
+        return kind.format(path)
+
+    return write
+
+
 class TestCli:
     def test_missing_required(self, capsys):
         assert main(["run", "--algo", "naive"]) == EXIT_CONFIG_ERROR
@@ -870,9 +923,11 @@ class TestCli:
         ['{"n": 3, "d": 2}', '{"t": 0, "edges": [[0, 1], [1, 2], [0, 2]]}'],
         ['{"n": 3, "d": 5, "T": 1}', '{"t": 1, "edges": [[0, 1], [1, 2], [0, 2]]}'],  # degree 2
         ['{"n": 3, "d": "2", "T": 1}', '{"t": 1, "edges": [[0, 1], [1, 2], [0, 2]]}'],
+        ['{"n": 3, "d": 2, "T": 1}', '{"t": 1, "edges": ' + "[" * 100_000 + "]" * 100_000 + '}'],  # ended in a RecursionError traceback
+        ['{"n": 3, "d": 2, "T": 1000000000000}', '{"t": 1, "edges": [[0, 1], [1, 2], [0, 2]]}'],  # built a list of 10^12 expected t
     ], ids=["no-n", "no-t", "no-edges", "edges-int", "edge-triple", "row-list", "header-int",
             "n-zero", "n-text", "T-text", "t-text", "bad-json", "t-1-7", "t-2-2", "T-short", "t-0",
-            "d-five", "d-text"])
+            "d-five", "d-text", "deep-json", "T-1e12"])
     def test_malformed_schedule_file_exit_2(self, tmp_path, capsys, lines):
         path = tmp_path / "bad.jsonl"
         path.write_text("\n".join(lines) + "\n")
@@ -1020,6 +1075,73 @@ class TestCli:
             assert out.exists() == (code == EXIT_OK)
             if code == EXIT_CONFIG_ERROR:
                 assert err.getvalue().startswith("config error: ") and err.getvalue().count("\n") == 1
+
+    # Each input sized a list or an array by n before any check: a MemoryError
+    # traceback with exit 1, and `schedule` left an empty file behind.
+    @pytest.mark.parametrize("spec, text", [
+        ("rr:n=1000000000,d=3", "n*d = 1000000000*3 exceeds the limit of 1048576 ports"),
+        ("srr:n=1000000000,d=3", "n*d = 1000000000*3 exceeds the limit of 1048576 ports"),
+        ("static:K200000", "n*d = 200000*199999 exceeds the limit of 1048576 ports"),
+        ("perm:base=C600000", "n*d = 600000*2 exceeds the limit of 1048576 ports"),
+        ("periodic:{huge}", "n*d = 1000000000000*1 exceeds the limit of 1048576 ports"),
+        (f"rr:n={10**30},d=3", f"n*d = {10**30}*3 exceeds the limit of 1048576 ports"),
+    ], ids=["rr", "srr", "K200000", "perm-C600000", "periodic-1e12", "rr-1e30"])
+    @pytest.mark.parametrize("command", ["run", "schedule"])
+    def test_huge_node_count_exit_2(self, tmp_path, capsys, spec, text, command):
+        huge = tmp_path / "huge.jsonl"
+        huge.write_text('{"n": 1000000000000, "T": 1}\n{"t": 1, "edges": [[0, 1], [1, 2], [0, 2]]}\n')
+        out = tmp_path / "o"
+        argv = {
+            "run": ["run", "--algo", "naive", "--tau", "3", "--phi", "2", "--seeds", "1"],
+            "schedule": ["schedule", "--rounds", "1"],
+        }[command]
+        code = main([*argv, "--schedule", spec.format(huge=huge), "--out", str(out)])
+        assert self._one_line_error(capsys, code) == f"config error: {text}\n"
+        assert not out.exists()
+
+    def test_oracle_phi_over_its_size_bound_exit_2(self, tmp_path, capsys):
+        # 2400^2 * 3 cells is past the bound; n = 20000 made a 1.5 GiB (n, n) array.
+        out = tmp_path / "o"
+        code = main([
+            "run", "--schedule", "rr:n=2400,d=3", "--algo", "naive", "--tau", "3", "--seeds", "1",
+            "--out", str(out),
+        ])
+        err = self._one_line_error(capsys, code)
+        assert err == "run error: dynamic diameter of n=2400, d=3: n*n*d exceeds the limit of 16777216 cells\n"
+        assert not out.exists()
+
+    def test_oracle_tau_over_the_dense_cap_exit_2(self, tmp_path, capsys):
+        # static_mixing_time asked numpy for a 1.82 TiB identity matrix first.
+        out = tmp_path / "o"
+        code = main([
+            "run", "--schedule", "static:C500000", "--algo", "naive", "--phi", "2", "--seeds", "1",
+            "--out", str(out),
+        ])
+        assert self._one_line_error(capsys, code) == "run error: oracle is dense-only, n=500000 exceeds cap 512\n"
+        assert not out.exists()
+
+    @settings(max_examples=150, deadline=None)
+    @given(schedule=schedule_inputs(), command=st.sampled_from(["schedule", "naive", "single", "many", "gossip"]),
+           tau=st.sampled_from(["3", "12", "oracle"]), phi=st.sampled_from(["2", "oracle"]))
+    def test_schedule_files_and_specs_exit_0_1_or_2(self, schedule, command, tau, phi):
+        # Any schedule file or graph spec exits 0, 1 or 2 and never prints a
+        # traceback; an exit 2 prints one error line and leaves no output.
+        with tempfile.TemporaryDirectory() as tmp:
+            spec = schedule(Path(tmp))
+            out = Path(tmp) / "o"
+            if command == "schedule":
+                argv = ["schedule", "--rounds=2"]
+            else:
+                argv = ["run", f"--algo={command}", f"--tau={tau}", f"--phi={phi}", "--k=2", "--seeds=1",
+                        "--bandwidth=100000"]
+            err = io.StringIO()
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                code = main([*argv, f"--schedule={spec}", f"--out={out}"])
+            assert code in (EXIT_OK, EXIT_PROPERTY_FAILURE, EXIT_CONFIG_ERROR)
+            assert "Traceback" not in err.getvalue()
+            assert out.exists() == (code != EXIT_CONFIG_ERROR)
+            if code == EXIT_CONFIG_ERROR:
+                assert err.getvalue().count("\n") == 1
 
     @pytest.mark.parametrize("spec, key", [
         ("rr:n=16,d=3,x=1", "x"), ("rr:n=16,n=32,d=3", "n"), ("srr:n=16,d=3,x=1", "x"),

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import empirical_tv, make_engine
+from conftest import empirical_tv, log_totals, make_engine
+from dynwalk import mixing
 from dynwalk.engine import ProtocolError
 from dynwalk.graphs import StaticSchedule, named_graph, parse_schedule_spec
 from dynwalk.mixing import (
@@ -145,7 +146,7 @@ class TestSampleEndpoints:
         ref = make_engine(rr16, seed=8, phi=4)
         batch = concurrent_naive_walks(ref, [3] * 500, 12, record_path=False)
         assert samples.tolist() == batch.destinations.tolist()
-        assert eng.log.summary() == ref.log.summary() and eng.round == ref.round == 12
+        assert log_totals(eng.log) == log_totals(ref.log) and eng.round == ref.round == 12
 
 
 class TestEstimator:
@@ -194,14 +195,15 @@ class TestEstimator:
             estimate_mixing_time(eng, 0, 2)
         assert eng.round == 0
 
-    def test_bipartite_hits_cap(self):
-        # C4 never mixes; every probe fails whatever the epsilon, so the
-        # doubling search must hit its cap.  A coarse epsilon keeps the
-        # calibrated sample floor small.
+    def test_bipartite_hits_cap(self, monkeypatch):
+        # C4 never mixes; every probe fails, so the doubling search must hit
+        # its cap.  A cap of 40 stops it after the probe of length 32.
+        monkeypatch.setattr(mixing, "mixing_cap", lambda n: 40)
         sched = StaticSchedule(named_graph("C4"))
         eng = make_engine(sched, seed=1, phi=2)
-        with pytest.raises(EstimationError):
-            estimate_mixing_time(eng, 0, 2, epsilon=0.1, K=400)
+        with pytest.raises(EstimationError, match="^no PASS up to cap 40$"):
+            estimate_mixing_time(eng, 0, 2)
+        assert eng.round == 1 + 2 + 4 + 8 + 16 + 32
 
 
 class TestSpectralGapBounds:

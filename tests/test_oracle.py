@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from conftest import prism5
 from dynwalk import harness, oracle
 from dynwalk.graphs import (
-    GraphSnapshot,
     PeriodicSchedule,
+    PermutedSchedule,
     RandomRegularSchedule,
     StaticSchedule,
     named_graph,
@@ -47,11 +47,6 @@ class TestTransitionMatrix:
         assert np.allclose(P.sum(axis=1), 1)
         assert all(sorted(P[i][P[i] > 0]) == [0.5, 0.5] for i in range(5))
 
-    def test_star_rows(self):
-        P = transition_matrix(GraphSnapshot(5, [(0, i) for i in range(1, 5)]))
-        assert np.allclose(P[0, 1:], 0.25)
-        assert all(P[i, 0] == 1.0 for i in range(1, 5))
-
     def test_doubly_stochastic_when_regular(self, petersen):
         P = transition_matrix(petersen.snapshot_at(1))
         assert np.allclose(P.sum(axis=0), 1) and np.allclose(P.sum(axis=1), 1)
@@ -59,44 +54,36 @@ class TestTransitionMatrix:
 
 @st.composite
 def snapshot_lists(draw):
-    """1-4 snapshots on one n: random edge sets (most not regular, some
-    with isolated nodes) or random connected non-bipartite d-regular graphs
-    of one degree d >= 3."""
-    n = draw(st.integers(2, 12), label="n")
-    if draw(st.booleans(), label="regular") and n >= 4:
-        d = draw(st.sampled_from([d for d in range(3, n) if n * d % 2 == 0]), label="d")
-        seeds = draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=4), label="seeds")
-        return [random_regular_graph(n, d, random.Random(seed)) for seed in seeds]
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    subsets = st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs))
-    return [GraphSnapshot(n, edges) for edges in draw(st.lists(subsets, min_size=1, max_size=4), label="edges")]
+    """1-4 snapshots of one (n, d): relabeled n-cycles (d = 2, bipartite
+    when n is even) or random connected non-bipartite d-regular graphs with
+    d >= 3."""
+    n = draw(st.integers(3, 12), label="n")
+    seeds = draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=4), label="seeds")
+    if draw(st.booleans(), label="cycles") or n < 4:
+        return [PermutedSchedule(named_graph(f"C{n}"), seed).snapshot_at(1) for seed in seeds]
+    d = draw(st.sampled_from([d for d in range(3, n) if n * d % 2 == 0]), label="d")
+    return [random_regular_graph(n, d, random.Random(seed)) for seed in seeds]
 
 
 class TestTransitionMatrices:
     @settings(max_examples=150, deadline=None)
     @given(snapshot_lists())
     def test_stack_and_single_match_explicit(self, graphs):
-        isolated = [(t, u) for t, g in enumerate(graphs) for u in range(g.n) if not g.adj[u]]
-        if isolated:
-            for build in (oracle.transition_matrices, lambda gs: [transition_matrix(g) for g in gs]):
-                with pytest.raises(ValueError, match=f"^node {isolated[0][1]} is isolated$"):
-                    build(graphs)
-            return
         stack = oracle.transition_matrices(graphs)
         assert stack.shape == (len(graphs), graphs[0].n, graphs[0].n)
         for g, P in zip(graphs, stack):
             assert np.array_equal(P, _explicit_matrix(g))
             assert np.array_equal(transition_matrix(g), _explicit_matrix(g))
 
-    def test_size_cap_shared_n_and_no_edges(self):
+    def test_size_cap_and_shared_shape(self):
         big = named_graph(f"C{oracle.N_CAP + 1}")
         for build in (transition_matrix, lambda g: oracle.transition_matrices([g])):
             with pytest.raises(ValueError, match=f"n={oracle.N_CAP + 1} exceeds cap {oracle.N_CAP}"):
                 build(big)
-        with pytest.raises(ValueError, match="share n"):
+        with pytest.raises(ValueError, match="share n and d"):
             oracle.transition_matrices([named_graph("C5"), named_graph("C6")])
-        with pytest.raises(ValueError, match="^node 0 is isolated$"):  # d = 0: regular, but no walk
-            transition_matrix(GraphSnapshot(3, []))
+        with pytest.raises(ValueError, match="share n and d"):  # one n, degrees 2 and 4
+            oracle.transition_matrices([named_graph("C5"), named_graph("K5")])
 
     @pytest.mark.parametrize("n, d", [(8, 3), (16, 4), (32, 5), (10, 3)])
     def test_batched_worst_lambda_equals_spectral_summary(self, n, d):
@@ -273,13 +260,15 @@ class TestOnWalkLaws:
             static_mixing_time(c6)
 
     @pytest.mark.parametrize("spec", ["static:C9", "rr:n=8,d=3", "perm:base=C9"])
-    def test_mixing_cap_boundary(self, spec):
+    def test_mixing_cap_boundary(self, spec, monkeypatch):
         schedule = parse_schedule_spec(spec, seed=5)
         T = mixing_time_oracle(schedule, 0, MIX_EPS)
         assert T >= 2
-        assert mixing_time_oracle(schedule, 0, MIX_EPS, cap=T) == T
-        with pytest.raises(MixingCapError):
-            mixing_time_oracle(schedule, 0, MIX_EPS, cap=T - 1)
+        monkeypatch.setattr(oracle, "mixing_cap", lambda n: T)
+        assert mixing_time_oracle(schedule, 0, MIX_EPS) == T
+        monkeypatch.setattr(oracle, "mixing_cap", lambda n: T - 1)
+        with pytest.raises(MixingCapError, match=f"within {T - 1} steps$"):
+            mixing_time_oracle(schedule, 0, MIX_EPS)
 
 
 class TestNorms:
@@ -317,10 +306,6 @@ class TestSpectral:
         # lambda_i <= 1 - 1/(d*D*n) = 1 - 1/20 for C_5.
         s = spectral_summary(c5.snapshot_at(1))
         assert s.lambda2_signed <= 0.95 + 1e-12
-
-    def test_non_regular_rejected(self):
-        with pytest.raises(ValueError):
-            spectral_summary(GraphSnapshot(5, [(0, i) for i in range(1, 5)]))
 
 
 class TestMixingTimes:
@@ -360,7 +345,7 @@ class TestMixingTimes:
     def test_bipartite_never_mixes(self):
         sched = StaticSchedule(named_graph("C4"))
         with pytest.raises(MixingCapError):
-            mixing_time_oracle(sched, 0, MIX_EPS, cap=500)
+            mixing_time_oracle(sched, 0, MIX_EPS)
 
 
 class TestSegmentMatrix:

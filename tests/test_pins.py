@@ -16,6 +16,8 @@ import pytest
 from dynwalk import gossip, graphs, mixing, walks
 from dynwalk.engine import CongestEngine, SimConfig
 
+from conftest import log_totals
+
 AMPLE = 1 << 24
 SEEDS = range(4)
 
@@ -28,7 +30,7 @@ def stitch_rr16(seed):
     sched = graphs.parse_schedule_spec("srr:n=16,d=3", seed=99)
     eng = engine(sched, seed, 4)
     r = walks.single_random_walk(eng, 0, walks.WalkParams(tau=24, lambda_walk=6))
-    return (r.destination, r.rounds_used, r.segment_lengths, r.connectors, r.fallbacks, r.path, eng.log.summary())
+    return (r.destination, r.rounds_used, r.segment_lengths, r.connectors, r.fallbacks, r.path, log_totals(eng.log))
 
 
 def mixest_srr48(seed):
@@ -38,7 +40,7 @@ def mixest_srr48(seed):
     probes = [(length, label, round(stat, 12)) for length, label, stat in est.probes]
     eng = engine(sched, seed, 3)
     ends = mixing.sample_endpoints(eng, 0, 3, 3975)
-    return (est.tau_tilde, est.bracket, probes, est.total_rounds, np.bincount(ends, minlength=48).tolist(), eng.log.summary())
+    return (est.tau_tilde, est.bracket, probes, est.total_rounds, np.bincount(ends, minlength=48).tolist(), log_totals(eng.log))
 
 
 def gossip_perm64(seed):
@@ -51,9 +53,9 @@ def gossip_perm64(seed):
     rw = gossip.k_gossip_rw(eng, assignment, params, 12, 5)
     eng2 = engine(sched, seed, 5)
     sources = [t - 1 for t in range(1, 9) for _ in range(params.f)]
-    dests = walks.many_random_walks(eng2, sources, 12, record_path=False).destinations.tolist()
+    dests = walks.many_random_walks(eng2, sources, walks.WalkParams.for_many(12, 5, len(sources)), record_path=False).destinations.tolist()
     return ((race.rounds_rw, race.rounds_trivial, race.race_rounds, race.winner, race.coverage_rw_complete),
-            rw.coverage.sum(axis=0).tolist(), rw.phase1_rounds, eng.log.summary(), dests, eng2.log.summary())
+            rw.coverage.sum(axis=0).tolist(), rw.phase1_rounds, log_totals(eng.log), dests, log_totals(eng2.log))
 
 
 RUNS = {"stitch-rr16": stitch_rr16, "mixest-srr48": mixest_srr48, "gossip-perm64": gossip_perm64}

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import empirical_tv, make_engine
+from conftest import empirical_tv, log_totals, make_engine
 from dynwalk.graphs import (
     PeriodicSchedule,
     dynamic_diameter,
@@ -267,7 +267,7 @@ class TestSingleRandomWalk:
 
         monkeypatch.setattr(walks, "phase1_distribute", keep_table)
         for sources in ([0], [0, 5, 5, 13]):
-            batch = many_random_walks(make_engine(rr16, seed=9, phi=4), sources, 60, lambda_walk=8)
+            batch = many_random_walks(make_engine(rr16, seed=9, phi=4), sources, WalkParams(60, 8))
             consumed = 16 * tables[-1].d - sum(map(len, tables[-1].unused))
             assert consumed == sum(len(r.segment_lengths) for r in batch) > 0
         assert len(tables) == 2  # one Phase 1 per batch
@@ -286,7 +286,7 @@ class TestSingleRandomWalk:
 class TestManyRandomWalks:
     def test_case1_concurrent(self, k4):
         eng = make_engine(k4, seed=2, phi=1)
-        results = many_random_walks(eng, [0, 1, 2, 3], tau=3)  # lambda = ceil(sqrt(12)) = 4 >= 3
+        results = many_random_walks(eng, [0, 1, 2, 3], WalkParams.for_many(3, 1, 4))  # lambda = ceil(sqrt(12)) = 4 >= 3
         assert eng.round == 3
         assert [r.walk_id for r in results] == [0, 1, 2, 3]
         assert all(len(r.path) == 4 for r in results)
@@ -296,14 +296,14 @@ class TestManyRandomWalks:
         joint = np.zeros((4, 4))
         for i in range(20000):
             eng = make_engine(k4, seed=i, phi=1)
-            a, b = many_random_walks(eng, [0, 0], tau=3, record_path=False)
+            a, b = many_random_walks(eng, [0, 0], WalkParams.for_many(3, 1, 2), record_path=False)
             joint[a.destination, b.destination] += 1
         _, p, _, _ = stats.chi2_contingency(joint)
         assert p > 0.01
 
     def test_case2_shared_phase_disjoint_coupons(self, rr16):
         eng = make_engine(rr16, seed=11, phi=4)
-        results = many_random_walks(eng, [0, 5, 9, 13], tau=60, lambda_walk=5)
+        results = many_random_walks(eng, [0, 5, 9, 13], WalkParams(60, 5))
         total_segments = sum(len(r.segment_lengths) for r in results)
         assert total_segments >= 4  # stitched regime reached
         assert all(len(r.path) == 61 for r in results)
@@ -316,7 +316,7 @@ class TestManyRandomWalks:
         for i in range(12000):
             eng = make_engine(k4, seed=i, phi=1)
             for j, res in enumerate(
-                many_random_walks(eng, sources, tau=12, lambda_walk=3, record_path=False)
+                many_random_walks(eng, sources, WalkParams(12, 3), record_path=False)
             ):
                 dests[j].append(res.destination)
         for j, s in enumerate(sources):
@@ -324,7 +324,7 @@ class TestManyRandomWalks:
 
     def test_empty_sources(self, k4):
         eng = make_engine(k4, seed=0, phi=1)
-        batch = many_random_walks(eng, [], tau=5)
+        batch = many_random_walks(eng, [], WalkParams.for_many(5, 1, 0))
         assert list(batch) == [] and batch.destinations.shape == (0,)
         assert eng.round == 0
 
@@ -399,7 +399,7 @@ class TestWalkBatch:
     def test_naive_branch(self, rr16, record_path):
         sources = [0, 5, 5, 13]
         eng = make_engine(rr16, seed=3, phi=4)
-        batch = many_random_walks(eng, sources, tau=9, record_path=record_path)  # lambda = 12 >= 9
+        batch = many_random_walks(eng, sources, WalkParams.for_many(9, 4, 4), record_path=record_path)  # lambda = 12 >= 9
         assert eng.round == 9
         assert_batch_matches(batch, reference_naive(rr16, 3, sources, 9, record_path))
 
@@ -408,7 +408,7 @@ class TestWalkBatch:
         sources = [0, 5, 9, 13]
         params = WalkParams(tau=60, lambda_walk=5)
         eng = make_engine(rr16, seed=11, phi=4)
-        batch = many_random_walks(eng, sources, tau=60, lambda_walk=5, record_path=record_path)
+        batch = many_random_walks(eng, sources, params, record_path=record_path)
         expected, rounds = reference_stitched(rr16, 11, 4, sources, params, record_path)
         assert sum(len(r.segment_lengths) for r in expected) >= 4
         assert eng.round == rounds
@@ -432,7 +432,7 @@ class TestWalkBatch:
         schedule, sources, tau, lam, record_path, seed = case
         phi = schedule.n - 1  # per-round connectivity completes every flood within n - 1 rounds
         eng = make_engine(schedule, seed, phi=phi)
-        batch = many_random_walks(eng, sources, tau, lambda_walk=lam, record_path=record_path)
+        batch = many_random_walks(eng, sources, WalkParams(tau, lam), record_path=record_path)
         if tau <= 2 * lam:
             expected, rounds = reference_naive(schedule, seed, sources, tau, record_path), tau
         else:
@@ -450,7 +450,7 @@ class TestWalkBatch:
         schedule, sources, tau, lam, record_path, seed = case
         phi = schedule.n - 1
         eng = make_engine(schedule, seed, phi=phi)
-        batch = many_random_walks(eng, sources, tau, lambda_walk=lam, record_path=record_path)
+        batch = many_random_walks(eng, sources, WalkParams(tau, lam), record_path=record_path)
         expected = 0 if tau <= 2 * lam else 2 * lam
         for res in batch:
             if tau <= 2 * lam:
@@ -468,7 +468,7 @@ class TestWalkBatch:
         sched = parse_schedule_spec("rr:n=16,d=3", seed=1)
         sources = list(range(6))
         eng = make_engine(sched, seed, phi=4)
-        batch = many_random_walks(eng, sources, 40)
+        batch = many_random_walks(eng, sources, WalkParams.for_many(40, 4, 6))
         assert eng.round == 40
         assert_batch_matches(batch, reference_naive(sched, seed, sources, 40, True))
 
@@ -478,8 +478,8 @@ OUTSIDE_WALKS = {
     "single": lambda eng, s: single_random_walk(eng, s, WalkParams(tau=24, lambda_walk=6)),
     "naive": lambda eng, s: naive_walk(eng, s, 5),
     "concurrent": lambda eng, s: concurrent_naive_walks(eng, [0, s], 5),
-    "many-stitched": lambda eng, s: many_random_walks(eng, [0, s], 24, lambda_walk=6),
-    "many-naive": lambda eng, s: many_random_walks(eng, [0, s], 5, lambda_walk=6),
+    "many-stitched": lambda eng, s: many_random_walks(eng, [0, s], WalkParams(24, 6)),
+    "many-naive": lambda eng, s: many_random_walks(eng, [0, s], WalkParams(5, 6)),
 }
 
 
@@ -498,13 +498,13 @@ def test_source_outside_rejected_before_any_round(rr16, walk, source):
 LONG_WALKS = {
     "naive": lambda eng: naive_walk(eng, 0, 41),
     "concurrent": lambda eng: concurrent_naive_walks(eng, [0, 1], 41),
-    "many-naive": lambda eng: many_random_walks(eng, [0, 1], 41, lambda_walk=41),
+    "many-naive": lambda eng: many_random_walks(eng, [0, 1], WalkParams(41, 41)),
     "naive-1e30": lambda eng: naive_walk(eng, 0, 10**30),
     "phase1": lambda eng: phase1_distribute(eng, WalkParams(tau=43, lambda_walk=21)),
     "single-stitched": lambda eng: single_random_walk(eng, 0, WalkParams(tau=43, lambda_walk=21)),
-    "many-stitched": lambda eng: many_random_walks(eng, [0, 1], 43, lambda_walk=21),
+    "many-stitched": lambda eng: many_random_walks(eng, [0, 1], WalkParams(43, 21)),
     "single-1e30": lambda eng: single_random_walk(eng, 0, WalkParams.for_many(10**30, 4, 1)),
-    "many-1e30": lambda eng: many_random_walks(eng, [0, 1], 10**30),
+    "many-1e30": lambda eng: many_random_walks(eng, [0, 1], WalkParams.for_many(10**30, 4, 2)),
 }
 
 
@@ -619,7 +619,7 @@ def recording_engines(schedule, seed):
 
 def assert_same_rounds(eng, ref):
     assert eng.round == ref.round
-    assert eng.log.summary() == ref.log.summary()
+    assert log_totals(eng.log) == log_totals(ref.log)
     assert eng.log.records == ref.log.records
 
 
