@@ -53,7 +53,7 @@ class ScheduleError(DynwalkError):
 RR_MAX_TRIES = 10_000  # pairing attempts `random_regular_graph` makes before it gives up
 # Largest n*d a schedule may have: a snapshot holds its n*d ports as adj
 # entries, n*d/2 edge tuples and an n x d int64 table, about 100 bytes a
-# port (180 while `random_regular_graph` builds it), so about 100 MB.
+# port (115 while `random_regular_graph` builds it), so about 100 MB.
 MAX_PORTS = 1 << 20
 # Largest n*n*d `dynamic_diameter` may gather: its (n, d, n) int32 take over
 # all n rows at once is 4 bytes a cell, 64 MB.
@@ -78,6 +78,18 @@ def derive_seed(*parts: int) -> int:
     return acc
 
 
+def _sorted_rows(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Adjacency rows of the distinct undirected `edges` on [0, n), each
+    row sorted: row v lists v's neighbors, so a row's length is its degree."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for a in adj:
+        a.sort()
+    return tuple(map(tuple, adj))
+
+
 class GraphSnapshot:
     """One round's topology: a simple undirected d-regular graph on nodes
     [0, n) with d >= 1.  Any other edge list raises ValueError."""
@@ -97,18 +109,26 @@ class GraphSnapshot:
         # n*d = 2|E|, checked before anything sized by n is allocated
         if not norm or 2 * len(norm) % n:
             raise ValueError(f"{len(norm)} edges on {n} nodes make no d-regular graph with d >= 1")
-        self.n = n
-        self.edges = frozenset(norm)
-        self.d = d = 2 * len(norm) // n
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in norm:
-            adj[u].append(v)
-            adj[v].append(u)
-        if max(map(len, adj)) != d:  # the degrees sum to n*d, so they all equal d
+        adj = _sorted_rows(n, norm)
+        if max(map(len, adj)) != 2 * len(norm) // n:  # the degrees sum to n*d, so they all equal d
             raise ValueError(f"snapshot degrees {sorted(set(map(len, adj)))} differ")
-        for a in adj:
-            a.sort()
-        self.adj = tuple(map(tuple, adj))
+        self._store(n, norm, adj)
+
+    @classmethod
+    def _trusted(cls, n: int, edges: Collection[tuple[int, int]], adj: tuple[tuple[int, ...], ...]) -> GraphSnapshot:
+        """The snapshot of a graph its builder already knows to be simple and
+        d-regular, unchecked: `edges` holds each edge once as (u, v) with
+        u < v, and `adj` the `_sorted_rows` of the same edges."""
+        g = cls.__new__(cls)
+        g._store(n, edges, adj)
+        return g
+
+    def _store(self, n: int, edges: Collection[tuple[int, int]], adj: tuple[tuple[int, ...], ...]) -> None:
+        """The one core every snapshot is stored by (see `_trusted`)."""
+        self.n = n
+        self.edges = frozenset(edges)
+        self.adj = adj
+        self.d = len(adj[0])
         self._nbr: np.ndarray | None = None
 
     @property
@@ -264,8 +284,8 @@ def random_regular_graph(n: int, d: int, rng: random.Random) -> GraphSnapshot:
             if nodes and all((u, v) in edges for i, u in enumerate(nodes) for v in nodes[i + 1:]):
                 break
             stubs = [v for v, c in leftovers.items() for _ in range(c)]
-        else:
-            g = GraphSnapshot(n, edges)
+        else:  # a completed pairing gives every node d distinct neighbors
+            g = GraphSnapshot._trusted(n, edges, _sorted_rows(n, edges))
             report = validate_snapshot(g)
             if report.connected and not report.bipartite:
                 return g
@@ -285,7 +305,9 @@ class GraphSchedule:
     """Base class: deterministic map from round number to snapshot, every
     one of them d-regular for the schedule's one declared degree d >= 1."""
 
-    FLOOD_MEMO_CELLS = 1 << 18  # cells of flood memo entries kept, 2n each; cleared when full
+    # Cells of flood memo entries kept, 2n each; cleared when full.  A set
+    # flood whose missing rows would exceed it is run as one row instead.
+    FLOOD_MEMO_CELLS = 1 << 18
     period: int | None = None  # snapshot_at(t + period) == snapshot_at(t), when known
 
     def __init__(self, n: int, d: int, seed: int, spec: str):
@@ -318,9 +340,17 @@ class GraphSchedule:
         Floods use no randomness, so the trace depends on nothing else.  It
         is read from the minimum of its sources' memoized rows (see
         `_trace`), whatever budget the caller has in mind; a one-source
-        trace is memoized beside its row.
+        trace is memoized beside its row.  Sources whose missing rows would
+        not fit in FLOOD_MEMO_CELLS get one row of their own instead, from
+        one BFS that starts at all of them.
         """
-        entries = self._entries(list(set(sources)), start_round)
+        sources = list(set(sources))
+        cells = 2 * self.n
+        if len(sources) * cells > self.FLOOD_MEMO_CELLS and (
+            sum((start_round, s) not in self._memo for s in sources) * cells > self.FLOOD_MEMO_CELLS
+        ):
+            return self._trace(informed_rounds(self, [sources], start_round)[0], start_round)
+        entries = self._entries(sources, start_round)
         if len(entries) > 1:
             return self._trace(np.minimum.reduce([row for row, _ in entries]), start_round)
         entry = entries[0]
@@ -436,15 +466,20 @@ class PermutedSchedule(GraphSchedule):
         rng = random.Random(derive_seed(self.seed, t, 2))
         perm = list(range(self.n))
         _shuffle(perm, rng)
-        edges = [(perm[u], perm[v]) for u, v in self._base.edges]
-        return GraphSnapshot(self.n, edges)
+        # A relabeled simple d-regular graph is one: nothing to check.
+        pairs = [(perm[u], perm[v]) for u, v in self._base.edges]
+        edges = [(u, v) if u < v else (v, u) for u, v in pairs]
+        return GraphSnapshot._trusted(self.n, edges, _sorted_rows(self.n, pairs))
 
 
-def informed_rounds(schedule: GraphSchedule, sources: Sequence[int], start_round: int = 1) -> np.ndarray:
-    """The one temporal BFS, run for each of the distinct `sources` alone.
+def informed_rounds(
+    schedule: GraphSchedule, sources: Sequence[int | Sequence[int]], start_round: int = 1
+) -> np.ndarray:
+    """The one temporal BFS, run for each entry of `sources` alone: a node,
+    or a list of nodes that flood together as one set.
 
     Row i of the returned (len(sources), n) int32 array holds, for each node,
-    the round in which a flood from sources[i] informs it: 0 at the source,
+    the round in which a flood from sources[i] informs it: 0 at a source,
     r when round r (on snapshot start_round + r - 1) informs it, and n + 1
     when no round within n does.  In round r every informed node sends
     on each of its current edges, so a node is informed when any of its
@@ -456,7 +491,8 @@ def informed_rounds(schedule: GraphSchedule, sources: Sequence[int], start_round
     """
     n = schedule.n
     rounds = np.full((len(sources), n), n + 1, dtype=np.int32)
-    rounds[np.arange(len(sources)), sources] = 0
+    for i, source in enumerate(sources):
+        rounds[i, source] = 0
     for r in range(1, n + 1):
         if rounds.max() <= n:  # every row is complete
             break

@@ -75,6 +75,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithm {self.algo!r}; choose from {ALGORITHMS}")
         if self.seeds < 1 or self.k < 1:
             raise ValueError(f"seeds and k must be at least 1, got seeds={self.seeds}, k={self.k}")
+        if self.bandwidth is not None and self.bandwidth < 1:
+            raise ValueError(f"bandwidth must be none or an integer >= 1, got bandwidth={self.bandwidth}")
         if not 0 < self.lambda_c < math.inf:
             raise ValueError(f"lambda_c must be finite and positive, got lambda_c={self.lambda_c}")
         for key, words, least in (("tau", ("oracle", "worstcase"), 0), ("phi", ("oracle",), 1)):

@@ -18,9 +18,10 @@ and neighbor choices are numpy arrays, and one `CongestEngine.exchange`
 call carries the round's messages, each addressed by its sender's port, and
 returns where they land, so walks never read a snapshot.  Each step is an
 independent uniform choice drawn from the engine's stream for its purpose
-(Phase 1, stitching, naive steps), taken in one call per phase or per walk;
-which draw feeds which step is a matter of bookkeeping, so the walks' laws
-are those of the textbook protocol.
+(Phase 1, stitching, naive steps), taken in one call per phase or per walk
+unless it exceeds a block of DRAW_BLOCK values; which draw feeds which step
+is a matter of bookkeeping, so the walks' laws are those of the textbook
+protocol.
 """
 from __future__ import annotations
 
@@ -53,6 +54,7 @@ __all__ = [
 TAG_PHASE1 = 11  # Phase-1 coupon lengths, then neighbor choices
 TAG_STITCH = 13  # Phase-2 coupon sampling
 TAG_NAIVE = 14   # naive walk steps
+DRAW_BLOCK = 1 << 16  # least number of neighbor choices `_walk_tokens` draws per call
 
 
 class CouponsExhausted(DynwalkError):
@@ -198,22 +200,28 @@ def _walk_tokens(engine, rng, sources, steps, token_bits, record_path, moving=No
 
     A token at v with draw j in [0, d) leaves on v's port j, slot v*d + j of
     the engine's `exchange`, which returns where each token lands.  The
-    (steps, k) draws come from `rng` in one call.  Returns the final
-    positions and, with `record_path`, the (steps + 1, k) array of positions
-    after each round.
+    draws come from `rng` in blocks of whole rounds, each of at least
+    DRAW_BLOCK values, so they need memory of that size whatever `steps`
+    is; numpy continues one stream across calls, so they equal one
+    (steps, k) draw.  Returns the final positions and, with `record_path`,
+    the (steps + 1, k) array of positions after each round, which does grow
+    with `steps`.
     """
     d = engine.schedule.d
     pos = np.array(sources, dtype=np.int64)
-    choices = rng.integers(d, size=(steps, len(pos)))
+    k = len(pos)
+    block = -(-DRAW_BLOCK // max(1, k))  # rounds per draw
     stride = np.array(d)  # numpy scales by a 0-d array faster than by a Python int
-    trail = np.empty((steps + 1, len(pos)), dtype=np.int64) if record_path else None
+    trail = np.empty((steps + 1, k), dtype=np.int64) if record_path else None
     if record_path:
         trail[0] = pos
-    for i, (m, row) in enumerate(zip(moving or [len(pos)] * steps, choices), 1):
-        here = pos[:m]  # a view: the moving tokens land in place
-        here[...] = engine.exchange(here * stride + row[:m], token_bits)
-        if record_path:
-            trail[i] = pos
+    for start in range(0, steps, block):
+        for i, row in enumerate(rng.integers(d, size=(min(block, steps - start), k)), start + 1):
+            m = k if moving is None else moving[i - 1]
+            here = pos[:m]  # a view: the moving tokens land in place
+            here[...] = engine.exchange(here * stride + row[:m], token_bits)
+            if record_path:
+                trail[i] = pos
     return pos, trail
 
 
@@ -262,8 +270,9 @@ def phase1_distribute(
     Runs for exactly 2*lambda engine rounds starting from a fresh engine;
     a coupon moves in round i iff its desired length is at least i, so each
     one rests at the endpoint of an independent walk of its desired length
-    over snapshots G_1..G_{desired_length}.  The n*d lengths and the
-    (2*lambda, n*d) neighbor choices are drawn up front from TAG_PHASE1.
+    over snapshots G_1..G_{desired_length}.  The n*d lengths are drawn up
+    front from TAG_PHASE1, and the neighbor choices after them from the
+    same stream, a block of rounds at a time (see `_walk_tokens`).
     """
     if engine.round != 0:
         raise ProtocolError("phase 1 must start at round 0 (coupons walk G_1 onwards)")

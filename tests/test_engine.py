@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import traceback
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -564,6 +565,50 @@ class TestFloodMemo:
             assert complete == (stall is None)
             if not complete:
                 assert str(flood_failure(sched, start + len(sent))) == stall
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["periodic", "rr", "perm", "build-error"]), st.data())
+    def test_set_row_is_the_minimum_of_its_member_rows(self, kind, data):
+        # One BFS from a whole set informs each node in the round the first
+        # of its members' floods does, through stalls (periodic schedules
+        # with a disconnected snapshot) and failed builds alike.
+        if kind == "periodic":
+            sched, sources, start, _ = data.draw(flood_cases(disconnected=True))
+        else:
+            n, d = data.draw(st.sampled_from([(5, 4), (7, 2), (8, 3), (10, 3), (9, 4)]))
+            seed = data.draw(st.integers(0, 2**32 - 1))
+            sched = {
+                "rr": lambda: RandomRegularSchedule(n, d, seed),
+                "perm": lambda: PermutedSchedule(random_regular_graph(n, d, random.Random(seed)), seed),
+                "build-error": lambda: CycleUntil(seed % 6),
+            }[kind]()
+            sources = data.draw(st.lists(st.integers(0, sched.n - 1), min_size=1, max_size=sched.n))
+            start = data.draw(st.integers(1, 6))
+        (row,) = graphs.informed_rounds(sched, [sources], start)
+        assert row.tolist() == graphs.informed_rounds(sched, sources, start).min(axis=0).tolist()
+
+    def test_set_over_the_memo_budget_floods_as_one_row(self):
+        # 256 members' rows at n = 4096 are 8 times FLOOD_MEMO_CELLS: the
+        # set gets one row of its own, in memory of a few rows of n, where a
+        # row per member took 4 MB and its gather 12 MB.
+        g = random_regular_graph(4096, 3, random.Random(1))
+        g.nbr  # built before tracing
+        sources = list(range(0, 4096, 16))
+        sched = StaticSchedule(g)
+        assert len(sources) * 2 * g.n > sched.FLOOD_MEMO_CELLS
+        tracemalloc.start()
+        try:
+            trace = sched.flood_trace(sources, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20 and not sched._memo
+        per_member = StaticSchedule(g)
+        per_member.FLOOD_MEMO_CELLS = len(sources) * 2 * g.n  # room for every member's row
+        expected = per_member.flood_trace(sources, 1)
+        assert len(per_member._memo) == len(sources)
+        assert trace.sent == expected.sent and trace.complete and expected.complete
+        assert trace.informed.tolist() == expected.informed.tolist()
 
     def test_build_error_after_the_union_completes_does_not_surface(self):
         sched = CycleUntil(2)

@@ -174,6 +174,26 @@ class TestNeighborTable:
             assert g.nbr[v].tolist() == list(g.adj[v])
 
 
+class TestSnapshotCore:
+    # random_regular_graph and PermutedSchedule store their snapshots
+    # unchecked; each must equal what the checking constructor makes of its
+    # edge list.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([(5, 4), (7, 2), (8, 3), (10, 3), (12, 5), (16, 4), (24, 3), (32, 5)]),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+    )
+    def test_trusted_builds_match_the_checked_one(self, shape, seed, t):
+        n, d = shape
+        g = random_regular_graph(n, d, random.Random(seed))
+        for built in (g, PermutedSchedule(g, seed).snapshot_at(t), RandomRegularSchedule(n, d, seed).snapshot_at(t)):
+            ref = GraphSnapshot(n, list(built.edges))
+            assert (built.n, built.d, built.edges, built.adj) == (ref.n, ref.d, ref.edges, ref.adj) and built == ref
+            assert all(u < v for u, v in built.edges) and isinstance(built.edges, frozenset)
+            assert built.nbr.tolist() == ref.nbr.tolist()
+
+
 def port_pairs(g):
     return {(u, v) for u, row in enumerate(g.nbr.tolist()) for v in row}
 

@@ -1005,6 +1005,8 @@ class TestCli:
         ("--algo naive --tau=-1", "config error: tau must be"),
         ("--algo single --phi=-2", "config error: phi must be"),
         ("--algo single --tau 40 --lambda-c 1e308", "run error: lambda = inf is not finite"),
+        ("--algo naive --bandwidth 0", "config error: bandwidth must be none or an integer >= 1, got bandwidth=0"),
+        ("--algo estimate-mix --bandwidth=-5", "config error: bandwidth must be"),
     ])
     def test_bad_tau_phi_or_lambda_exit_2(self, tmp_path, capsys, argv, text):
         # Each ended in a traceback: ZeroDivisionError, TypeError (a complex
@@ -1031,26 +1033,31 @@ class TestCli:
     @settings(max_examples=60, deadline=None)
     @given(
         spec=st.sampled_from(["static:K4", "static:petersen", "static:C9", "srr:n=8,d=3", "rr:n=8,d=3", "perm:base=C9"]),
-        algo=st.sampled_from(["naive", "single", "many", "gossip"]),
+        algo=st.sampled_from(["naive", "single", "many", "gossip", "estimate-mix"]),
         tau=st.one_of(st.integers(-2, 40).map(str), st.sampled_from(["oracle", "worstcase"])),
         phi=st.one_of(st.integers(-1, 5).map(str), st.just("oracle")),
         lambda_c=st.one_of(st.sampled_from([1e308, 1e-300, 0.0, -1.0]), st.floats(0.05, 20.0)),
         k=st.integers(0, 6),
         seeds=st.integers(1, 3),
         seed_base=st.integers(0, 2**32),
+        bandwidth=st.one_of(st.integers(-5, 0), st.integers(1, 64), st.sampled_from([100_000, 10**30])),
     )
-    def test_numeric_values_exit_0_or_2(self, spec, algo, tau, phi, lambda_c, k, seeds, seed_base):
+    def test_numeric_values_exit_0_or_2(self, spec, algo, tau, phi, lambda_c, k, seeds, seed_base, bandwidth):
         # Any value returns 0 or 2 and raises nothing; a run that exits 2
-        # leaves no output directory.
+        # leaves no output directory, and a bandwidth below 1 is a config error.
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "o"
-            code = main([
-                "run", f"--schedule={spec}", f"--algo={algo}", f"--tau={tau}", f"--phi={phi}",
-                f"--lambda-c={lambda_c!r}", f"--k={k}", f"--seeds={seeds}", f"--seed-base={seed_base}",
-                "--bandwidth=100000", f"--out={out}",
-            ])
+            err = io.StringIO()
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                code = main([
+                    "run", f"--schedule={spec}", f"--algo={algo}", f"--tau={tau}", f"--phi={phi}",
+                    f"--lambda-c={lambda_c!r}", f"--k={k}", f"--seeds={seeds}", f"--seed-base={seed_base}",
+                    f"--bandwidth={bandwidth}", f"--out={out}",
+                ])
             assert code in (EXIT_OK, EXIT_CONFIG_ERROR)
             assert out.exists() == (code == EXIT_OK)
+            if bandwidth < 1:
+                assert err.getvalue().startswith("config error: ") and err.getvalue().count("\n") == 1
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -655,6 +656,38 @@ class TestSharedTokenLoop:
         assert batch.destinations.tolist() == pos.tolist()
         assert [r.path for r in batch] == (trail.T.tolist() if record_path else [None] * len(sources))
         assert_same_rounds(eng, ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(loop_schedules(), st.integers(1, 8), st.integers(0, 12), st.integers(1, 100), st.integers(0, 10**6))
+    def test_draws_in_blocks_equal_one_draw(self, schedule, lam, length, block, seed):
+        # Blocks of whole rounds continue one numpy stream, so a Phase 1 and
+        # a naive batch whose draws span several blocks equal the
+        # references, which draw each phase in one call from the same seed.
+        eng, ref = recording_engines(schedule, seed)
+        params = WalkParams(tau=4 * lam, lambda_walk=lam)
+        sources = [0, 1, 2]
+        with mock.patch.object(walks, "DRAW_BLOCK", block):
+            table = phase1_distribute(eng, params, record_paths=True)
+            batch = concurrent_naive_walks(eng, sources, length)
+        want = reference_phase1(ref, params, True)
+        pos, trail = reference_walk_tokens(ref, sources, length, ref.enc.token_bits(length, 3), True)
+        assert table.holders.tolist() == want.holders.tolist() and table.trail.tolist() == want.trail.tolist()
+        assert batch.destinations.tolist() == pos.tolist() and [r.path for r in batch] == trail.T.tolist()
+        assert_same_rounds(eng, ref)
+
+    def test_draw_blocks_are_whole_rounds_of_at_least_draw_block_values(self, rr16):
+        eng = make_engine(rr16, seed=2)
+        rng = eng.stream(TAG_NAIVE)
+        sizes = []
+
+        class Counting:
+            def integers(self, high, size):
+                sizes.append(size)
+                return rng.integers(high, size=size)
+
+        with mock.patch.object(walks, "DRAW_BLOCK", 5):
+            _walk_tokens(eng, Counting(), [0, 1, 2], 7, 8, False)
+        assert sizes == [(2, 3), (2, 3), (2, 3), (1, 3)]
 
     def test_sources_are_copied(self, rr16):
         sources = np.array([3, 3, 7, 11], dtype=np.int64)
