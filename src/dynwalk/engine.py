@@ -77,11 +77,12 @@ class Encodings:
     """
 
     def __init__(self, n: int):
-        self.id_bits = max(1, math.ceil(math.log2(max(2, n))))
+        self.id_bits = self._field(n)
 
     @staticmethod
     def _field(values: int) -> int:
-        return max(1, math.ceil(math.log2(max(2, values))))
+        """ceil(log2 values) bits, at least 1, computed exactly in integers."""
+        return (max(2, math.ceil(values)) - 1).bit_length()
 
     def coupon_bits(self, lambda_walk: int, d: int) -> int:
         return 2 * self.id_bits + self._field(2 * lambda_walk) + self._field(d)
@@ -105,7 +106,10 @@ class RoundRecord:
 
 
 class RoundLog:
-    """Per-run accounting: totals plus (optionally) one record per round."""
+    """Per-run accounting: totals plus (optionally) one record per round.
+
+    While records are off, one `observe` charges any number of rounds (an
+    `exchange` round, a whole memo-hit flood) in O(1) Python work."""
 
     __slots__ = ("rounds", "total_msgs", "max_edge_bits", "congestion_events", "records", "_keep")
 
@@ -117,25 +121,22 @@ class RoundLog:
         self.records: list[RoundRecord] = []
         self._keep = keep_records
 
-    def observe(self, t: int, msgs: Sequence[int], max_bits: int) -> None:
-        """Log rounds t, t + 1, ...: round t + i sends msgs[i] messages, and
-        its busiest directed edge carries `max_bits` if it sends any."""
-        self.rounds += len(msgs)
-        self.total_msgs += sum(msgs)
-        if max_bits > self.max_edge_bits and any(msgs):
-            self.max_edge_bits = max_bits
-        if self._keep:
-            self.records += [RoundRecord(t + i, m, max_bits if m else 0) for i, m in enumerate(msgs)]
-
-    def observe_repeat(self, t: int, rounds: int, msgs: int, max_bits: int) -> None:
-        """Log `rounds` rounds from t that each send `msgs` messages, as
-        `observe` logs them one by one, but charged as a count."""
+    def observe(self, t: int, msgs: int, max_bits: int, rounds: int = 1, counts: Sequence[int] = ()) -> None:
+        """Log rounds t .. t + rounds - 1, which send `msgs` messages in all:
+        the first len(counts) of them counts[i] each, every later one an
+        equal share of the rest.  In a round that sends any, the busiest
+        directed edge carries `max_bits`.  Only a log that keeps records
+        reads `counts`."""
         self.rounds += rounds
-        self.total_msgs += rounds * msgs
-        if max_bits > self.max_edge_bits and rounds and msgs:
+        self.total_msgs += msgs
+        if msgs and max_bits > self.max_edge_bits:
             self.max_edge_bits = max_bits
         if self._keep:
-            self.records += [RoundRecord(t + i, msgs, max_bits if msgs else 0) for i in range(rounds)]
+            rest = rounds - len(counts)
+            each = (msgs - sum(counts)) // rest if rest else 0
+            self.records += [
+                RoundRecord(t + i, m, max_bits if m else 0) for i, m in enumerate([*counts, *[each] * rest])
+            ]
 
     def jsonl_records(self) -> list[str]:
         return [
@@ -179,11 +180,9 @@ class CongestEngine:
             self._streams[tag] = rng
         return rng
 
-    def _begin_round(self) -> int:
-        t = self._round + 1
-        if t > self.config.max_rounds:
-            raise RoundLimitError(f"exceeded max_rounds={self.config.max_rounds}")
-        return t
+    def _round_limit(self) -> RoundLimitError:
+        """The error of a round past max_rounds, raised before it runs."""
+        return RoundLimitError(f"exceeded max_rounds={self.config.max_rounds}")
 
     def exchange(self, slots, bits: int) -> np.ndarray:
         """Execute one round: message i leaves node slots[i] // d on its port
@@ -198,9 +197,12 @@ class CongestEngine:
         One call is exactly one round, whatever it carries, so a protocol
         never folds several rounds into one call: the benchmark's tracer
         (perfbench/layers.py) charges one round per call, and its identity
-        "exchange + idle + flood rounds == log.rounds" rests on that.
+        "exchange + idle + flood rounds == log.rounds" rests on that.  The
+        round is charged with one `RoundLog.observe` of its message count.
         """
-        t = self._begin_round()
+        t = self._round + 1
+        if t > self.config.max_rounds:
+            raise self._round_limit()
         slots = np.asarray(slots, dtype=np.int64)
         m = len(slots)
         dst, top = slots, 0
@@ -230,15 +232,17 @@ class CongestEngine:
                 raise CongestionError(
                     f"round {t}: edge ({e // nbr.shape[1]},{nbr.item(e)}) would carry {top} bits > B={self.B}"
                 )
-        self.log.observe(t, (m,), top)
+        self.log.observe(t, m, top)
         self._round = t
         return dst
 
     def idle(self, rounds: int = 1) -> None:
         """Consume rounds with no traffic (still logged)."""
         for _ in range(rounds):
-            t = self._begin_round()
-            self.log.observe(t, (0,), 0)
+            t = self._round + 1
+            if t > self.config.max_rounds:
+                raise self._round_limit()
+            self.log.observe(t, 0, 0)
             self._round = t
 
     def flood(
@@ -254,12 +258,14 @@ class CongestEngine:
         so the rounds until every node is informed come from the schedule's
         flood memo (`GraphSchedule.flood_trace`) and are charged exactly as
         round-by-round execution would charge them; each round after that
-        sends n*d messages.  Returns a read-only array holding, for each
-        node, the round it is informed in: the engine's round at the sources,
-        -1 where the budget ends first.  A negative budget raises ValueError
-        before any round is charged.  A round that informs nobody while nodes
-        are uninformed raises its `flood_failure` (a disconnected snapshot or
-        a failed build); a complete flood inside the budget is required unless
+        sends n*d messages, all in one O(1) `RoundLog.observe` charge while
+        records are off; one call is still `budget` rounds.  Returns a
+        read-only array holding, for each node, the round it is informed in:
+        the engine's round at the sources, -1 where the budget ends first.  A
+        negative budget raises ValueError before any round is charged.  A
+        round that informs nobody while nodes are uninformed raises its
+        `flood_failure` (a disconnected snapshot or a failed build); a
+        complete flood inside the budget is required unless
         `require_complete` is False (probabilistic callers).
         """
         if budget < 0:
@@ -305,11 +311,12 @@ class CongestEngine:
             informed = np.where(informed > start + bfs, -1, informed)
             informed.setflags(write=False)
         self._round = start + fit
-        self.log.observe(start + 1, sent[:bfs], payload_bits)  # the rounds run before an error stay charged
-        if fit > bfs:  # every node is informed, so each round left sends n*d messages
-            self.log.observe_repeat(start + 1 + bfs, fit - bfs, self.n * self.schedule.d, payload_bits)
+        # Rounds run before an error stay charged; each after coverage sends n*d.
+        run_sent = sent[:bfs]
+        self.log.observe(start + 1, sum(run_sent) + (fit - bfs) * self.n * self.schedule.d, payload_bits, fit, run_sent)
         if fit < run + tail or stalls:
-            self._begin_round()  # raises RoundLimitError, as round start + fit + 1 would
+            if self._round == self.config.max_rounds:
+                raise self._round_limit()  # as round start + fit + 1 would
             raise flood_failure(self.schedule, start + fit + 1)
         # Only a cut, a stall or a zero budget can leave a node uninformed.
         if require_complete and (bfs < len(sent) or not complete or budget == 0) and informed.min() < 0:

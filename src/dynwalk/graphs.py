@@ -294,7 +294,8 @@ def random_regular_graph(n: int, d: int, rng: random.Random) -> GraphSnapshot:
 
 class FloodTrace(NamedTuple):
     """The course of one flood (see `GraphSchedule.flood_trace`): its round
-    i runs on snapshot start_round + i."""
+    i runs on snapshot start_round + i.  A one-source trace is memoized and
+    returned as the same object on every later call."""
 
     sent: tuple[int, ...]  # messages sent in each round
     informed: np.ndarray  # read-only: node -> absolute round informed, start_round - 1 at sources, -1 if never
@@ -344,6 +345,9 @@ class GraphSchedule:
         not fit in FLOOD_MEMO_CELLS get one row of their own instead, from
         one BFS that starts at all of them.
         """
+        entry = self._memo.get((start_round, *sources)) if len(sources) == 1 else None
+        if entry is not None and entry[1] is not None:  # a stored one-source trace
+            return entry[1]
         sources = list(set(sources))
         cells = 2 * self.n
         if len(sources) * cells > self.FLOOD_MEMO_CELLS and (

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -218,8 +219,11 @@ def _walk_tokens(engine, rng, sources, steps, token_bits, record_path, moving=No
     for start in range(0, steps, block):
         for i, row in enumerate(rng.integers(d, size=(min(block, steps - start), k)), start + 1):
             m = k if moving is None else moving[i - 1]
-            here = pos[:m]  # a view: the moving tokens land in place
-            here[...] = engine.exchange(here * stride + row[:m], token_bits)
+            if m == k:
+                pos = engine.exchange(pos * stride + row, token_bits)
+            else:
+                here = pos[:m]  # a view: the moving tokens land in place
+                here[...] = engine.exchange(here * stride + row[:m], token_bits)
             if record_path:
                 trail[i] = pos
     return pos, trail
@@ -285,8 +289,8 @@ def phase1_distribute(
     table = CouponTable(engine.n, d, lam + extra)
     # Longest coupons first: the coupons moving in round i (length >= i) are
     # the first moving[i-1] of them, all of them up to round lambda.
-    order = np.argsort(-extra, kind="stable")
-    moving = [coupons] * lam + (coupons - np.bincount(extra, minlength=lam).cumsum()).tolist()
+    order = (-extra).argsort(kind="stable")
+    moving = [coupons] * lam + [coupons - c for c in accumulate(np.bincount(extra, minlength=lam).tolist())]
     pos, trail = _walk_tokens(
         engine, rng, table.holders[order], 2 * lam, engine.enc.coupon_bits(lam, d), record_paths, moving
     )

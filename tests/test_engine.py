@@ -39,6 +39,7 @@ from dynwalk.graphs import (
     random_regular_graph,
 )
 from dynwalk.gossip import k_gossip_rw, k_gossip_trivial, resolve_gossip_params
+from dynwalk.mixing import estimate_mixing_time
 from dynwalk.walks import (
     WalkParams,
     concurrent_naive_walks,
@@ -109,9 +110,11 @@ class TestExchange:
 
 # The protocols whose rounds the log charges, each run on one engine: stitched
 # walks with and without CouponsExhausted fallbacks (48 coupons of length 1
-# cannot serve tau = 60), naive walks, shared-phase walks and both routes of a
-# gossip race.  Each returns what its walks output (the fallback count for
-# "fallbacks", which must be positive).
+# cannot serve tau = 60), naive walks, shared-phase walks, both routes of a
+# gossip race and a mixing-time estimate.  Each returns what its walks output
+# (the fallback count for "fallbacks", which must be positive).  A log that
+# keeps no records charges each call in O(1), so these runs guard every such
+# shortcut against the per-round records.
 def gossip_race_routes(eng):
     holders = {1: [0], 2: [5]}
     k_gossip_rw(eng, holders, resolve_gossip_params(eng.n, 2, 8, eng.config.phi), 8, eng.config.phi)
@@ -127,6 +130,7 @@ LOG_RUNS = {
     ],
     "many": lambda eng: many_random_walks(eng, [0, 3, 3, 7], WalkParams(40, 4)).destinations.tolist(),
     "gossip": gossip_race_routes,
+    "mixing": lambda eng: [estimate_mixing_time(eng, 0, eng.config.phi).tau_tilde],
 }
 LOG_SCHEDULES = {"srr": "srr:n=16,d=3", "rr": "rr:n=16,d=3", "perm": "perm:base=petersen"}
 
@@ -144,6 +148,7 @@ def test_log_totals_do_not_depend_on_records(spec, run):
     off, on = (eng.log for eng in engines)
     assert log_totals(off) == log_totals(on) and off.records == [] and outputs[0] == outputs[1]
     assert [r.t for r in on.records] == list(range(1, engines[1].round + 1)) and on.rounds == engines[1].round
+    assert len(on.records) == on.rounds
     assert on.total_msgs == sum(r.msgs for r in on.records)
     assert on.max_edge_bits == max(r.max_edge_bits for r in on.records)
     assert all(r.max_edge_bits == 0 for r in on.records if r.msgs == 0)

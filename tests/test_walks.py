@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -21,6 +21,7 @@ from dynwalk.oracle import segment_matrix, transition_matrix
 from dynwalk.walks import (
     TAG_NAIVE,
     TAG_PHASE1,
+    TAG_STITCH,
     _walk_tokens,
     CouponTable,
     CouponsExhausted,
@@ -472,6 +473,82 @@ class TestWalkBatch:
         batch = many_random_walks(eng, sources, WalkParams.for_many(40, 4, 6))
         assert eng.round == 40
         assert_batch_matches(batch, reference_naive(sched, seed, sources, 40, True))
+
+
+def flood_charge(schedule, source, start_round, phi):
+    """Messages a one-source flood of `phi` rounds from `start_round` is
+    charged, in closed form from its trace: every BFS round sends what the
+    trace says, and each round after coverage n*d."""
+    sent = schedule.flood_trace((source,), start_round).sent
+    assert len(sent) <= phi  # phi completes the flood
+    return sum(sent) + (phi - len(sent)) * schedule.n * schedule.d
+
+
+def stitched_walk_cost(schedule, seed, phi, params, res):
+    """(rounds, messages) of stitched walk `res` from round 0, replayed from
+    a twin engine's Phase-1 table and stitch stream: Phase 1 sends one
+    message per coupon step, each stitch two floods, and each fallback and
+    tail step one message.  The replay's segments and fallbacks must be the
+    walk's, and its positions are read from the walk's path."""
+    tau, lam = params.tau, params.lambda_walk
+    twin = make_engine(schedule, seed, phi=phi)
+    table = phase1_distribute(twin, params, record_paths=False)
+    rng = twin.stream(TAG_STITCH)
+    rounds, msgs = 2 * lam, int(table.lengths.sum())
+    v, completed, segments, fallbacks = res.source, 0, [], 0
+    while completed <= tau - 2 * lam:
+        if not table.unused[v]:
+            fallbacks += 1
+            completed += lam
+            rounds += lam
+            msgs += lam
+            v = res.path[completed]
+            continue
+        ci = table.sample(v, rng)
+        msgs += flood_charge(schedule, v, rounds + 1, phi) + flood_charge(schedule, v, rounds + phi + 1, phi)
+        rounds += 2 * phi
+        segments.append(int(table.lengths[ci]))
+        completed += segments[-1]
+        v = int(table.holders[ci])
+    assert (segments, fallbacks) == (res.segment_lengths, res.fallbacks)
+    return rounds + tau - completed, msgs + tau - completed
+
+
+@st.composite
+def cost_cases(draw):
+    kind = draw(st.sampled_from(["static", "srr", "rr", "perm", "periodic"]))
+    seed = draw(st.integers(0, 10**6))
+    if kind == "static":
+        schedule = parse_schedule_spec(f"static:{draw(st.sampled_from(['C5', 'K4', 'petersen', 'C9']))}", seed=seed)
+    elif kind == "perm":
+        schedule = parse_schedule_spec(f"perm:base={draw(st.sampled_from(['petersen', 'C9', 'K4']))}", seed=seed)
+    elif kind == "periodic":
+        rng = random.Random(seed)
+        schedule = PeriodicSchedule([random_regular_graph(8, 3, rng) for _ in range(draw(st.integers(1, 4)))])
+    else:
+        schedule = parse_schedule_spec(f"{kind}:n={draw(st.sampled_from([8, 12, 16]))},d=3", seed=seed)
+    lam = draw(st.integers(1, 6))
+    tau = draw(st.integers(2 * lam + 1, 2 * lam + 40))
+    # A static schedule's diameter completes every flood; per-round
+    # connectivity bounds a dynamic one's by n - 1.
+    least = dynamic_diameter(schedule, 1) if kind == "static" else schedule.n - 1
+    phi = draw(st.integers(least, schedule.n - 1))
+    return schedule, WalkParams(tau, lam), phi, draw(st.integers(0, schedule.n - 1)), draw(st.integers(0, 10**6))
+
+
+class TestStitchedCostIdentity:
+    @settings(max_examples=80, deadline=None)
+    @given(cost_cases())
+    @example((parse_schedule_spec("static:C5", seed=1), WalkParams(40, 2), 2, 0, 7))  # about 8 fallbacks a walk
+    def test_rounds_and_messages_in_closed_form(self, case):
+        # The same walk twice on one schedule: the first fills the flood
+        # memo, the second charges every flood from it.
+        schedule, params, phi, source, seed = case
+        for _ in range(2):
+            eng = make_engine(schedule, seed, phi=phi)
+            res = single_random_walk(eng, source, params)
+            assert eng.log.rounds == res.rounds_used == eng.round
+            assert (res.rounds_used, eng.log.total_msgs) == stitched_walk_cost(schedule, seed, phi, params, res)
 
 
 # Each walk entry point, given an engine and one source outside [0, n).
