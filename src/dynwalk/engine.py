@@ -214,7 +214,7 @@ class CongestEngine:
             try:
                 dst = nbr.take(slots)
                 if m > 1:
-                    # adj rows are sorted, so the smallest busiest slot is the smallest busiest (u, v).
+                    # table rows are sorted, so the smallest busiest slot is the smallest busiest (u, v).
                     counts = np.bincount(slots)
                     e = counts.argmax()
                     load = counts.item(e)

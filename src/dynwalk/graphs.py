@@ -51,9 +51,9 @@ class ScheduleError(DynwalkError):
 
 
 RR_MAX_TRIES = 10_000  # pairing attempts `random_regular_graph` makes before it gives up
-# Largest n*d a schedule may have: a snapshot holds its n*d ports as adj
-# entries, n*d/2 edge tuples and an n x d int64 table, about 100 bytes a
-# port (115 while `random_regular_graph` builds it), so about 100 MB.
+# Largest n*d a schedule may have: a snapshot holds its n*d ports as one
+# n x d int64 table, 8 bytes a port, so 8 MB; `random_regular_graph` peaks
+# near 48 bytes a port while it builds one, 16 of them its cached stubs.
 MAX_PORTS = 1 << 20
 # Largest n*n*d `dynamic_diameter` may gather: its (n, d, n) int32 take over
 # all n rows at once is 4 bytes a cell, 64 MB.
@@ -78,23 +78,14 @@ def derive_seed(*parts: int) -> int:
     return acc
 
 
-def _sorted_rows(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
-    """Adjacency rows of the distinct undirected `edges` on [0, n), each
-    row sorted: row v lists v's neighbors, so a row's length is its degree."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for a in adj:
-        a.sort()
-    return tuple(map(tuple, adj))
-
-
 class GraphSnapshot:
     """One round's topology: a simple undirected d-regular graph on nodes
-    [0, n) with d >= 1.  Any other edge list raises ValueError."""
+    [0, n) with d >= 1.  Any other edge list raises ValueError.
 
-    __slots__ = ("n", "edges", "adj", "d", "_nbr")
+    The graph is stored once, as `nbr`: the read-only n x d int64 neighbor
+    table whose row v lists v's neighbors in increasing order."""
+
+    __slots__ = ("n", "d", "nbr")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         norm = set()
@@ -109,47 +100,40 @@ class GraphSnapshot:
         # n*d = 2|E|, checked before anything sized by n is allocated
         if not norm or 2 * len(norm) % n:
             raise ValueError(f"{len(norm)} edges on {n} nodes make no d-regular graph with d >= 1")
-        adj = _sorted_rows(n, norm)
-        if max(map(len, adj)) != 2 * len(norm) // n:  # the degrees sum to n*d, so they all equal d
-            raise ValueError(f"snapshot degrees {sorted(set(map(len, adj)))} differ")
-        self._store(n, norm, adj)
-
-    @classmethod
-    def _trusted(cls, n: int, edges: Collection[tuple[int, int]], adj: tuple[tuple[int, ...], ...]) -> GraphSnapshot:
-        """The snapshot of a graph its builder already knows to be simple and
-        d-regular, unchecked: `edges` holds each edge once as (u, v) with
-        u < v, and `adj` the `_sorted_rows` of the same edges."""
-        g = cls.__new__(cls)
-        g._store(n, edges, adj)
-        return g
-
-    def _store(self, n: int, edges: Collection[tuple[int, int]], adj: tuple[tuple[int, ...], ...]) -> None:
-        """The one core every snapshot is stored by (see `_trusted`)."""
-        self.n = n
-        self.edges = frozenset(edges)
-        self.adj = adj
-        self.d = len(adj[0])
-        self._nbr: np.ndarray | None = None
+        rows: list[list[int]] = [[] for _ in range(n)]
+        for u, v in norm:
+            rows[u].append(v)
+            rows[v].append(u)
+        if max(map(len, rows)) != 2 * len(norm) // n:  # the degrees sum to n*d, so they all equal d
+            raise ValueError(f"snapshot degrees {sorted(set(map(len, rows)))} differ")
+        for row in rows:
+            row.sort()
+        _set_table(self, rows)
 
     @property
-    def nbr(self) -> np.ndarray:
-        """Neighbor table, built on first use: the n x d array whose row v is adj[v]."""
-        if self._nbr is None:
-            self._nbr = np.fromiter(chain.from_iterable(self.adj), dtype=np.int64, count=self.n * self.d).reshape(self.n, self.d)
-        return self._nbr
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Each edge once, as (u, v) with u < v, read from the table."""
+        return frozenset((u, v) for u, row in enumerate(self.nbr.tolist()) for v in row if u < v)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GraphSnapshot)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
+        return isinstance(other, GraphSnapshot) and self.n == other.n and self.nbr.tobytes() == other.nbr.tobytes()
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self.nbr.tobytes()))
 
     def __repr__(self) -> str:
-        return f"GraphSnapshot(n={self.n}, m={len(self.edges)})"
+        return f"GraphSnapshot(n={self.n}, m={self.n * self.d // 2})"
+
+
+def _set_table(g: GraphSnapshot, rows) -> GraphSnapshot:
+    """Store `rows`, the sorted neighbor rows of a simple d-regular graph, as
+    g's read-only table; the one core every snapshot is made by.  Builders
+    that know their graph to be one pass a bare `GraphSnapshot.__new__`."""
+    nbr = np.asarray(rows, dtype=np.int64)
+    nbr.flags.writeable = False
+    g.n, g.d = nbr.shape
+    g.nbr = nbr
+    return g
 
 
 @dataclass(frozen=True)
@@ -160,8 +144,12 @@ class ValidationReport:
 
 def validate_snapshot(g: GraphSnapshot) -> ValidationReport:
     """Exact connectivity and 2-coloring bipartiteness checks (the degree is `g.d`)."""
-    adj = g.adj
-    color = [-1] * g.n
+    return _validate_rows(g.nbr.tolist())
+
+
+def _validate_rows(adj: Sequence[Sequence[int]]) -> ValidationReport:
+    """`validate_snapshot` of the graph whose row v lists v's neighbors."""
+    color = [-1] * len(adj)
     color[0] = c = 0
     frontier = [0]
     seen = 1
@@ -178,7 +166,7 @@ def validate_snapshot(g: GraphSnapshot) -> ValidationReport:
         seen += len(nxt)
         frontier = nxt
         c ^= 1
-    connected = seen == g.n
+    connected = seen == len(adj)
     # A 2-coloring of one component says nothing about unreachable ones;
     # a disconnected report already fails every schedule invariant.
     return ValidationReport(connected=connected, bipartite=bipartite)
@@ -265,7 +253,7 @@ def random_regular_graph(n: int, d: int, rng: random.Random) -> GraphSnapshot:
     _check_regular_shape(n, d)
     all_stubs = _stubs(n, d)
     for _ in range(RR_MAX_TRIES):
-        edges: set[tuple[int, int]] = set()
+        adj: list[list[int]] = [[] for _ in range(n)]  # row u: u's neighbors so far, fewer than d
         stubs = list(all_stubs)
         while stubs:
             _shuffle(stubs, rng)
@@ -274,21 +262,25 @@ def random_regular_graph(n: int, d: int, rng: random.Random) -> GraphSnapshot:
             for u, v in zip(it, it):
                 if u > v:
                     u, v = v, u
-                if u != v and (u, v) not in edges:
-                    edges.add((u, v))
+                row = adj[u]
+                if u != v and v not in row:
+                    row.append(v)
+                    adj[v].append(u)
                 else:
                     leftovers[u] = leftovers.get(u, 0) + 1
                     leftovers[v] = leftovers.get(v, 0) + 1
             # Some pair of leftover stubs must still form a fresh edge.
             nodes = sorted(leftovers)
-            if nodes and all((u, v) in edges for i, u in enumerate(nodes) for v in nodes[i + 1:]):
+            if nodes and all(v in adj[u] for i, u in enumerate(nodes) for v in nodes[i + 1:]):
                 break
             stubs = [v for v, c in leftovers.items() for _ in range(c)]
         else:  # a completed pairing gives every node d distinct neighbors
-            g = GraphSnapshot._trusted(n, edges, _sorted_rows(n, edges))
-            report = validate_snapshot(g)
+            report = _validate_rows(adj)
             if report.connected and not report.bipartite:
-                return g
+                for row in adj:
+                    row.sort()
+                nbr = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=n * d).reshape(n, d)
+                return _set_table(GraphSnapshot.__new__(GraphSnapshot), nbr)
     raise ScheduleError(f"no valid {d}-regular graph on {n} nodes after {RR_MAX_TRIES} tries")
 
 
@@ -470,10 +462,13 @@ class PermutedSchedule(GraphSchedule):
         rng = random.Random(derive_seed(self.seed, t, 2))
         perm = list(range(self.n))
         _shuffle(perm, rng)
+        # Node u becomes perm[u], so row perm[u] holds the relabeled row u.
         # A relabeled simple d-regular graph is one: nothing to check.
-        pairs = [(perm[u], perm[v]) for u, v in self._base.edges]
-        edges = [(u, v) if u < v else (v, u) for u, v in pairs]
-        return GraphSnapshot._trusted(self.n, edges, _sorted_rows(self.n, pairs))
+        perm = np.array(perm, dtype=np.int64)
+        nbr = np.empty_like(self._base.nbr)
+        nbr[perm] = perm[self._base.nbr]
+        nbr.sort(axis=1)
+        return _set_table(GraphSnapshot.__new__(GraphSnapshot), nbr)
 
 
 def informed_rounds(

@@ -173,13 +173,13 @@ def static_mixing_time(g: GraphSnapshot, eps: float = MIX_EPS) -> int:
 
 def dynamic_mixing_bound(schedule: GraphSchedule, horizon: int) -> int:
     """Max over distinct snapshots in [1, horizon] of the static mixing time."""
-    seen: set[frozenset] = set()
+    seen: set[GraphSnapshot] = set()
     best = 0
     for t in range(1, horizon + 1):
         g = schedule.snapshot_at(t)
-        if g.edges in seen:
+        if g in seen:
             continue
-        seen.add(g.edges)
+        seen.add(g)
         best = max(best, static_mixing_time(g))
     return best
 

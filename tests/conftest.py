@@ -5,8 +5,10 @@ import pytest
 
 from dynwalk.engine import CongestEngine, SimConfig
 from dynwalk.graphs import GraphSnapshot, PeriodicSchedule, parse_schedule_spec
+from dynwalk.harness import _SUITE_DS, _SUITE_NS
 
 AMPLE = 1 << 24  # bandwidth that never congests at desk scale
+SUITE_SHAPES = [(n, 4 if n * d % 2 else d) for n in _SUITE_NS for d in _SUITE_DS]  # the lemma suite's (n, d)
 
 
 def make_engine(schedule, seed, phi=None, bandwidth=AMPLE):

@@ -10,16 +10,17 @@ edge, or draws one word more or less from a caller's rng, fails here.
   rr:n=64,d=3           snapshots 1-64 at seed 0
   perm:base=petersen    snapshots 1-64 at seed 0
   srr:n=48,d=8          the static snapshot at seed 1056 (mixest-srr48's graph)
+  perm:base=srr64       snapshots 1-64 of the relabeled srr:n=64,d=3 graph (seed 7)
+                        at seed 1234 (gossip-perm64's schedule)
 """
 import hashlib
 import random
 
 import pytest
 
-from dynwalk.graphs import parse_schedule_spec, random_regular_graph
-from dynwalk.harness import _SUITE_DS, _SUITE_NS
+from conftest import SUITE_SHAPES
+from dynwalk.graphs import PermutedSchedule, parse_schedule_spec, random_regular_graph
 
-SUITE_SHAPES = [(n, 4 if n * d % 2 else d) for n in _SUITE_NS for d in _SUITE_DS]
 SCHEDULE_ROUNDS = range(1, 65)
 
 
@@ -39,7 +40,10 @@ def builder_builds():
 
 
 def schedule_builds(spec, seed, rounds):
-    sched = parse_schedule_spec(spec, seed=seed)
+    yield from snapshots(parse_schedule_spec(spec, seed=seed), rounds)
+
+
+def snapshots(sched, rounds):
     for t in rounds:
         yield t, sorted(sched.snapshot_at(t).edges)
 
@@ -50,6 +54,8 @@ GROUPS = {
     "rr:n=64,d=3": lambda: schedule_builds("rr:n=64,d=3", 0, SCHEDULE_ROUNDS),
     "perm:base=petersen": lambda: schedule_builds("perm:base=petersen", 0, SCHEDULE_ROUNDS),
     "srr:n=48,d=8": lambda: schedule_builds("srr:n=48,d=8", 1056, [1]),
+    "perm:base=srr64": lambda: snapshots(
+        PermutedSchedule(parse_schedule_spec("srr:n=64,d=3", seed=7).snapshot_at(1), seed=1234), SCHEDULE_ROUNDS),
 }
 
 PINS = {
@@ -58,6 +64,7 @@ PINS = {
     "rr:n=64,d=3": "ff5853d193fffc7c0439b5ab43422713d5107cbf8bfe2200c996e5a6927f87de",
     "perm:base=petersen": "769536b212a9c02ea310c0aa6c9ab6f0d0c2160f6389c393cfd44a7a01649c8f",
     "srr:n=48,d=8": "f6c4e0bca398a93d9841709a6de3b55401b5152a33397c876cea06a56cac29c5",
+    "perm:base=srr64": "af2cf2d705153cbec8c9a12c46055d112b037bcf9f7bb40928e2955abee234a6",
 }
 
 

@@ -77,7 +77,7 @@ class TestExchange:
             u, j = int(rng.integers(10)), int(rng.integers(3))
             with pytest.raises(ProtocolError, match=f"round {t}: slot 30 "):
                 eng.exchange([u * 3 + j, 30], 4)
-            assert eng.exchange([u * 3 + j], 4).tolist() == [g.adj[u][j]]
+            assert eng.exchange([u * 3 + j], 4).tolist() == [g.nbr[u, j]]
             rec = eng.log.records[-1]
             assert (rec.t, rec.msgs, rec.max_edge_bits) == (t, 1, 4)
 
@@ -160,23 +160,23 @@ def reference_exchange(g, B, t, slots, bits):
     """Per-message model of one round: (error type, text) or (msgs, max edge
     bits, destinations).
 
-    Slot u*d + j is node u's port j; ports are read from `g.adj`, not from
-    the neighbor table `exchange` gathers from.  Loads are summed per
+    Slot u*d + j is node u's port j; ports are read message by message from
+    the table's rows as lists, not gathered as `exchange` gathers them.  Loads are summed per
     (u, v), so the busiest edge is named as before ports."""
-    n, d = g.n, len(g.adj[0])
+    n, d, adj = g.n, g.d, g.nbr.tolist()
     for s in slots:
         if not 0 <= s < n * d:
             return ProtocolError, f"round {t}: slot {s} is outside the {n}x{d} port table of G_{t}"
     sends = [divmod(s, d) for s in slots]
     load = {}
     for u, j in sends:
-        e = (u, g.adj[u][j])
+        e = (u, adj[u][j])
         load[e] = load.get(e, 0) + bits
     top = max(load.values(), default=0)
     if top > B:
         u, v = min(e for e, x in load.items() if x == top)
         return CongestionError, f"round {t}: edge ({u},{v}) would carry {top} bits > B={B}"
-    return len(slots), top, [g.adj[u][j] for u, j in sends]
+    return len(slots), top, [adj[u][j] for u, j in sends]
 
 
 def off_table_slots(n, d):
@@ -377,11 +377,11 @@ def reference_flood(schedule, sources, start, budget):
     informed = dict.fromkeys(sources, start - 1)
     msgs = []
     for t in range(start, start + budget):
-        g = schedule.snapshot_at(t)
+        adj = schedule.snapshot_at(t).nbr.tolist()
         before = set(informed)
-        msgs.append(sum(len(g.adj[v]) for v in before))
+        msgs.append(sum(len(adj[v]) for v in before))
         for u in range(schedule.n):
-            if u not in before and any(v in before for v in g.adj[u]):
+            if u not in before and any(v in before for v in adj[u]):
                 informed[u] = t
     return informed, msgs
 
@@ -597,7 +597,6 @@ class TestFloodMemo:
         # set gets one row of its own, in memory of a few rows of n, where a
         # row per member took 4 MB and its gather 12 MB.
         g = random_regular_graph(4096, 3, random.Random(1))
-        g.nbr  # built before tracing
         sources = list(range(0, 4096, 16))
         sched = StaticSchedule(g)
         assert len(sources) * 2 * g.n > sched.FLOOD_MEMO_CELLS

@@ -22,7 +22,7 @@ def temporal_flood_rounds(schedule, holders, start):
     r = 0
     while len(informed) < schedule.n:
         g = schedule.snapshot_at(start + r)
-        informed |= {u for v in informed for u in g.adj[v]}
+        informed |= {u for v in informed for u in g.nbr[v].tolist()}
         r += 1
     return r
 

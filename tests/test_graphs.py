@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_dict, memo_traces, prism5
+from conftest import SUITE_SHAPES, as_dict, memo_traces, prism5
 from dynwalk.harness import ExperimentConfig, resolve_phi
 from dynwalk.graphs import (
     GraphSnapshot,
@@ -34,13 +34,14 @@ from dynwalk.graphs import (
 
 def bfs_diameter(g):
     best = 0
+    adj = g.nbr.tolist()
     for s in range(g.n):
         dist = [-1] * g.n
         dist[s] = 0
         dq = deque([s])
         while dq:
             v = dq.popleft()
-            for u in g.adj[v]:
+            for u in adj[v]:
                 if dist[u] < 0:
                     dist[u] = dist[v] + 1
                     dq.append(u)
@@ -53,8 +54,8 @@ def temporal_bfs_rounds(schedule, source, start):
     informed = {source}
     r = 0
     while len(informed) < schedule.n:
-        g = schedule.snapshot_at(start + r)
-        informed |= {u for v in informed for u in g.adj[v]}
+        adj = schedule.snapshot_at(start + r).nbr.tolist()
+        informed |= {u for v in informed for u in adj[v]}
         r += 1
     return r
 
@@ -157,7 +158,6 @@ class TestValidation:
         else:
             g = GraphSnapshot(n, pairs)
             assert g.d == degrees.pop() >= 1 and g.edges == edges
-            assert g.adj == tuple(map(tuple, adj))
             assert g.nbr.shape == (n, g.d) and g.nbr.dtype == np.int64
             assert g.nbr.tolist() == adj
 
@@ -170,28 +170,57 @@ class TestNeighborTable:
         sched = PeriodicSchedule([g, prism5()])
         nbr = sched.snapshot_at(9).nbr
         assert sched.snapshot_at(9) is g and g.nbr is nbr and sched.snapshot_at(3).nbr is nbr
-        for v in range(10):
-            assert g.nbr[v].tolist() == list(g.adj[v])
+        assert nbr.tolist()[:5] == [[1, 4, 5], [0, 2, 6], [1, 3, 7], [2, 4, 8], [0, 3, 9]]
+
+    def test_a_snapshot_stores_only_its_table(self):
+        g = named_graph("K4")
+        assert GraphSnapshot.__slots__ == ("n", "d", "nbr") and not hasattr(g, "__dict__")
+        assert (g.n, g.d, g.nbr.tolist()) == (4, 3, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+        assert g.edges == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)} and isinstance(g.edges, frozenset)
+
+    @pytest.mark.parametrize("build", [
+        lambda tmp: GraphSnapshot(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+        lambda tmp: named_graph("petersen"),
+        lambda tmp: random_regular_graph(16, 3, random.Random(0)),
+        lambda tmp: PermutedSchedule(named_graph("petersen"), seed=1).snapshot_at(2),
+        lambda tmp: read_schedule_file(tmp)[0],
+    ], ids=["GraphSnapshot", "named_graph", "random_regular_graph", "PermutedSchedule", "read_schedule_file"])
+    def test_table_is_read_only(self, build, tmp_path):
+        # A write would corrupt the cached snapshot, every later gather on it
+        # and its hash; each construction path hands out a read-only table.
+        path = tmp_path / "k4.jsonl"
+        write_schedule_file(parse_schedule_spec("static:K4"), 1, path)
+        g = build(path)
+        before = hash(g)
+        assert not g.nbr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            g.nbr[0, 0] = g.nbr[0, 1]
+        with pytest.raises(ValueError, match="read-only"):
+            g.nbr.sort(axis=0)
+        assert hash(g) == before
 
 
 class TestSnapshotCore:
-    # random_regular_graph and PermutedSchedule store their snapshots
-    # unchecked; each must equal what the checking constructor makes of its
-    # edge list.
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.sampled_from([(5, 4), (7, 2), (8, 3), (10, 3), (12, 5), (16, 4), (24, 3), (32, 5)]),
-        st.integers(0, 2**32 - 1),
-        st.integers(1, 40),
-    )
-    def test_trusted_builds_match_the_checked_one(self, shape, seed, t):
+    # random_regular_graph and PermutedSchedule write their tables unchecked;
+    # each must be what the checking constructor makes of its edges, given
+    # in any order and orientation.
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(SUITE_SHAPES), st.integers(0, 2**48 - 1), st.integers(1, 40), st.randoms(use_true_random=False))
+    def test_builders_match_the_checked_constructor(self, shape, seed, t, shuffler):
         n, d = shape
         g = random_regular_graph(n, d, random.Random(seed))
         for built in (g, PermutedSchedule(g, seed).snapshot_at(t), RandomRegularSchedule(n, d, seed).snapshot_at(t)):
-            ref = GraphSnapshot(n, list(built.edges))
-            assert (built.n, built.d, built.edges, built.adj) == (ref.n, ref.d, ref.edges, ref.adj) and built == ref
-            assert all(u < v for u, v in built.edges) and isinstance(built.edges, frozenset)
-            assert built.nbr.tolist() == ref.nbr.tolist()
+            pairs = [e if shuffler.random() < 0.5 else e[::-1] for e in built.edges]
+            shuffler.shuffle(pairs)
+            ref = GraphSnapshot(n, pairs)
+            assert (built.n, built.d, built.nbr.tobytes()) == (ref.n, ref.d, ref.nbr.tobytes())
+            assert built.edges == ref.edges and hash(built) == hash(ref) and built == ref
+            assert all(u < v for u, v in built.edges) and len(built.edges) == n * d // 2
+
+    def test_equality_and_hash_follow_the_table(self):
+        petersen, prism = named_graph("petersen"), prism5()
+        assert petersen != prism and petersen == named_graph("petersen") and petersen != "petersen"
+        assert len({petersen, named_graph("petersen"), prism}) == 2
 
 
 def port_pairs(g):
@@ -203,9 +232,8 @@ def edge_pairs(g):
 
 
 def assert_ports_match_edges(g):
-    assert g.nbr.shape == (g.n, len(g.adj[0])) and g.nbr.dtype == np.int64
-    for v, a in enumerate(g.adj):  # sorted rows, in adj's order
-        assert g.nbr[v].tolist() == sorted(a) == list(a)
+    assert g.nbr.shape == (g.n, g.d) and g.nbr.dtype == np.int64
+    assert (np.diff(g.nbr, axis=1) > 0).all()  # each row sorted, no neighbor twice
     assert port_pairs(g) == edge_pairs(g)
 
 
@@ -222,10 +250,10 @@ class TestPorts:
 
     @pytest.mark.parametrize("g", [named_graph("C5"), named_graph("petersen")], ids=["C5", "petersen"])
     def test_has_edge_false_off_range(self, g):
-        # An id off [0, n) is on no edge, and adj holds each edge both ways.
+        # An id off [0, n) is on no edge, and the table holds each edge both ways.
         for bad in (-1, g.n, 10**9, -(10**9)):
             assert not any(bad in e for e in g.edges)
-        assert {(u, v) for u in range(g.n) for v in g.adj[u]} == edge_pairs(g)
+        assert port_pairs(g) == edge_pairs(g)
 
 
 class TestSchedules:

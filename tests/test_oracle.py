@@ -1,13 +1,14 @@
 import math
 import random
 from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import prism5
+from conftest import prism5, write_snapshots
 from dynwalk import harness, oracle
 from dynwalk.graphs import (
     PeriodicSchedule,
@@ -121,9 +122,9 @@ class TestEvolve:
 def _explicit_matrix(g):
     """A(G) entry by entry: 1/deg(u) on every edge (u, v)."""
     A = np.zeros((g.n, g.n))
-    for u in range(g.n):
-        for v in g.adj[u]:
-            A[u, v] = 1.0 / len(g.adj[u])
+    for u, row in enumerate(g.nbr.tolist()):
+        for v in row:
+            A[u, v] = 1.0 / len(row)
     return A
 
 
@@ -335,6 +336,17 @@ class TestMixingTimes:
         expect = max(static_mixing_time(petersen), static_mixing_time(prism))
         assert static_mixing_time(petersen) != static_mixing_time(prism)
         assert dynamic_mixing_bound(mixed, 6) == expect
+
+    def test_each_distinct_snapshot_is_searched_once(self, tmp_path):
+        # Rounds 1-12 of this period-3 schedule hold three snapshot objects
+        # but two distinct graphs: Petersen is read from the file twice.
+        write_snapshots(tmp_path / "two.jsonl", [named_graph("petersen"), prism5(), named_graph("petersen")])
+        sched = parse_schedule_spec(f"periodic:{tmp_path / 'two.jsonl'}")
+        assert sched.snapshot_at(1) is not sched.snapshot_at(3)
+        with mock.patch.object(oracle, "static_mixing_time", wraps=oracle.static_mixing_time) as search:
+            bound = dynamic_mixing_bound(sched, 12)
+        assert search.call_count == 2
+        assert bound == max(static_mixing_time(named_graph("petersen")), static_mixing_time(prism5()))
 
     def test_worstcase_cap(self):
         # lambda2 <= 1 - 1/n^2 caps regular mixing at about 1.7 * n^2.

@@ -41,7 +41,7 @@ def hops_on(schedule, path, first_round):
     """Whether hop j of `path` (j = 1, 2, ...) is an edge of the snapshot of
     round first_round + j - 1."""
     hops = zip(path, path[1:])
-    return all(v in schedule.snapshot_at(t).adj[u] for t, (u, v) in enumerate(hops, first_round))
+    return all(v in schedule.snapshot_at(t).nbr[u].tolist() for t, (u, v) in enumerate(hops, first_round))
 
 
 class TestPathAudit:
@@ -136,7 +136,7 @@ class TestPhase1:
         for ci in range(len(table.lengths)):
             path = table.trail[: table.lengths[ci] + 1, ci].tolist()
             assert len(path) == 2
-            assert path[1] in k4.snapshot_at(1).adj[path[0]]
+            assert path[1] in k4.snapshot_at(1).nbr[path[0]].tolist()
 
     def test_counts_and_lengths(self, rr16):
         eng = make_engine(rr16, seed=7, phi=4)
@@ -155,7 +155,7 @@ class TestPhase1:
             assert len(path) == length + 1
             assert path[-1] == table.holders[ci]
             for step in range(length):
-                assert path[step + 1] in rr16.snapshot_at(step + 1).adj[path[step]]
+                assert path[step + 1] in rr16.snapshot_at(step + 1).nbr[path[step]].tolist()
 
     def test_needs_fresh_engine(self, k4):
         eng = make_engine(k4, seed=0, phi=1)
@@ -339,7 +339,7 @@ def reference_naive(schedule, seed, sources, length, record_path):
     for j, s in enumerate(sources):
         path = [s]
         for i in range(length):
-            path.append(schedule.snapshot_at(i + 1).adj[path[-1]][draws[i, j]])
+            path.append(int(schedule.snapshot_at(i + 1).nbr[path[-1], draws[i, j]]))
         out.append(WalkResult(s, path[-1], length, [s], [], 0, path if record_path else None, j))
     return out
 
@@ -347,8 +347,8 @@ def reference_naive(schedule, seed, sources, length, record_path):
 def reference_stitched(schedule, seed, phi, sources, params, record_path):
     """The stitched walks, source by source, from one Phase-1 table and
     `sample_coupon`; each naive leg (a fallback or the tail) steps through
-    `adj` on `TAG_NAIVE` draws taken leg by leg in the same order, and idles
-    the engine for its rounds.  Returns the walks and the rounds spent."""
+    the neighbor table on `TAG_NAIVE` draws taken leg by leg in the same
+    order, and idles the engine for its rounds.  Returns the walks and the rounds spent."""
     eng = make_engine(schedule, seed, phi=phi)
     tau, lam = params.tau, params.lambda_walk
     table = phase1_distribute(eng, params)
@@ -359,7 +359,7 @@ def reference_stitched(schedule, seed, phi, sources, params, record_path):
 
         def naive(steps):
             for i, draw in enumerate(rng.integers(schedule.d, size=steps), eng.round + 1):
-                path.append(schedule.snapshot_at(i).adj[path[-1]][draw])
+                path.append(int(schedule.snapshot_at(i).nbr[path[-1], draw]))
             eng.idle(steps)
 
         while len(path) - 1 <= tau - 2 * lam:
