@@ -15,8 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .engine import CongestEngine, ProtocolError, SimConfig
-from .graphs import GraphSchedule
+from .engine import CongestEngine, ProtocolError
 from .walks import WalkParams, many_random_walks
 
 __all__ = [
@@ -50,18 +49,24 @@ def resolve_gossip_params(n: int, k: int, tau: int, phi: int) -> GossipParams:
     return GossipParams(k=k, f=f, broadcast_rounds=math.ceil(2.0 * n * math.log(n) / f))
 
 
+class _Holders(dict):
+    """An assignment as `_normalize_assignment` returns it, and takes it back unchanged."""
+
+
 def _normalize_assignment(assignment: Mapping[int, Sequence[int]], n: int) -> dict[int, list[int]]:
+    if isinstance(assignment, _Holders):  # a race normalizes once, for both of its routes
+        return assignment
     holders = {}
     for token, hs in assignment.items():
         hs = sorted(set(hs))
         if not hs:
             raise ValueError(f"token {token} has no initial holder")
-        if any(not 0 <= h < n for h in hs):
+        if hs[0] < 0 or hs[-1] >= n:
             raise ValueError(f"token {token} has holders outside [0,{n})")
         holders[token] = hs
     if len(holders) > n:
         raise ValueError("more tokens than nodes (k <= n required)")
-    return dict(sorted(holders.items()))
+    return _Holders(sorted(holders.items()))
 
 
 @dataclass
@@ -70,6 +75,9 @@ class GossipOutcome:
     coverage: np.ndarray  # bool, shape (n, k): node has token?
     complete: bool
     phase1_rounds: int
+    # Walk route: token i's holders after the walk phase (its initial holders and
+    # its f walks' destinations) as a sorted int64 array.  Trivial route: ().
+    holders: tuple[np.ndarray, ...] = ()
 
 
 def k_gossip_rw(
@@ -88,34 +96,23 @@ def k_gossip_rw(
     if phi != engine.config.phi:
         raise ProtocolError(f"phi={phi} differs from the engine's phi={engine.config.phi}")
     holders = _normalize_assignment(assignment, engine.n)
-    tokens = list(holders)
-    k = len(tokens)
+    k, f = len(holders), params.f
     start_round = engine.round
     # f copies per token, spread round-robin over that token's initial holders.
-    sources = []
-    token_of_walk = []
-    for token in tokens:
-        hs = holders[token]
-        for c in range(params.f):
-            sources.append(hs[c % len(hs)])
-            token_of_walk.append(token)
+    sources = [hs[c % len(hs)] for hs in holders.values() for c in range(f)]
     results = many_random_walks(engine, sources, WalkParams.for_many(tau, phi, len(sources)), record_path=False)
     phase1_rounds = engine.round - start_round
-    coverage = np.zeros((engine.n, k), dtype=bool)
-    holder_sets: dict[int, set[int]] = {t: set(holders[t]) for t in tokens}
-    for dest, token in zip(results.destinations.tolist(), token_of_walk):
-        holder_sets[token].add(dest)
+    # Token i's holders: its initial ones and row i of the destinations, its f walks'.
+    held = [sorted({*hs, *row}) for hs, row in zip(holders.values(), results.destinations.reshape(k, f).tolist())]
     bits = engine.enc.gossip_bits(k)
-    for idx, token in enumerate(tokens):
-        informed = engine.flood(
-            bits, sorted(holder_sets[token]), params.broadcast_rounds, require_complete=False
-        )
-        coverage[:, idx] = informed >= 0
+    informed = [engine.flood(bits, hs, params.broadcast_rounds, require_complete=False) for hs in held]
+    coverage = np.array(informed).reshape(k, engine.n).T >= 0
     return GossipOutcome(
         rounds=engine.round - start_round,
         coverage=coverage,
         complete=bool(coverage.all()),
         phase1_rounds=phase1_rounds,
+        holders=tuple(np.array(hs, dtype=np.int64) for hs in held),
     )
 
 
@@ -129,20 +126,12 @@ def k_gossip_trivial(
     at most n-1 rounds.
     """
     holders = _normalize_assignment(assignment, engine.n)
-    tokens = list(holders)
-    k = len(tokens)
     start_round = engine.round
-    bits = engine.enc.gossip_bits(k)
-    coverage = np.zeros((engine.n, k), dtype=bool)
-    for idx, token in enumerate(tokens):
-        engine.flood_until_complete(bits, holders[token])
-        coverage[:, idx] = True
-    return GossipOutcome(
-        rounds=engine.round - start_round,
-        coverage=coverage,
-        complete=True,
-        phase1_rounds=0,
-    )
+    bits = engine.enc.gossip_bits(len(holders))
+    for hs in holders.values():
+        engine.flood_until_complete(bits, hs)
+    coverage = np.ones((engine.n, len(holders)), dtype=bool)
+    return GossipOutcome(rounds=engine.round - start_round, coverage=coverage, complete=True, phase1_rounds=0)
 
 
 @dataclass
@@ -162,13 +151,11 @@ def k_gossip_race(
     phi: int,
 ) -> RaceReport:
     """Run both routes on independent engines over the same schedule and
-    report the minimum; `engine` supplies the schedule and config template."""
-    schedule: GraphSchedule = engine.schedule
-    config: SimConfig = engine.config
-    eng_rw = CongestEngine(schedule, config)
-    eng_triv = CongestEngine(schedule, config)
-    rw = k_gossip_rw(eng_rw, assignment, params, tau, phi)
-    triv = k_gossip_trivial(eng_triv, assignment)
+    report the minimum; `engine` supplies the schedule and config template.
+    The assignment is normalized once, for both routes."""
+    holders = _normalize_assignment(assignment, engine.n)
+    rw = k_gossip_rw(CongestEngine(engine.schedule, engine.config), holders, params, tau, phi)
+    triv = k_gossip_trivial(CongestEngine(engine.schedule, engine.config), holders)
     return RaceReport(
         rounds_rw=rw.rounds,
         rounds_trivial=triv.rounds,

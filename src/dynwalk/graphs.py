@@ -53,8 +53,11 @@ class ScheduleError(DynwalkError):
 RR_MAX_TRIES = 10_000  # pairing attempts `random_regular_graph` makes before it gives up
 # Largest n*d a schedule may have: a snapshot holds its n*d ports as one
 # n x d int64 table, 8 bytes a port, so 8 MB; `random_regular_graph` peaks
-# near 48 bytes a port while it builds one, 16 of them its cached stubs.
+# near 48 bytes a port while it builds one, 16 of them its stubs.
 MAX_PORTS = 1 << 20
+# Largest n*d whose stubs `_stubs` keeps between builds (64 shapes, 16 bytes a
+# port: 4 MB in all); a larger shape's stubs go with its build.
+STUB_CACHE_PORTS = 1 << 12
 # Largest n*n*d `dynamic_diameter` may gather: its (n, d, n) int32 take over
 # all n rows at once is 4 bytes a cell, 64 MB.
 MAX_DIAMETER_CELLS = 1 << 24
@@ -251,7 +254,7 @@ def random_regular_graph(n: int, d: int, rng: random.Random) -> GraphSnapshot:
     rejected as a whole.  Capped at `RR_MAX_TRIES` attempts in total.
     """
     _check_regular_shape(n, d)
-    all_stubs = _stubs(n, d)
+    all_stubs = _stubs(n, d) if n * d <= STUB_CACHE_PORTS else _stubs.__wrapped__(n, d)
     for _ in range(RR_MAX_TRIES):
         adj: list[list[int]] = [[] for _ in range(n)]  # row u: u's neighbors so far, fewer than d
         stubs = list(all_stubs)
@@ -335,11 +338,20 @@ class GraphSchedule:
         `_trace`), whatever budget the caller has in mind; a one-source
         trace is memoized beside its row.  Sources whose missing rows would
         not fit in FLOOD_MEMO_CELLS get one row of their own instead, from
-        one BFS that starts at all of them.
+        one BFS that starts at all of them.  A set whose rows are all
+        memoized is read without deduplicating it, unless its first two
+        entries are one node: it may be a set of one, whose trace is kept.
         """
         entry = self._memo.get((start_round, *sources)) if len(sources) == 1 else None
         if entry is not None and entry[1] is not None:  # a stored one-source trace
             return entry[1]
+        if len(sources) > 1:
+            try:  # one pass gathers the members' memoized rows
+                rows = [self._memo[start_round, s][0] for s in sources]
+                if rows[0] is not rows[1]:  # two distinct members: no one-source trace to keep
+                    return self._trace(np.minimum.reduce(rows), start_round)
+            except KeyError:
+                pass
         sources = list(set(sources))
         cells = 2 * self.n
         if len(sources) * cells > self.FLOOD_MEMO_CELLS and (
@@ -389,7 +401,7 @@ class GraphSchedule:
                 break
             sent.append(self.d * have)
             have += new[r]
-        informed = union.astype(np.int64) + (start_round - 1)
+        informed = np.add(union, start_round - 1, dtype=np.int64)
         if have < n:  # the nodes the row informs after the flood's last round
             informed[union > len(sent)] = -1
         informed.setflags(write=False)

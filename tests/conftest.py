@@ -30,6 +30,36 @@ def log_totals(log):
     return {key: getattr(log, key) for key in ("rounds", "total_msgs", "max_edge_bits", "congestion_events")}
 
 
+def reference_flood(schedule, sources, start, budget):
+    """Per-node model of `budget` flood rounds from round `start`: u is
+    informed in round t iff one of its G_t neighbors was informed before t,
+    and round t sends one message per edge end of every node informed
+    before t.  Returns (node -> round informed, messages per round)."""
+    informed = dict.fromkeys(sources, start - 1)
+    msgs = []
+    for t in range(start, start + budget):
+        adj = schedule.snapshot_at(t).nbr.tolist()
+        before = set(informed)
+        msgs.append(sum(len(adj[v]) for v in before))
+        for u in range(schedule.n):
+            if u not in before and any(v in before for v in adj[u]):
+                informed[u] = t
+    return informed, msgs
+
+
+def reference_trace(schedule, sources, start):
+    """(sent, informed, stall text) of the flood from `sources` by
+    `reference_flood`, one round more at a time until it is complete or a
+    round informs nobody."""
+    for budget in range(schedule.n + 1):
+        informed, msgs = reference_flood(schedule, sources, start, budget)
+        news = {u: t for u, t in informed.items() if u not in sources}
+        if budget and start + budget - 1 not in news.values():
+            return msgs[:-1], informed, f"flood stalled at round {start + budget - 1}: snapshot disconnected"
+        if len(informed) == schedule.n:
+            return msgs, informed, None
+
+
 def prism5():
     """The 5-prism: 3-regular on 10 nodes like Petersen, but not isomorphic to it."""
     outer = [(i, (i + 1) % 5) for i in range(5)]

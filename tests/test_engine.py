@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import AMPLE, as_dict, log_totals, make_engine, memo_traces
+from conftest import AMPLE, as_dict, log_totals, make_engine, memo_traces, reference_flood, reference_trace
 from dynwalk.engine import (
     CongestEngine,
     CongestionError,
@@ -369,23 +369,6 @@ class TestDisconnectedSnapshot:
         assert proc.stdout.strip() == "flood stalled at round 2: snapshot disconnected"
 
 
-def reference_flood(schedule, sources, start, budget):
-    """Per-node model of `budget` flood rounds from round `start`: u is
-    informed in round t iff one of its G_t neighbors was informed before t,
-    and round t sends one message per edge end of every node informed
-    before t.  Returns (node -> round informed, messages per round)."""
-    informed = dict.fromkeys(sources, start - 1)
-    msgs = []
-    for t in range(start, start + budget):
-        adj = schedule.snapshot_at(t).nbr.tolist()
-        before = set(informed)
-        msgs.append(sum(len(adj[v]) for v in before))
-        for u in range(schedule.n):
-            if u not in before and any(v in before for v in adj[u]):
-                informed[u] = t
-    return informed, msgs
-
-
 def two_cycles(n):
     """A disconnected snapshot: cycles on [0, n//2) and [n//2, n), n >= 6."""
     h = n // 2
@@ -517,19 +500,6 @@ def reference_outcome(sched, sources, start, budget, limit, require_complete):
         text = f"flood informed {len(informed)}/{sched.n} nodes in {budget} rounds"
         return (FloodIncompleteError, text), msgs
     return informed, msgs
-
-
-def reference_trace(schedule, sources, start):
-    """(sent, informed, stall text) of the flood from `sources` by
-    `reference_flood`, one round more at a time until it is complete or a
-    round informs nobody."""
-    for budget in range(schedule.n + 1):
-        informed, msgs = reference_flood(schedule, sources, start, budget)
-        news = {u: t for u, t in informed.items() if u not in sources}
-        if budget and start + budget - 1 not in news.values():
-            return msgs[:-1], informed, f"flood stalled at round {start + budget - 1}: snapshot disconnected"
-        if len(informed) == schedule.n:
-            return msgs, informed, None
 
 
 class CycleUntil(graphs.GraphSchedule):

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_engine
+from conftest import log_totals, make_engine, reference_flood, reference_trace
 from dynwalk.engine import CongestEngine, ProtocolError, SimConfig, default_bandwidth
 from dynwalk import gossip
 from dynwalk.gossip import (
@@ -15,6 +17,7 @@ from dynwalk.gossip import (
     resolve_gossip_params,
 )
 from dynwalk.graphs import PermutedSchedule, RandomRegularSchedule, dynamic_diameter, parse_schedule_spec
+from dynwalk.walks import WalkParams, many_random_walks
 
 
 def temporal_flood_rounds(schedule, holders, start):
@@ -25,6 +28,17 @@ def temporal_flood_rounds(schedule, holders, start):
         informed |= {u for v in informed for u in g.nbr[v].tolist()}
         r += 1
     return r
+
+
+def twin_walks(schedule, seed, phi, assignment, f, tau):
+    """k_gossip_rw's walk phase rerun on a twin engine of the same seed: f
+    walks per token in token order, each token's spread round-robin over its
+    sorted initial holders.  Returns (twin engine, walk destinations)."""
+    twin = make_engine(schedule, seed=seed, phi=phi)
+    holders = [sorted(set(assignment[token])) for token in sorted(assignment)]
+    sources = [hs[c % len(hs)] for hs in holders for c in range(f)]
+    batch = many_random_walks(twin, sources, WalkParams.for_many(tau, phi, len(sources)), record_path=False)
+    return twin, batch.destinations.tolist()
 
 
 class TestParams:
@@ -117,6 +131,29 @@ class TestWalkBased:
             complete += out.complete
         assert complete >= 19
 
+    @pytest.mark.parametrize("spec", ["static:petersen", "perm:base=C9", "rr:n=16,d=3"])
+    def test_holders_are_each_tokens_initial_holders_and_its_walks(self, spec):
+        # Token 9's third initial holder starts no walk (f = 2); a mixed-up
+        # reshape of the destinations would hand one token another's walks.
+        # One broadcast round leaves coverage partial, so its columns show
+        # which token and node each entry belongs to.
+        sched = parse_schedule_spec(spec, seed=3)
+        assignment = {9: [8, 0, 4], 2: [7], 5: [3, 1, 3]}
+        params = GossipParams(k=3, f=2, broadcast_rounds=1)
+        tau, phi, f, budget = 6, sched.n - 1, params.f, params.broadcast_rounds
+        partial = 0
+        for seed in range(5):
+            out = k_gossip_rw(make_engine(sched, seed=seed, phi=phi), assignment, params, tau, phi)
+            partial += not out.complete
+            twin, dests = twin_walks(sched, seed, phi, assignment, f, tau)
+            assert out.phase1_rounds == twin.round and len(out.holders) == 3
+            for i, token in enumerate(sorted(assignment)):
+                expect = sorted({*assignment[token], *dests[i * f:(i + 1) * f]})
+                assert out.holders[i].dtype == np.int64 and out.holders[i].tolist() == expect
+                reached, _ = reference_flood(sched, expect, twin.round + i * budget + 1, budget)
+                assert out.coverage[:, i].tolist() == [v in reached for v in range(sched.n)]
+        assert partial == 5
+
     def test_phase2_fits_default_bandwidth(self):
         sched = parse_schedule_spec("srr:n=64,d=3", seed=7)
         phi = dynamic_diameter(sched, 1)
@@ -156,3 +193,47 @@ class TestRace:
         before = eng.round
         k_gossip_race(eng, {1: [0]}, resolve_gossip_params(16, 1, 6, 4), 6, 4)
         assert eng.round == before  # template engine untouched
+
+
+# phi = n - 1 bounds every flood on a schedule whose snapshots are all connected.
+ACCOUNTING_SPECS = ["static:petersen", "static:C9", "perm:base=petersen", "perm:base=C9", "rr:n=8,d=3", "rr:n=10,d=4"]
+
+
+class TestAccounting:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(ACCOUNTING_SPECS),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.dictionaries(st.integers(1, 50), st.lists(st.integers(0, 7), min_size=1, max_size=3), min_size=1, max_size=2),
+        st.integers(1, 2),
+        st.integers(1, 20),
+        st.integers(0, 10),
+    )
+    def test_rounds_and_messages_are_the_walks_and_the_floods(self, spec, seed, stitched, assignment, f, budget, extra):
+        # The engine's rounds are the twin walk run's plus k broadcast budgets;
+        # its messages are the twin run's plus each token's reference flood:
+        # the BFS rounds' messages, then n*d a round once everyone is informed.
+        sched = parse_schedule_spec(spec, seed=seed % 1000)
+        n, d, k, phi = sched.n, sched.d, len(assignment), sched.n - 1
+        # tau = 8*k*f*phi exceeds 2*lambda = 2*ceil(sqrt(8)*k*f*phi); tau <= 12 is within it.
+        tau = 8 * k * f * phi + extra if stitched else 1 + extra
+        lam = WalkParams.for_many(tau, phi, k * f).lambda_walk
+        assert (tau > 2 * lam) == stitched
+        params = GossipParams(k=k, f=f, broadcast_rounds=budget)
+        eng = make_engine(sched, seed=seed, phi=phi)
+        out = k_gossip_rw(eng, assignment, params, tau, phi)
+        twin, dests = twin_walks(sched, seed, phi, assignment, f, tau)
+        assert eng.round == eng.log.rounds == out.rounds == twin.round + k * budget
+        msgs = twin.log.total_msgs
+        for i, token in enumerate(sorted(assignment)):
+            holders = sorted({*assignment[token], *dests[i * f:(i + 1) * f]})
+            sent, _, stall = reference_trace(sched, holders, twin.round + i * budget + 1)
+            assert stall is None
+            msgs += sum(sent[:budget]) + max(0, budget - len(sent)) * n * d
+        assert eng.log.total_msgs == msgs
+        # A rerun reads every set flood from the rows the first run memoized.
+        again = make_engine(sched, seed=seed, phi=phi)
+        rerun = k_gossip_rw(again, assignment, params, tau, phi)
+        assert log_totals(again.log) == log_totals(eng.log)
+        assert rerun.coverage.tolist() == out.coverage.tolist()

@@ -2,6 +2,7 @@ import json
 import random
 import re
 import tempfile
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import SUITE_SHAPES, as_dict, memo_traces, prism5
 from dynwalk.harness import ExperimentConfig, resolve_phi
+from dynwalk import graphs
 from dynwalk.graphs import (
     GraphSnapshot,
     PeriodicSchedule,
@@ -221,6 +223,22 @@ class TestSnapshotCore:
         petersen, prism = named_graph("petersen"), prism5()
         assert petersen != prism and petersen == named_graph("petersen") and petersen != "petersen"
         assert len({petersen, named_graph("petersen"), prism}) == 2
+
+    def test_a_large_build_keeps_no_stubs(self):
+        # Past STUB_CACHE_PORTS a build's stubs go with it: what stays is the
+        # table, where a cached stub tuple kept 16 bytes a port (1 MB here).
+        n, d = 2**14, 4
+        assert n * d > graphs.STUB_CACHE_PORTS
+        graphs._stubs.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g = random_regular_graph(n, d, random.Random(1))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained <= g.nbr.nbytes + (64 << 10)
+        assert graphs._stubs.cache_info().currsize == 0
 
 
 def port_pairs(g):
