@@ -8,8 +8,8 @@ and round, the bits sent are capped at B and an overflow aborts the run.
 Every round is accounted in a RoundLog whose totals are the run's cost in
 the paper's sense (local computation is free, rounds are the currency).
 
-Randomness comes from one numpy Generator per (algorithm seed, purpose
-tag); protocols take each phase's draws from it in as few calls as they can.
+Randomness comes from one numpy Generator per engine, `CongestEngine.rng`,
+opened on the first draw; protocols draw from it in protocol order.
 """
 from __future__ import annotations
 
@@ -149,8 +149,8 @@ class CongestEngine:
     """Lock-step round executor bound to one schedule and one config.
 
     The engine owns the global round counter: every primitive that talks on
-    the network advances it.  Randomness comes from one numpy Generator per
-    (algorithm seed, purpose tag), never from the schedule's seed.
+    the network advances it.  Randomness comes from the one numpy Generator
+    `rng`, never from the schedule's seed.
     """
 
     def __init__(self, schedule: GraphSchedule, config: SimConfig | None = None):
@@ -165,20 +165,20 @@ class CongestEngine:
         self.enc = Encodings(schedule.n)
         self.log = RoundLog(keep_records=self.config.record_rounds)
         self._round = 0
-        self._streams: dict[int, np.random.Generator] = {}
+        self._rng: np.random.Generator | None = None  # set in __init__ so every engine has one attribute layout
 
     @property
     def round(self) -> int:
         """Number of completed rounds."""
         return self._round
 
-    def stream(self, tag: int) -> np.random.Generator:
-        """The run's random stream for one purpose tag (seeded from (seed, tag))."""
-        rng = self._streams.get(tag)
-        if rng is None:
-            rng = np.random.default_rng(derive_seed(self.config.seed, tag))
-            self._streams[tag] = rng
-        return rng
+    @property
+    def rng(self) -> np.random.Generator:
+        """The run's one random stream, seeded from (seed, 11) on first use,
+        so an engine that never draws seeds no Generator."""
+        if self._rng is None:
+            self._rng = np.random.default_rng(derive_seed(self.config.seed, 11))
+        return self._rng
 
     def _round_limit(self) -> RoundLimitError:
         """The error of a round past max_rounds, raised before it runs."""

@@ -137,6 +137,7 @@ def k_gossip_trivial(
 @dataclass
 class RaceReport:
     rounds_rw: int
+    phase1_rounds: int  # the walk route's walk phase, as in its GossipOutcome
     rounds_trivial: int
     race_rounds: int
     winner: str  # "rw" | "trivial"; ties go to trivial
@@ -158,6 +159,7 @@ def k_gossip_race(
     triv = k_gossip_trivial(CongestEngine(engine.schedule, engine.config), holders)
     return RaceReport(
         rounds_rw=rw.rounds,
+        phase1_rounds=rw.phase1_rounds,
         rounds_trivial=triv.rounds,
         race_rounds=min(rw.rounds, triv.rounds),
         winner="rw" if rw.rounds < triv.rounds else "trivial",

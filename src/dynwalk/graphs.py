@@ -3,7 +3,7 @@
 A schedule maps each round t >= 1 to a graph snapshot on a fixed node set
 [0, n).  Snapshots are pure functions of (generator spec, seed, t), so the
 adversary is oblivious by construction: its randomness never touches the
-algorithm's streams.
+algorithm's stream.
 """
 from __future__ import annotations
 

@@ -246,7 +246,8 @@ def _gossip_sweep(config, schedule, tau, phi, engines):
         race = gossip_mod.k_gossip_race(engine, assignment, params, tau, phi)
         rows.append({
             "n": schedule.n, "d": schedule.d, "k": config.k, "tau": tau, "phi": phi, "f": params.f,
-            "rounds_rw": race.rounds_rw, "rounds_trivial": race.rounds_trivial, "winner": race.winner,
+            "rounds_rw": race.rounds_rw, "phase1_rounds": race.phase1_rounds,
+            "rounds_trivial": race.rounds_trivial, "winner": race.winner,
             "coverage_rw": int(race.coverage_rw_complete), "seed": seed,
         })
     aggregates = {

@@ -16,12 +16,16 @@ Every token step (Phase 1's coupons, naive walks, a stitched walk's
 fallbacks and tail) goes through one round loop, `_walk_tokens`: positions
 and neighbor choices are numpy arrays, and one `CongestEngine.exchange`
 call carries the round's messages, each addressed by its sender's port, and
-returns where they land, so walks never read a snapshot.  Each step is an
-independent uniform choice drawn from the engine's stream for its purpose
-(Phase 1, stitching, naive steps), taken in one call per phase or per walk
-unless it exceeds a block of DRAW_BLOCK values; which draw feeds which step
-is a matter of bookkeeping, so the walks' laws are those of the textbook
-protocol.
+returns where they land, so walks never read a snapshot.
+
+Every random choice comes from the engine's one stream, `CongestEngine.rng`,
+in protocol order: Phase 1's coupon lengths and neighbor choices, then walk
+by walk each stitch's pool pick, each fallback's lambda steps and the tail's
+steps, a run of steps in one call unless it exceeds DRAW_BLOCK values.  Each
+step is an independent uniform choice, so which draw feeds which step is
+bookkeeping and the walks' laws are the textbook protocol's.  The price: a
+change to one phase's draw count moves every later phase's draws within a
+run, a coupling that counter-based draws keyed by phase and step would remove.
 """
 from __future__ import annotations
 
@@ -51,10 +55,6 @@ __all__ = [
     "visit_stats",
 ]
 
-# Purpose tags of the engine's random streams (CongestEngine.stream).
-TAG_PHASE1 = 11  # Phase-1 coupon lengths, then neighbor choices
-TAG_STITCH = 13  # Phase-2 coupon sampling
-TAG_NAIVE = 14   # naive walk steps
 DRAW_BLOCK = 1 << 16  # least number of neighbor choices `_walk_tokens` draws per call
 
 
@@ -195,13 +195,13 @@ def _check_room(engine: CongestEngine, rounds: int) -> None:
         raise RoundLimitError(f"a walk needs at least {rounds} rounds, but max_rounds={engine.config.max_rounds} leaves {room}")
 
 
-def _walk_tokens(engine, rng, sources, steps, token_bits, record_path, moving=None):
+def _walk_tokens(engine, sources, steps, token_bits, record_path, moving=None):
     """Move one token per source for `steps` rounds: in round i the first
     `moving[i]` tokens take a step (all of them when `moving` is None).
 
     A token at v with draw j in [0, d) leaves on v's port j, slot v*d + j of
     the engine's `exchange`, which returns where each token lands.  The
-    draws come from `rng` in blocks of whole rounds, each of at least
+    draws come from `engine.rng` in blocks of whole rounds, each of at least
     DRAW_BLOCK values, so they need memory of that size whatever `steps`
     is; numpy continues one stream across calls, so they equal one
     (steps, k) draw.  Returns the final positions and, with `record_path`,
@@ -217,7 +217,7 @@ def _walk_tokens(engine, rng, sources, steps, token_bits, record_path, moving=No
     if record_path:
         trail[0] = pos
     for start in range(0, steps, block):
-        for i, row in enumerate(rng.integers(d, size=(min(block, steps - start), k)), start + 1):
+        for i, row in enumerate(engine.rng.integers(d, size=(min(block, steps - start), k)), start + 1):
             m = k if moving is None else moving[i - 1]
             if m == k:
                 pos = engine.exchange(pos * stride + row, token_bits)
@@ -251,7 +251,7 @@ def concurrent_naive_walks(
     _check_room(engine, length)
     bits = engine.enc.token_bits(length, len(sources))
     start_round = engine.round
-    pos, trail = _walk_tokens(engine, engine.stream(TAG_NAIVE), sources, length, bits, record_path)
+    pos, trail = _walk_tokens(engine, sources, length, bits, record_path)
     end_round = engine.round
 
     def build() -> list[WalkResult]:
@@ -274,9 +274,9 @@ def phase1_distribute(
     Runs for exactly 2*lambda engine rounds starting from a fresh engine;
     a coupon moves in round i iff its desired length is at least i, so each
     one rests at the endpoint of an independent walk of its desired length
-    over snapshots G_1..G_{desired_length}.  The n*d lengths are drawn up
-    front from TAG_PHASE1, and the neighbor choices after them from the
-    same stream, a block of rounds at a time (see `_walk_tokens`).
+    over snapshots G_1..G_{desired_length}.  The n*d lengths are drawn
+    first from the engine's stream, and the neighbor choices after them, a
+    block of rounds at a time (see `_walk_tokens`).
     """
     if engine.round != 0:
         raise ProtocolError("phase 1 must start at round 0 (coupons walk G_1 onwards)")
@@ -284,16 +284,13 @@ def phase1_distribute(
     lam = params.lambda_walk
     _check_room(engine, 2 * lam)
     coupons = engine.n * d
-    rng = engine.stream(TAG_PHASE1)
-    extra = rng.integers(lam, size=coupons)
+    extra = engine.rng.integers(lam, size=coupons)
     table = CouponTable(engine.n, d, lam + extra)
     # Longest coupons first: the coupons moving in round i (length >= i) are
     # the first moving[i-1] of them, all of them up to round lambda.
     order = (-extra).argsort(kind="stable")
     moving = [coupons] * lam + [coupons - c for c in accumulate(np.bincount(extra, minlength=lam).tolist())]
-    pos, trail = _walk_tokens(
-        engine, rng, table.holders[order], 2 * lam, engine.enc.coupon_bits(lam, d), record_paths, moving
-    )
+    pos, trail = _walk_tokens(engine, table.holders[order], 2 * lam, engine.enc.coupon_bits(lam, d), record_paths, moving)
     table.holders[order] = pos
     if record_paths:
         table.trail = trail[:, np.argsort(order)]
@@ -314,7 +311,7 @@ def sample_coupon(
     holder self-identify, then a second flood carries the token to it.  The
     coupon is deleted so it can never be sampled again.
     """
-    ci = table.sample(connector, engine.stream(TAG_STITCH))  # raises CouponsExhausted
+    ci = table.sample(connector, engine.rng)  # raises CouponsExhausted
     engine.flood(engine.enc.request_bits(table.d), (connector,), phi)
     engine.flood(token_bits, (connector,), phi)
     return ci
@@ -323,7 +320,7 @@ def sample_coupon(
 def _naive_steps(engine, v, steps, token_bits, path):
     """Walk one token `steps` live naive steps from v and return where it
     lands; the steps are appended to `path` unless it is None."""
-    pos, trail = _walk_tokens(engine, engine.stream(TAG_NAIVE), [v], steps, token_bits, path is not None)
+    pos, trail = _walk_tokens(engine, [v], steps, token_bits, path is not None)
     if path is not None:
         path.extend(trail[1:, 0].tolist())
     return pos.item(0)

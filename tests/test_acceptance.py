@@ -5,10 +5,12 @@ randomness is seed-pinned so outcomes are reproducible.  Bandwidth is ample
 everywhere except the congestion-discipline criterion, which pins the
 default CONGEST budget.
 """
+import functools
 import math
 import time
 
 import numpy as np
+import pytest
 
 from conftest import AMPLE
 from dynwalk.engine import CongestEngine, CongestionError, SimConfig, default_bandwidth
@@ -248,6 +250,56 @@ def test_c7_mixing_estimator_bracketing():
         hits >= 0.9 * total and gap_ok,
         f"bracket hits {hits}/{total}; {'; '.join(details) if details else 'gap contained in all successes'}",
     )
+
+
+# C7b: a grid whose brackets share no value (static:C21's starts at 48,
+# srr:n=64,d=14's ends at 15), so no constant estimate can pass it.
+C7B_SPECS = (
+    "static:C9", "static:C15", "static:C21", "static:petersen",
+    "srr:n=16,d=3", "srr:n=32,d=3", "srr:n=64,d=3", "srr:n=64,d=14",
+    "perm:base=C15", "rr:n=32,d=3",
+)
+
+
+@functools.cache
+def _c7b_grid():
+    """(spec, n, engine seed, tau~, oracle bracket, spectral gap or None) of
+    every C7b estimate: schedule seed 11, engine seeds 0-4; the gap only on a
+    schedule with one snapshot."""
+    rows = []
+    for spec in C7B_SPECS:
+        sched = parse_schedule_spec(spec, seed=11)
+        phi = dynamic_diameter(sched, 1)
+        bracket = (mixing_time_oracle(sched, 0, MIX_EPS), mixing_time_oracle(sched, 0, epsilon_prime(sched.n)))
+        gap = spectral_summary(sched.snapshot_at(1)).gap if sched.period == 1 else None
+        for seed in range(5):
+            est = estimate_mixing_time(CongestEngine(sched, SimConfig(seed=seed, bandwidth_bits=AMPLE, phi=phi)), 0, phi)
+            rows.append((spec, sched.n, seed, est.tau_tilde, bracket, gap))
+    return rows
+
+
+def test_c7b_mixing_estimator_grid():
+    # Bar, fixed before the first run: at least 90 % of the 50 estimates fall
+    # in their oracle bracket, as in C7.
+    rows = _c7b_grid()
+    misses = [f"{spec} seed {seed}: tau~={tau} outside [{lo},{hi}]"
+              for spec, _, seed, tau, (lo, hi), _ in rows if not lo <= tau <= hi]
+    _report("C7b", "estimator-grid", len(misses) <= 0.1 * len(rows),
+            "; ".join([f"bracket hits {len(rows) - len(misses)}/{len(rows)}", *misses]))
+
+
+@pytest.mark.xfail(strict=True, reason="tau~ exceeds ln(n)/gap on static:C9 (36.4) and static:petersen (6.91)")
+def test_c7b_static_gap():
+    # Fixed with the bar above, before the first run: on a schedule with one
+    # snapshot, every bracket hit's tau~ bounds its spectral gap, as in C7.
+    # It fails: tau <= ln(n)/gap has unit constants and no ln(1/eps) term,
+    # and on these small graphs tau~ runs a round or two past it.
+    outside = []
+    for spec, n, seed, tau, (lo, hi), gap in _c7b_grid():
+        (glo, ghi), _ = spectral_gap_bounds(tau, n)
+        if gap is not None and lo <= tau <= hi and not glo <= gap <= ghi:
+            outside.append(f"{spec} seed {seed}: gap {gap:.4f} outside [{glo:.4f},{ghi:.4f}]")
+    _report("C7b", "static-gap", not outside, "; ".join(outside) or "gap contained in all static hits")
 
 
 def test_c8_congestion_discipline():

@@ -90,7 +90,7 @@ class TestExchange:
     def test_determinism(self, rr16):
         def one_run(seed):
             eng = CongestEngine(rr16, SimConfig(seed=seed, bandwidth_bits=AMPLE, record_rounds=True))
-            rng = eng.stream(7)
+            rng = eng.rng
             receivers = [int(eng.exchange([int(rng.integers(3))], 5)[0]) for _ in range(10)]
             return log_totals(eng.log), eng.log.records, receivers
 

@@ -93,6 +93,13 @@ class TestTrivial:
         assert out.complete
         assert eng.log.max_edge_bits <= eng.B
 
+    def test_seeds_no_generator(self, rr16):
+        # The engine's stream is seeded on its first draw, and floods draw nothing.
+        eng, walker = make_engine(rr16, seed=0, phi=4), make_engine(rr16, seed=0, phi=4)
+        k_gossip_trivial(eng, {t: [t] for t in range(1, 5)})
+        k_gossip_rw(walker, {t: [t] for t in range(1, 5)}, resolve_gossip_params(16, 4, 6, 4), 6, 4)
+        assert eng._rng is None and walker._rng is not None
+
 
 class TestWalkBased:
     def test_degenerate_all_seeded(self, rr16):
@@ -165,11 +172,13 @@ class TestWalkBased:
 
 class TestRace:
     def test_never_exceeds_trivial(self, rr16):
+        assignment, params = {t: [t] for t in range(1, 5)}, resolve_gossip_params(16, 4, 6, 4)
         for seed in range(10):
-            eng = make_engine(rr16, seed=seed, phi=4)
-            report = k_gossip_race(eng, {t: [t] for t in range(1, 5)}, resolve_gossip_params(16, 4, 6, 4), 6, 4)
+            report = k_gossip_race(make_engine(rr16, seed=seed, phi=4), assignment, params, 6, 4)
             assert report.race_rounds <= report.rounds_trivial
             assert report.race_rounds == min(report.rounds_rw, report.rounds_trivial)
+            rw = k_gossip_rw(make_engine(rr16, seed=seed, phi=4), assignment, params, 6, 4)
+            assert (report.rounds_rw, report.phase1_rounds) == (rw.rounds, rw.phase1_rounds)
 
     def test_tie_breaks_to_trivial(self, rr16, monkeypatch):
         # Each route reports a fixed round count; the trivial one takes 10.

@@ -258,7 +258,7 @@ class TestRunExperiment:
         )
         report, code = run_experiment(cfg)
         lines = (tmp_path / "o" / "gossip.csv").read_text().splitlines()
-        assert lines[0] == "n,d,k,tau,phi,f,rounds_rw,rounds_trivial,winner,coverage_rw,seed"
+        assert lines[0] == "n,d,k,tau,phi,f,rounds_rw,phase1_rounds,rounds_trivial,winner,coverage_rw,seed"
         assert len(lines) == 4  # header + one row per seed
         assert report.aggregates["coverage_rate"] == 1.0
 
@@ -338,44 +338,44 @@ class TestRunExperiment:
         assert got is None if tv is None else isinstance(got, tv) and 0 <= got <= 1
 
 
-# Small sweeps of every algorithm, pinned before `run_experiment` dispatched
-# once: sha256 of the per-seed file (JSON Lines, or gossip's CSV) and of
-# report.json without `generated_at`, re-serialized with sorted keys.
+# Small sweeps of every algorithm: sha256 of the per-seed file (JSON Lines,
+# or gossip's CSV) and of report.json without `generated_at`, re-serialized
+# with sorted keys.
 SWEEP_PINS = {
     "naive": (
         "--schedule perm:base=C9 --algo naive --tau 30 --seeds 8 --bandwidth 100000 --oracle",
-        "1f888cd02d3f9770598042899e1d9585ea151fde291943ba83fd490496c902d6",
-        "d8356061a91939c84d094fd1af4226dd0a13738d37ecaa173b335cf2d2c3ed56",
+        "f3b5e73c3928f4609d3580e0b8cc745387f99d71a7ab7aaab66d382ed5c9f21e",
+        "82e0dfdf2c4ffb3f6df91e13984d750aa0b0260215e19b6624c43a82049b41f8",
     ),
     "single-fallbacks": (
         "--schedule static:K4 --algo single --tau 40 --lambda-c 0.1 --seeds 8 --bandwidth 100000 --oracle",
-        "60714d12f984570045c2037f931ee13328973cfa2adfe251a0c9fec186b77a5b",
-        "aac463d8f273046804454380ecd4bdea16a8abe5177244d3df1988b84a401ca2",
+        "322e6622d02dedca8488280fb889803572661181fd1d4174e4f68d97af40c3a1",
+        "6b6f4143630f95bf7630ee5f21260649139f6bd865c30b14cb3a37f77aeb7784",
     ),
     "single-dynamic": (
         "--schedule rr:n=16,d=3 --algo single --tau 40 --seeds 6 --bandwidth 100000",
-        "b3baad4b1556428059a14cc4b5a7d1d48384eb52c31017ee751aec59ee42b7fb",
-        "a4be6c5a568d671941fce62007c858b366049a66b0a367f93735991f9b583b2d",
+        "70f8501de6d9585332141be4a8b4c0a0725aa6530f78b9d5a8e0bdc40c30b2cc",
+        "b45a32fb1011dff2787f1fbb63e5ce1e963a118f9575beaa0bb08eab77359842",
     ),
     "many": (
         "--schedule srr:n=16,d=3 --algo many --k 4 --tau 160 --seeds 3 --bandwidth 100000 --oracle",
-        "0c74c589f7370c7b4e8a6b71531b5e2a235238691b59cf2b518b15cf39be3833",
-        "371e6bd7e047b8788df40705045bf7c1abe385ea8252943d3f69bfe6ae57cccf",
+        "d995807ae2ce27da2187fa18748e86fce0f2a8f8e4fa30f00aec18c543e3daac",
+        "8880c62685f141aa2b8c33f88d034cd5dac11a219a821084bd1498d523b29564",
     ),
     "gossip": (
         "--schedule rr:n=16,d=4 --algo gossip --k 4 --tau 8 --seeds 5 --bandwidth 100000",
-        "f133d2c0984a03bd9b5ddea7580372c7e925946070ad50eafc9d710aee85a08e",
+        "98e7388bf6ac753ccb26b0ca4bb0be01e6d1c7fe61360149791a6ef6554bc076",
         "a25a08e9c740cfe645b3e1e7ed1ccf134011cb85ca7543e44367bbbf8a34cc02",
     ),
     "estimate-mix": (
         "--schedule srr:n=24,d=8 --algo estimate-mix --seeds 2 --bandwidth 100000 --oracle",
-        "87aa658ae04b7d2456a7b421824f8ce43963c13a96a4941fcef02f16bab3969b",
-        "bc6cc0f322b3bb03b3185206080dede535b39dcfc68c27814b6eff62a14ed2de",
+        "a7149d24e251a7c9c2def3e60200b945f9ec4225af676894806e0cfca4413c42",
+        "d58a314e187f8502d0629725a7b536ee976c6f89f716b1e8e7e7d2f18af39336",
     ),
     "lemma-suite": (
         "--schedule static:K4 --algo lemma-suite --seeds 2",
-        "ccd14888f76eacc3c26af0bec1f9e60b4112ed15ee465f25b07f2c6bed45ddde",
-        "bc590d3e41396f17e2d6ee712800b5529998cd0e9a19c8a79a3a883834219ceb",
+        "2639e65bee8acceb933261138846a7144183f4e25436d84066daa6ec6f40e8d0",
+        "5a9a3b5b51a09bf12be6d6794d6ca9a84b202f8d1852caf05b7f62f523d99d94",
     ),
 }
 
@@ -419,7 +419,7 @@ class TestFloodMemoIndependence:
 
         seed, cold = self._cold(cfg, race)
         assert last[6:] == [
-            str(cold.rounds_rw), str(cold.rounds_trivial), cold.winner,
+            str(cold.rounds_rw), str(cold.phase1_rounds), str(cold.rounds_trivial), cold.winner,
             str(int(cold.coverage_rw_complete)), str(seed),
         ]
 
@@ -433,7 +433,7 @@ class TestFloodMemoIndependence:
             json.loads(line)
             for line in (tmp_path / "o" / "single_per_seed.jsonl").read_text().splitlines()
         ]
-        assert sum(len(r["segment_lengths"]) for r in rows) == 58  # stitches, two floods each
+        assert sum(len(r["segment_lengths"]) for r in rows) == 56  # stitches, two floods each
 
         def walk(engine, n, phi, tau):
             params = WalkParams.for_many(tau, phi, 1, cfg.lambda_c)

@@ -10,6 +10,12 @@ any destination, round count, message count or maximum edge load fails here.
                  endpoint histogram of K=3975 length-3 walks
   gossip-perm64  k_gossip_race with k=8 on the permuted srr:n=64,d=3 schedule,
                  tau=12, phi=5, plus k_gossip_rw's log and its 72 walks' endpoints
+
+Phase 1 is pinned on its own as well: the coupon lengths and holders of
+`phase1_distribute` on stitch-rr16's instance and on C8's
+(RandomRegularSchedule(16, 4, seed=777), lambda=2).  Phase 1 makes an
+engine's first draws, so no later change to how other phases draw may move
+them.
 """
 import numpy as np
 import pytest
@@ -60,53 +66,80 @@ def gossip_perm64(seed):
 
 RUNS = {"stitch-rr16": stitch_rr16, "mixest-srr48": mixest_srr48, "gossip-perm64": gossip_perm64}
 
-PINS = {'gossip-perm64': {0: ((492, 35, 35, 'trivial', True), [64, 64, 64, 64, 64, 64, 64, 64], 12, {'congestion_events': 0, 'max_edge_bits': 102, 'rounds': 492, 'total_msgs': 90795},
-                       [23, 7, 0, 24, 6, 61, 12, 36, 17, 22, 57, 38, 15, 44, 29, 32, 2, 16, 33, 29, 32, 16, 0, 49, 17, 21, 18, 33, 49, 26, 4, 60, 30, 51, 44, 27, 27, 10, 40, 36, 59, 12, 23, 36, 10,
-                        19, 16, 57, 60, 2, 31, 30, 5, 18, 54, 10, 11, 51, 41, 25, 5, 55, 52, 33, 19, 56, 14, 42, 30, 26, 31, 33],
+PINS = {'gossip-perm64': {0: ((492, 35, 35, 'trivial', True), [64, 64, 64, 64, 64, 64, 64, 64], 12, {'congestion_events': 0, 'max_edge_bits': 85, 'rounds': 492, 'total_msgs': 90858},
+                       [42, 23, 47, 29, 3, 20, 35, 45, 43, 29, 25, 18, 35, 15, 37, 18, 19, 46, 47, 7, 40, 17, 52, 54, 61, 24, 45, 50, 20, 17, 18, 60, 23, 0, 51, 14, 56, 50, 54, 28, 21, 53, 28, 44, 3,
+                        41, 6, 34, 38, 40, 23, 39, 11, 21, 48, 45, 23, 29, 28, 4, 56, 7, 17, 29, 48, 29, 59, 16, 43, 30, 16, 33],
+                       {'congestion_events': 0, 'max_edge_bits': 85, 'rounds': 12, 'total_msgs': 864}),
+                   1: ((492, 35, 35, 'trivial', True), [64, 64, 64, 64, 64, 64, 64, 64], 12, {'congestion_events': 0, 'max_edge_bits': 102, 'rounds': 492, 'total_msgs': 90804},
+                       [19, 30, 10, 41, 10, 22, 17, 45, 6, 2, 14, 37, 50, 44, 61, 17, 36, 5, 56, 21, 14, 37, 21, 57, 62, 29, 3, 62, 34, 52, 61, 23, 20, 9, 34, 52, 17, 0, 37, 62, 63, 36, 9, 42, 35, 9,
+                        12, 60, 16, 32, 55, 44, 52, 63, 23, 26, 3, 16, 41, 49, 28, 26, 36, 34, 41, 63, 40, 13, 28, 17, 37, 3],
                        {'congestion_events': 0, 'max_edge_bits': 102, 'rounds': 12, 'total_msgs': 864}),
-                   1: ((492, 35, 35, 'trivial', True), [64, 64, 64, 64, 64, 64, 64, 64], 12, {'congestion_events': 0, 'max_edge_bits': 119, 'rounds': 492, 'total_msgs': 90780},
-                       [45, 4, 13, 46, 56, 9, 59, 50, 63, 33, 32, 1, 41, 52, 28, 52, 0, 39, 6, 21, 50, 45, 34, 59, 8, 19, 50, 22, 10, 23, 47, 48, 22, 43, 57, 38, 28, 10, 18, 25, 54, 1, 52, 42, 62, 14,
-                        58, 40, 53, 60, 12, 10, 62, 5, 36, 18, 46, 13, 3, 42, 39, 48, 49, 42, 59, 40, 16, 59, 9, 12, 63, 36],
-                       {'congestion_events': 0, 'max_edge_bits': 119, 'rounds': 12, 'total_msgs': 864}),
-                   2: ((492, 35, 35, 'trivial', True), [64, 64, 64, 64, 64, 64, 64, 64], 12, {'congestion_events': 0, 'max_edge_bits': 136, 'rounds': 492, 'total_msgs': 90807},
-                       [31, 11, 29, 44, 33, 51, 17, 17, 25, 11, 14, 17, 62, 2, 49, 7, 7, 2, 43, 4, 27, 19, 17, 23, 62, 30, 11, 30, 43, 37, 19, 46, 61, 32, 52, 12, 15, 12, 56, 36, 21, 7, 44, 58, 29,
-                        59, 46, 31, 12, 55, 34, 31, 39, 31, 53, 60, 16, 50, 56, 4, 37, 58, 7, 2, 21, 8, 39, 15, 8, 63, 8, 31],
-                       {'congestion_events': 0, 'max_edge_bits': 136, 'rounds': 12, 'total_msgs': 864}),
-                   3: ((492, 35, 35, 'trivial', True), [64, 64, 64, 64, 64, 64, 64, 64], 12, {'congestion_events': 0, 'max_edge_bits': 102, 'rounds': 492, 'total_msgs': 90795},
-                       [1, 4, 17, 32, 43, 15, 46, 53, 7, 24, 5, 38, 39, 35, 39, 35, 19, 7, 24, 35, 63, 30, 37, 39, 35, 2, 9, 11, 19, 17, 40, 9, 58, 54, 53, 28, 57, 7, 6, 3, 37, 25, 8, 2, 57, 41, 25,
-                        21, 15, 32, 32, 56, 52, 24, 8, 52, 40, 45, 28, 14, 39, 17, 35, 61, 61, 16, 9, 55, 4, 48, 33, 12],
+                   2: ((492, 35, 35, 'trivial', True), [64, 64, 64, 64, 64, 64, 64, 64], 12, {'congestion_events': 0, 'max_edge_bits': 85, 'rounds': 492, 'total_msgs': 90750},
+                       [54, 46, 62, 53, 54, 23, 32, 5, 41, 33, 33, 0, 4, 52, 42, 19, 8, 0, 48, 58, 19, 28, 1, 17, 50, 43, 53, 21, 3, 16, 51, 55, 9, 13, 52, 51, 51, 57, 28, 48, 47, 40, 34, 33, 60, 17,
+                        27, 39, 59, 22, 43, 25, 13, 44, 15, 13, 54, 33, 14, 31, 39, 50, 53, 55, 26, 10, 34, 51, 56, 36, 60, 52],
+                       {'congestion_events': 0, 'max_edge_bits': 85, 'rounds': 12, 'total_msgs': 864}),
+                   3: ((492, 35, 35, 'trivial', True), [64, 64, 64, 64, 64, 64, 64, 64], 12, {'congestion_events': 0, 'max_edge_bits': 102, 'rounds': 492, 'total_msgs': 90840},
+                       [46, 3, 41, 11, 59, 40, 35, 13, 43, 37, 47, 49, 3, 43, 54, 60, 11, 54, 13, 27, 13, 23, 49, 21, 62, 26, 52, 45, 14, 58, 3, 18, 6, 60, 19, 39, 8, 6, 18, 24, 61, 46, 57, 7, 34, 44,
+                        19, 8, 52, 45, 22, 13, 43, 46, 2, 41, 4, 2, 61, 62, 40, 39, 49, 10, 5, 50, 6, 43, 14, 62, 28, 5],
                        {'congestion_events': 0, 'max_edge_bits': 102, 'rounds': 12, 'total_msgs': 864})},
  'mixest-srr48': {0: (6, (5, 6),
-                      [(1, 'FAIL', 0.104016429116), (2, 'FAIL', 0.023415542219), (4, 'FAIL', 0.002005812941), (8, 'PASS', 1.121282e-05), (6, 'PASS', 4.2738492e-05), (5, 'FAIL', 0.000386355651)], 26,
-                      [43, 93, 84, 82, 162, 49, 197, 37, 89, 75, 81, 50, 85, 175, 71, 69, 51, 72, 176, 113, 91, 93, 168, 54, 65, 57, 159, 134, 99, 73, 80, 37, 36, 76, 55, 185, 54, 37, 54, 41, 74, 18,
-                       78, 50, 43, 56, 106, 48],
-                      {'congestion_events': 0, 'max_edge_bits': 10280, 'rounds': 3, 'total_msgs': 11925}),
+                      [(1, 'FAIL', 0.10410252332), (2, 'FAIL', 0.021253185011), (4, 'FAIL', 0.00135364935), (8, 'PASS', 6.148456e-06), (6, 'PASS', 0.000154281129), (5, 'FAIL', 0.000562848769)], 26,
+                      [49, 77, 75, 90, 177, 47, 196, 67, 90, 68, 82, 72, 70, 176, 66, 50, 37, 93, 181, 104, 72, 83, 163, 38, 68, 64, 163, 172, 84, 56, 91, 43, 25, 59, 71, 184, 76, 42, 62, 44, 60, 29,
+                       98, 46, 36, 64, 78, 37],
+                      {'congestion_events': 0, 'max_edge_bits': 10600, 'rounds': 3, 'total_msgs': 11925}),
                   1: (6, (5, 6),
-                      [(1, 'FAIL', 0.104218117449), (2, 'FAIL', 0.022663990466), (4, 'FAIL', 0.001322123678), (8, 'PASS', -4.2469448e-05), (6, 'PASS', 8.489933e-05), (5, 'FAIL', 0.000588930248)], 26,
-                      [39, 83, 101, 101, 161, 38, 191, 39, 81, 63, 81, 46, 80, 165, 71, 52, 41, 85, 149, 93, 89, 81, 162, 28, 73, 75, 180, 172, 89, 79, 75, 37, 44, 72, 54, 197, 72, 43, 70, 48, 63, 23,
-                       116, 57, 37, 68, 75, 36],
-                      {'congestion_events': 0, 'max_edge_bits': 10860, 'rounds': 3, 'total_msgs': 11925}),
+                      [(1, 'FAIL', 0.104283067929), (2, 'FAIL', 0.022487877176), (4, 'FAIL', 0.001596485647), (8, 'PASS', -1.3855786e-05), (6, 'PASS', 7.7176173e-05), (5, 'FAIL', 0.000542844527)], 26,
+                      [47, 86, 78, 75, 156, 50, 198, 62, 78, 68, 77, 55, 74, 177, 79, 65, 38, 71, 180, 83, 100, 85, 152, 38, 60, 86, 183, 157, 77, 66, 94, 58, 42, 69, 41, 183, 81, 37, 54, 42, 53, 15,
+                       101, 57, 51, 69, 97, 30],
+                      {'congestion_events': 0, 'max_edge_bits': 10580, 'rounds': 3, 'total_msgs': 11925}),
                   2: (6, (5, 6),
-                      [(1, 'FAIL', 0.104032255257), (2, 'FAIL', 0.020822967211), (4, 'FAIL', 0.001525204711), (8, 'PASS', 5.1347912e-05), (6, 'PASS', 0.000116171783), (5, 'FAIL', 0.000551453948)], 26,
-                      [46, 75, 84, 74, 152, 53, 203, 52, 90, 73, 79, 49, 83, 153, 79, 62, 38, 65, 168, 101, 84, 66, 158, 38, 47, 69, 193, 151, 93, 54, 95, 45, 29, 79, 74, 196, 82, 35, 62, 54, 63, 33,
-                       106, 51, 38, 73, 96, 32],
-                      {'congestion_events': 0, 'max_edge_bits': 10480, 'rounds': 3, 'total_msgs': 11925}),
+                      [(1, 'FAIL', 0.104149495304), (2, 'FAIL', 0.021621997386), (4, 'FAIL', 0.001377958301), (8, 'PASS', -5.8422197e-05), (6, 'PASS', 0.000138075162), (5, 'FAIL', 0.000565127733)],
+                      26,
+                      [47, 97, 79, 91, 145, 42, 199, 40, 100, 69, 91, 49, 82, 182, 73, 61, 47, 74, 178, 96, 76, 72, 159, 34, 52, 75, 202, 166, 70, 72, 79, 43, 36, 69, 54, 180, 85, 34, 70, 42, 64, 24,
+                       105, 47, 34, 65, 82, 42],
+                      {'congestion_events': 0, 'max_edge_bits': 10700, 'rounds': 3, 'total_msgs': 11925}),
                   3: (6, (5, 6),
-                      [(1, 'FAIL', 0.104044156514), (2, 'FAIL', 0.023045463753), (4, 'FAIL', 0.001683339506), (8, 'PASS', 6.3882216e-05), (6, 'PASS', 0.000106296272), (5, 'FAIL', 0.000568039743)], 26,
-                      [39, 72, 82, 75, 173, 57, 184, 60, 84, 79, 87, 46, 100, 170, 75, 63, 40, 68, 164, 97, 102, 96, 144, 36, 68, 77, 178, 145, 82, 53, 86, 49, 45, 72, 72, 173, 74, 42, 68, 46, 67, 22,
-                       81, 49, 44, 59, 90, 40],
-                      {'congestion_events': 0, 'max_edge_bits': 10460, 'rounds': 3, 'total_msgs': 11925})},
- 'stitch-rr16': {0: (12, 36, [10, 6], [0, 11], 0, [0, 13, 7, 13, 0, 8, 12, 8, 12, 1, 11, 15, 11, 15, 14, 15, 14, 6, 13, 6, 13, 7, 3, 1, 12],
-                     {'congestion_events': 0, 'max_edge_bits': 70, 'rounds': 36, 'total_msgs': 760}),
-                 1: (15, 35, [7, 10], [0, 5], 0, [0, 8, 6, 13, 6, 13, 7, 5, 2, 9, 14, 9, 14, 6, 8, 6, 14, 9, 2, 5, 7, 3, 1, 11, 15],
-                     {'congestion_events': 0, 'max_edge_bits': 56, 'rounds': 35, 'total_msgs': 747}),
-                 2: (6, 38, [8, 6], [0, 6], 0, [0, 13, 6, 8, 0, 13, 7, 13, 6, 14, 6, 8, 6, 14, 15, 11, 0, 8, 12, 8, 6, 13, 6, 14, 6],
-                     {'congestion_events': 0, 'max_edge_bits': 84, 'rounds': 38, 'total_msgs': 764}),
-                 3: (13, 35, [10, 7], [0, 13], 0, [0, 8, 12, 1, 12, 1, 12, 1, 11, 0, 13, 6, 8, 12, 8, 6, 13, 6, 13, 7, 13, 6, 8, 0, 13],
-                     {'congestion_events': 0, 'max_edge_bits': 70, 'rounds': 35, 'total_msgs': 760})}}
+                      [(1, 'FAIL', 0.104159244207), (2, 'FAIL', 0.023104083777), (4, 'FAIL', 0.001810328456), (8, 'PASS', -7.778548e-06), (6, 'PASS', 3.7547518e-05), (5, 'FAIL', 0.000422312642)], 26,
+                      [45, 96, 92, 81, 145, 44, 205, 64, 80, 68, 89, 69, 77, 165, 66, 61, 32, 80, 177, 84, 89, 80, 140, 34, 50, 63, 187, 150, 95, 58, 81, 52, 44, 84, 62, 189, 73, 40, 62, 48, 68, 22,
+                       78, 67, 46, 75, 88, 30],
+                      {'congestion_events': 0, 'max_edge_bits': 10360, 'rounds': 3, 'total_msgs': 11925})},
+ 'stitch-rr16': {0: (15, 34, [7, 11], [0, 3], 0, [0, 8, 6, 14, 15, 11, 1, 3, 7, 5, 7, 3, 12, 3, 7, 13, 6, 14, 15, 4, 15, 14, 15, 14, 15],
+                     {'congestion_events': 0, 'max_edge_bits': 70, 'rounds': 34, 'total_msgs': 734}),
+                 1: (1, 38, [7, 7], [0, 8], 0, [0, 13, 7, 5, 7, 13, 0, 8, 12, 1, 3, 12, 3, 7, 13, 7, 3, 7, 13, 6, 13, 7, 3, 12, 1],
+                     {'congestion_events': 0, 'max_edge_bits': 56, 'rounds': 38, 'total_msgs': 744}),
+                 2: (3, 37, [6, 9], [0, 12], 0, [0, 13, 6, 8, 12, 1, 12, 3, 7, 13, 0, 13, 7, 5, 2, 5, 10, 5, 7, 3, 1, 12, 1, 12, 3],
+                     {'congestion_events': 0, 'max_edge_bits': 84, 'rounds': 37, 'total_msgs': 733}),
+                 3: (3, 36, [9, 7], [0, 3], 0, [0, 8, 0, 11, 1, 3, 7, 5, 7, 3, 1, 3, 7, 3, 1, 12, 8, 6, 13, 7, 3, 1, 3, 7, 3],
+                     {'congestion_events': 0, 'max_edge_bits': 70, 'rounds': 36, 'total_msgs': 743})}}
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("workload", sorted(RUNS))
 def test_workload_outputs_pinned(workload, seed):
     assert RUNS[workload](seed) == PINS[workload][seed]
+
+
+# (schedule, lambda) -> engine seed -> (lengths, holders), one hex digit per coupon.
+PHASE1_INSTANCES = {
+    "stitch-rr16": (lambda: graphs.parse_schedule_spec("srr:n=16,d=3", seed=99), 6),
+    "c8-16-4": (lambda: graphs.RandomRegularSchedule(16, 4, seed=777), 2),
+}
+PHASE1_PINS = {
+    "stitch-rr16": {0: ("7a7a9a996ba799a9797a967b8a799886ab6697aba9ba6876", "3bdfecb5af126e5ba8d951b3dcd23922169ebcc8d05d27e6"),
+                    1: ("7777b9b6899a7a7abaa66887bb7a97bb9a76769a7ab6baa9", "b58b0d99293f0b79df226fc95cd97b9e6a731d83e44afafb"),
+                    2: ("6a89a6ab96b66bab766988aba7a696ba77a8967aba7879bb", "cf68f39e9f9f67b2f5f3ecfe4ce8f95dda585ceb0371dfbc"),
+                    3: ("aa986bab86b79a89ba99ab899a9a78b689b66868a79a8876", "d63674422d18786289beb9c413c66bdc281030fbd64e81e0")},
+    "c8-16-4": {0: ("2323333323323333232332232323322233223233333322223332233332222223", "814f02b12565d4bbc890f05ed94e166d73bd41883cc177bf21a003972032d3bb"),
+                1: ("2222333223332323333222223323323333222233233233333222322233222222", "6fba3ccd52063fc4d1d8eb059379fe1964038bd72fe84514222a2f1cdb055893"),
+                2: ("2323323332322333222322333232323322323223332223333333332333332332", "19cf61f2b0e862a597e7050ecefbb55f0059b6f28b6a44384120de1544b23ad3"),
+                3: ("3332233322323323333333233333223223322222323322222323322233222233", "8d47f489e037d10216076ecb81e27a633bd0f6385dc1c6bbefe8fb262152fdaa")},
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("instance", sorted(PHASE1_INSTANCES))
+def test_phase1_coupons_pinned(instance, seed):
+    build, lam = PHASE1_INSTANCES[instance]
+    table = walks.phase1_distribute(engine(build(), seed, 4), walks.WalkParams(tau=10 * lam, lambda_walk=lam), record_paths=False)
+    as_hex = lambda a: "".join(f"{v:x}" for v in a.tolist())  # every value is below 16
+    assert (as_hex(table.lengths), as_hex(table.holders)) == PHASE1_PINS[instance][seed]

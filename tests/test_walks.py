@@ -19,9 +19,6 @@ from dynwalk import walks
 from dynwalk.engine import CongestEngine, RoundLimitError, SimConfig
 from dynwalk.oracle import segment_matrix, transition_matrix
 from dynwalk.walks import (
-    TAG_NAIVE,
-    TAG_PHASE1,
-    TAG_STITCH,
     _walk_tokens,
     CouponTable,
     CouponsExhausted,
@@ -332,9 +329,10 @@ class TestManyRandomWalks:
 
 
 def reference_naive(schedule, seed, sources, length, record_path):
-    """Naive walks one token at a time on `TAG_NAIVE`'s (length, k) draws,
-    with the fields a naive walk's `WalkResult` has always carried."""
-    draws = make_engine(schedule, seed).stream(TAG_NAIVE).integers(schedule.d, size=(length, len(sources)))
+    """Naive walks one token at a time on the engine stream's first
+    (length, k) draws, with the fields a naive walk's `WalkResult` has always
+    carried."""
+    draws = make_engine(schedule, seed).rng.integers(schedule.d, size=(length, len(sources)))
     out = []
     for j, s in enumerate(sources):
         path = [s]
@@ -347,12 +345,13 @@ def reference_naive(schedule, seed, sources, length, record_path):
 def reference_stitched(schedule, seed, phi, sources, params, record_path):
     """The stitched walks, source by source, from one Phase-1 table and
     `sample_coupon`; each naive leg (a fallback or the tail) steps through
-    the neighbor table on `TAG_NAIVE` draws taken leg by leg in the same
-    order, and idles the engine for its rounds.  Returns the walks and the rounds spent."""
+    the neighbor table on the engine stream's next draws, taken leg by leg
+    between the stitches' pool draws, and idles the engine for its rounds.
+    Returns the walks and the rounds spent."""
     eng = make_engine(schedule, seed, phi=phi)
     tau, lam = params.tau, params.lambda_walk
     table = phase1_distribute(eng, params)
-    rng, bits = eng.stream(TAG_NAIVE), eng.enc.token_bits(tau, len(sources))
+    rng, bits = eng.rng, eng.enc.token_bits(tau, len(sources))
     out = []
     for j, s in enumerate(sources):
         path, connectors, segments, fallbacks = [s], [s], [], 0
@@ -485,24 +484,32 @@ def flood_charge(schedule, source, start_round, phi):
 
 
 def stitched_walk_cost(schedule, seed, phi, params, res):
-    """(rounds, messages) of stitched walk `res` from round 0, replayed from
-    a twin engine's Phase-1 table and stitch stream: Phase 1 sends one
-    message per coupon step, each stitch two floods, and each fallback and
-    tail step one message.  The replay's segments and fallbacks must be the
-    walk's, and its positions are read from the walk's path."""
+    """(rounds, messages) of stitched walk `res` from round 0, replayed on a
+    twin engine's one stream in protocol order: Phase 1's draws, then each
+    stitch's pool draw, each fallback's lambda-row block and the tail's
+    block, a leg stepping through the neighbor tables of its own rounds.
+    Phase 1 sends one message per coupon step, each stitch two floods, and
+    each fallback and tail step one message.  The replay's segments,
+    fallbacks and destination must be the walk's."""
     tau, lam = params.tau, params.lambda_walk
     twin = make_engine(schedule, seed, phi=phi)
     table = phase1_distribute(twin, params, record_paths=False)
-    rng = twin.stream(TAG_STITCH)
+    rng = twin.rng
     rounds, msgs = 2 * lam, int(table.lengths.sum())
     v, completed, segments, fallbacks = res.source, 0, [], 0
+
+    def naive(v, steps):  # one token's block of `steps` rows, from round `rounds` + 1
+        for t, (draw,) in enumerate(rng.integers(schedule.d, size=(steps, 1)).tolist(), rounds + 1):
+            v = schedule.snapshot_at(t).nbr.item(v, draw)
+        return v
+
     while completed <= tau - 2 * lam:
         if not table.unused[v]:
             fallbacks += 1
+            v = naive(v, lam)
             completed += lam
             rounds += lam
             msgs += lam
-            v = res.path[completed]
             continue
         ci = table.sample(v, rng)
         msgs += flood_charge(schedule, v, rounds + 1, phi) + flood_charge(schedule, v, rounds + phi + 1, phi)
@@ -510,7 +517,8 @@ def stitched_walk_cost(schedule, seed, phi, params, res):
         segments.append(int(table.lengths[ci]))
         completed += segments[-1]
         v = int(table.holders[ci])
-    assert (segments, fallbacks) == (res.segment_lengths, res.fallbacks)
+    v = naive(v, tau - completed)
+    assert (segments, fallbacks, v) == (res.segment_lengths, res.fallbacks, res.destination)
     return rounds + tau - completed, msgs + tau - completed
 
 
@@ -592,9 +600,7 @@ def test_walk_past_max_rounds_rejected_before_any_draw(rr16, walk):
     with pytest.raises(RoundLimitError, match=r"^a walk needs at least \d+ rounds, but max_rounds=40 leaves 40$"):
         walk(eng)
     assert eng.round == eng.log.rounds == 0
-    fresh = CongestEngine(rr16, SimConfig(seed=0))
-    for tag in (TAG_PHASE1, TAG_NAIVE):  # no stream drew
-        assert eng.stream(tag).random() == fresh.stream(tag).random()
+    assert eng.rng.random() == CongestEngine(rr16, SimConfig(seed=0)).rng.random()  # the stream never drew
 
 
 def test_naive_walk_room_counts_from_the_engine_round(rr16):
@@ -641,7 +647,7 @@ class TestVisitStats:
 # with their steps sent as ports: Phase 1's prefix loop and the naive loop.
 def reference_phase1(engine, params, record_paths):
     d, n, lam = engine.schedule.d, engine.n, params.lambda_walk
-    rng = engine.stream(TAG_PHASE1)
+    rng = engine.rng
     table = CouponTable(n, d, lam + rng.integers(lam, size=n * d))
     choices = rng.integers(d, size=(2 * lam, n * d))
     order = np.argsort(-table.lengths, kind="stable")
@@ -666,7 +672,7 @@ def reference_phase1(engine, params, record_paths):
 def reference_walk_tokens(engine, sources, steps, token_bits, record_path):
     d = engine.schedule.d
     pos = np.array(sources, dtype=np.int64)
-    draws = engine.stream(TAG_NAIVE).integers(d, size=(steps, len(pos)))
+    draws = engine.rng.integers(d, size=(steps, len(pos)))
     trail = np.empty((steps + 1, len(pos)), dtype=np.int64) if record_path else None
     if record_path:
         trail[0] = pos
@@ -754,7 +760,7 @@ class TestSharedTokenLoop:
 
     def test_draw_blocks_are_whole_rounds_of_at_least_draw_block_values(self, rr16):
         eng = make_engine(rr16, seed=2)
-        rng = eng.stream(TAG_NAIVE)
+        rng = eng.rng
         sizes = []
 
         class Counting:
@@ -762,20 +768,20 @@ class TestSharedTokenLoop:
                 sizes.append(size)
                 return rng.integers(high, size=size)
 
-        with mock.patch.object(walks, "DRAW_BLOCK", 5):
-            _walk_tokens(eng, Counting(), [0, 1, 2], 7, 8, False)
+        with mock.patch.object(walks, "DRAW_BLOCK", 5), mock.patch.object(eng, "_rng", Counting()):
+            _walk_tokens(eng, [0, 1, 2], 7, 8, False)
         assert sizes == [(2, 3), (2, 3), (2, 3), (1, 3)]
 
     def test_sources_are_copied(self, rr16):
         sources = np.array([3, 3, 7, 11], dtype=np.int64)
         eng = make_engine(rr16, seed=5)
-        pos, _ = _walk_tokens(eng, eng.stream(TAG_NAIVE), sources, 6, 8, False)
+        pos, _ = _walk_tokens(eng, sources, 6, 8, False)
         assert sources.tolist() == [3, 3, 7, 11] and pos is not sources
 
     def test_moving_prefix(self, rr16):
         # Round i moves only the first moving[i] tokens; the rest stay put.
         eng = make_engine(rr16, seed=2, phi=4)
-        pos, trail = _walk_tokens(eng, eng.stream(TAG_NAIVE), [0, 1, 2, 3], 3, 8, True, [4, 2, 1])
+        pos, trail = _walk_tokens(eng, [0, 1, 2, 3], 3, 8, True, [4, 2, 1])
         assert eng.round == 3 and eng.log.total_msgs == 7
         assert trail[1:, 3].tolist() == [trail[1, 3]] * 3 and trail[2:, 2].tolist() == [trail[2, 2]] * 2
         assert trail[3, 1] == trail[2, 1] and pos.tolist() == trail[-1].tolist()
